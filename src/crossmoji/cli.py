@@ -25,9 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stage", choices=list(STAGES) + ["all"], default=None,
                         help="alternative to the positional stage")
     parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded seeded training, byte-reproducible outputs")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallel training mode")
+                        help="accepted for compatibility; training is always seeded "
+                             "and byte-reproducible")
     parser.add_argument("--out", default=None, help="override the config's output directory")
     return parser
 
@@ -40,8 +39,7 @@ def main(argv=None) -> int:
         return 2
     stage = args.stage_command or args.stage or "all"
     try:
-        config = load_config(args.config, out_dir=args.out,
-                             deterministic=args.deterministic, threads=args.threads)
+        config = load_config(args.config, out_dir=args.out)
         manifest = Pipeline(config).run(stage)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,7 @@
 """CBOW embeddings with negative sampling, trained from token streams.
 
-The trainer is a plain SGD loop over (context window -> center token)
-positions.  The mean of the context input vectors predicts the center token
-against `negatives` sampled non-context tokens under a logistic loss:
+The mean of the context input vectors predicts the center token against
+`negatives` sampled non-context tokens under a logistic loss:
 
     L = -log sigmoid(h . o_pos) - sum_k log sigmoid(-h . o_neg_k)
 
@@ -10,21 +9,25 @@ where h is the context mean.  Gradients are the exact analytic gradients of
 L (the context update is the output-side error divided by the context
 size), so they check out against finite differences.
 
-Two modes: `deterministic` (single worker, seeded, byte-reproducible) and
-`parallel` (workers share the parameter matrices without locking; updates
-may interleave, which is lossy but convergent, and nondeterministic).
+Training is minibatch SGD (Ji et al., arXiv:1604.04661): positions are taken
+`BATCH` at a time, `cbow_gradients` evaluates every gradient of a batch at
+the same parameters, and each matrix then gets one scatter-add.  One seeded
+generator drives all sampling, so a fixed seed reproduces a model exactly.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 MODEL_FORMAT = "crossmoji-model 1"
+
+BATCH = 256  # positions per minibatch step
+CHUNK_TOKENS = 4096  # positions are built for about this many tokens at a time
 
 
 class EmptyVocabularyError(ValueError):
@@ -102,8 +105,6 @@ class TrainParams:
     negatives: int = 5
     subsample: float = 1e-4
     seed: int = 1
-    mode: str = "deterministic"  # or "parallel"
-    threads: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -112,16 +113,9 @@ class TrainParams:
             raise ValueError("require lr0 > lr_min > 0")
         if self.window < 1 or self.negatives < 1 or self.epochs < 1:
             raise ValueError("window, negatives and epochs must be >= 1")
-        if self.mode not in ("deterministic", "parallel"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim, "epochs": self.epochs, "lr0": self.lr0,
-            "lr_min": self.lr_min, "window": self.window,
-            "negatives": self.negatives, "subsample": self.subsample,
-            "seed": self.seed, "mode": self.mode, "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -134,6 +128,7 @@ class EmbeddingModel:
     syn1: np.ndarray  # |V| x d output (context) vectors
     params: TrainParams
     epoch_losses: tuple[float, ...] = ()
+    train_seconds: float = 0.0  # wall time of the training run; not saved
 
     @property
     def dim(self) -> int:
@@ -162,29 +157,35 @@ def cbow_loss(context_vectors: np.ndarray, output_vectors: np.ndarray) -> float:
     return float(loss)
 
 
-def cbow_gradients(
-    context_vectors: np.ndarray, output_vectors: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus exact gradients w.r.t. the context and output vectors."""
-    n_ctx = context_vectors.shape[0]
-    h = context_vectors.mean(axis=0)
-    scores = output_vectors @ h
-    f = _sigmoid(scores)
-    g = f.copy()
-    g[0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
-    grad_out = np.outer(g, h)
-    grad_h = g @ output_vectors
-    grad_ctx = np.tile(grad_h / n_ctx, (n_ctx, 1))
-    loss = np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum()
-    return float(loss), grad_ctx, grad_out
+def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
+                   mask: Optional[np.ndarray] = None, out: Optional[tuple] = None):
+    """Loss plus exact gradients w.r.t. the context and output vectors.
 
-
-def keep_probability(count: int, threshold_count: float) -> float:
-    """Subsampling keep probability for a token with this corpus count."""
-    if threshold_count <= 0:
-        return 1.0
-    p = (np.sqrt(count / threshold_count) + 1.0) * (threshold_count / count)
-    return float(min(1.0, p))
+    One position: context_vectors (C, d) and output_vectors (1 + K, d), the
+    center's output vector first; returns a float loss.  A batch: the same
+    with a leading batch axis, (B, C, d) and (B, 1 + K, d), plus a (B, C)
+    `mask` of the real context slots of each row (None: all are real);
+    returns a (B,) loss array and zero gradients on the padded slots, written
+    into the (context, output) gradient arrays `out` when given.  `out` may be
+    the input arrays themselves: they are read before it is written."""
+    if context_vectors.ndim == 2:
+        loss, grad_ctx, grad_out = cbow_gradients(context_vectors[None],
+                                                  output_vectors[None])
+        return float(loss[0]), grad_ctx[0], grad_out[0]
+    if mask is None:
+        mask = np.ones(context_vectors.shape[:2], dtype=bool)
+    weights = mask / mask.sum(axis=1, keepdims=True)  # 1/context size on real slots
+    h = np.einsum("bc,bcd->bd", weights, context_vectors)
+    scores = np.einsum("bkd,bd->bk", output_vectors, h)
+    g = _sigmoid(scores)
+    g[:, 0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
+    grad_h = np.einsum("bk,bkd->bd", g, output_vectors)
+    grad_ctx, grad_out = out if out is not None else (None, None)
+    grad_out = np.multiply(g[:, :, None], h[:, None, :], out=grad_out)
+    grad_ctx = np.multiply(weights[:, :, None], grad_h[:, None, :], out=grad_ctx)
+    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
+    loss = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+    return loss, grad_ctx, grad_out
 
 
 def subsample_keep_probabilities(
@@ -207,96 +208,95 @@ def _negative_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     return cum / cum[-1]
 
 
-def _encode_streams(streams: Iterable, vocab: Vocabulary) -> list[np.ndarray]:
+def _encode_streams(streams: Iterable, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """In-vocabulary token ids of all streams back to back, and the length of
+    each stream; streams without an in-vocabulary token are dropped."""
     index = vocab.index
-    sentences = []
+    ids: list[int] = []
+    lengths: list[int] = []
     for stream in streams:
         tokens = stream.tokens if hasattr(stream, "tokens") else stream
-        ids = [index[t] for t in tokens if t in index]
-        if ids:
-            sentences.append(np.array(ids, dtype=np.int64))
-    return sentences
+        sentence = [index[t] for t in tokens if t in index]
+        if sentence:
+            ids.extend(sentence)
+            lengths.append(len(sentence))
+    return np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64)
 
 
-def _apply_position(
-    syn0: np.ndarray,
-    syn1: np.ndarray,
-    ctx: np.ndarray,
-    outs: np.ndarray,
-    alpha: float,
-    loss_acc: Optional[list],
-) -> None:
-    """One SGD step for a (context, center + negatives) position.
+def _chunk_positions(ids: np.ndarray, lengths: np.ndarray, keep_prob: Optional[np.ndarray],
+                     window: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Every training position of a run of sentences stored back to back.
 
-    All gradients are evaluated at the current parameters, then applied;
-    duplicated context or output indices accumulate their updates."""
-    h = np.add.reduce(syn0[ctx], axis=0) / ctx.size
-    out_vecs = syn1[outs]
-    scores = out_vecs @ h
-    f = _sigmoid(scores)
-    g = f.copy()
-    g[0] -= 1.0
-    if loss_acc is not None:
-        loss_acc[0] += np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum()
-        loss_acc[1] += 1
-    grad_h = g @ out_vecs
-    np.subtract.at(syn1, outs, (alpha * g)[:, None] * h)
-    np.subtract.at(syn0, ctx, (alpha / ctx.size) * grad_h)
+    Each token is kept with its subsampling probability, then each kept token
+    draws its window shrink w in [1, window] and becomes a center whose
+    context is the kept tokens up to w away in its own sentence.  Returns the
+    centers, their (P, 2 * window) context ids and mask of real slots, and
+    the sentence of each position; a center without context is no position."""
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    if keep_prob is not None:
+        kept = rng.random(len(ids)) < keep_prob[ids]
+        ids, sentence = ids[kept], sentence[kept]
+    kept_lengths = np.bincount(sentence, minlength=len(lengths))
+    flat = np.arange(len(ids))
+    pos = flat - (np.cumsum(kept_lengths) - kept_lengths)[sentence]
+    shrink = rng.integers(1, window + 1, size=len(ids))
+    offsets = np.r_[-window:0, 1:window + 1]
+    ctx_pos = pos[:, None] + offsets
+    mask = ((np.abs(offsets) <= shrink[:, None]) & (ctx_pos >= 0)
+            & (ctx_pos < kept_lengths[sentence][:, None]))
+    ctx = ids[np.clip(flat[:, None] + offsets, 0, len(ids) - 1)]
+    has_ctx = mask.any(axis=1)
+    return ids[has_ctx], ctx[has_ctx], mask[has_ctx], sentence[has_ctx]
 
 
-def _train_sentences(
-    sentences: Sequence[np.ndarray],
-    syn0: np.ndarray,
-    syn1: np.ndarray,
-    keep_prob: np.ndarray,
-    neg_cum: np.ndarray,
-    params: TrainParams,
-    rng: np.random.Generator,
-    total_words: int,
-    words_done_start: int,
-    loss_acc: Optional[list],
-    alpha_trace: Optional[Callable[[int, float], None]] = None,
-) -> int:
-    """One pass over `sentences`, updating syn0/syn1 in place.
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray,
+                 scale: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
+    """matrix[rows[b, j]] += scale[b] * updates[b, j] for every slot (b, j),
+    or every slot `mask` marks; repeated rows accumulate, in slot order.
 
-    The learning rate decays linearly with the number of in-vocabulary
-    tokens consumed (pre-subsampling), refreshed once per sentence.
-    Returns the updated consumed-token count.
-    """
-    lr_span = params.lr_min - params.lr0
-    negatives = params.negatives
-    window = params.window
-    words_done = words_done_start
-    for sent in sentences:
-        alpha = params.lr0 + (words_done / total_words) * lr_span
-        alpha = max(alpha, params.lr_min)
-        if alpha_trace is not None:
-            alpha_trace(words_done, alpha)
-        words_done += len(sent)
-        if keep_prob is not None:
-            sent = sent[rng.random(len(sent)) < keep_prob[sent]]
-        n = len(sent)
-        if n < 2:
-            continue
-        shrink = rng.integers(1, window + 1, size=n)
-        for pos in range(n):
-            w = int(shrink[pos])
-            lo = max(0, pos - w)
-            ctx = np.concatenate((sent[lo:pos], sent[pos + 1 : pos + 1 + w]))
-            if ctx.size == 0:
-                continue
-            center = int(sent[pos])
-            outs = np.empty(negatives + 1, dtype=np.int64)
-            outs[0] = center
-            filled = 1
-            while filled < negatives + 1:
-                draws = np.searchsorted(neg_cum, rng.random(negatives + 1 - filled))
-                for t in draws:
-                    if t != center and filled < negatives + 1:
-                        outs[filled] = t
-                        filled += 1
-            _apply_position(syn0, syn1, ctx, outs, alpha, loss_acc)
-    return words_done
+    One np.add.at over flat element indices of the (C-contiguous) matrix,
+    which numpy >= 1.25 runs as a single indexed loop.  Row-wise np.add.at
+    takes a slow generic path, and a sorted np.add.reduceat makes one call
+    per (distinct row, column): on a wide vocabulary both measured 2-3x slower."""
+    picked = np.flatnonzero(mask) if mask is not None else np.arange(rows.size)
+    scaled = updates.reshape(rows.size, -1)[picked]
+    scaled *= scale[picked // rows.shape[1], None]
+    dim = matrix.shape[1]
+    cells = rows.ravel()[picked, None] * dim + np.arange(dim)
+    np.add.at(matrix.reshape(-1), cells.ravel(), scaled.ravel())
+
+
+def _draw_outputs(centers: np.ndarray, neg_cum: np.ndarray, negatives: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """(B, 1 + negatives) output ids: each row's center, then negatives drawn
+    from the unigram^0.75 table and redrawn wherever one hits its row's center."""
+    outs = np.empty((len(centers), negatives + 1), dtype=np.int64)
+    outs[:, 0] = centers
+    outs[:, 1:] = np.searchsorted(neg_cum, rng.random((len(centers), negatives)))
+    clash = outs[:, 1:] == centers[:, None]
+    while clash.any():
+        outs[:, 1:][clash] = np.searchsorted(neg_cum, rng.random(np.count_nonzero(clash)))
+        clash = outs[:, 1:] == centers[:, None]
+    return outs
+
+
+def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, ctx: np.ndarray, mask: np.ndarray,
+                 outs: np.ndarray, alpha: np.ndarray, work: tuple) -> float:
+    """One SGD step for a batch of positions; row b has learning rate alpha[b].
+
+    All gradients are taken at the current parameters, then applied; repeated
+    context or output ids, within a row or across rows, accumulate their
+    updates.  `work` holds a full batch's context and output vectors, which
+    their gradients then overwrite.  Returns the summed loss."""
+    ctx_vecs, out_vecs = (a[: len(ctx)] for a in work)
+    # mode="clip" writes straight into `out` (ids are always in range)
+    np.take(syn0, ctx, axis=0, out=ctx_vecs, mode="clip")
+    np.take(syn1, outs, axis=0, out=out_vecs, mode="clip")
+    loss, grad_ctx, grad_out = cbow_gradients(ctx_vecs, out_vecs, mask,
+                                              out=(ctx_vecs, out_vecs))
+    _scatter_add(syn0, ctx, grad_ctx, -alpha, mask)
+    _scatter_add(syn1, outs, grad_out, -alpha)
+    return float(loss.sum())
 
 
 def train_cbow(
@@ -305,12 +305,17 @@ def train_cbow(
     params: TrainParams,
     alpha_trace: Optional[Callable[[int, float], None]] = None,
 ) -> EmbeddingModel:
-    """Train one CBOW model for exactly `params.epochs` passes."""
+    """Train one CBOW model for exactly `params.epochs` passes.
+
+    The learning rate decays linearly with the number of in-vocabulary tokens
+    consumed (pre-subsampling), refreshed once per sentence; `alpha_trace`,
+    if given, receives (tokens consumed, learning rate) for every sentence."""
+    start = time.perf_counter()
     if len(vocab) < 2:
         raise EmptyVocabularyError(
             "need at least 2 vocabulary tokens to sample negatives")
-    sentences = _encode_streams(streams, vocab)
-    if not sentences:
+    ids, lengths = _encode_streams(streams, vocab)
+    if not len(lengths):
         raise EmptyVocabularyError("no sentence contains an in-vocabulary token")
 
     rng = np.random.default_rng(params.seed)
@@ -318,50 +323,42 @@ def train_cbow(
     syn0 = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d))
     syn1 = np.zeros((V, d))
     neg_cum = _negative_table(vocab)
+    keep_prob = subsample_keep_probabilities(np.bincount(ids, minlength=V),
+                                             params.subsample, len(ids))
 
-    stream_tokens = sum(len(s) for s in sentences)
-    counts_in_stream = np.bincount(np.concatenate(sentences), minlength=V)
-    keep_prob = subsample_keep_probabilities(counts_in_stream, params.subsample,
-                                             stream_tokens)
-
-    total_words = stream_tokens * params.epochs
+    total_words = len(ids) * params.epochs
+    lr_span = params.lr_min - params.lr0
+    ends = np.cumsum(lengths)
+    starts = ends - lengths  # token offset of each sentence
+    chunks = np.r_[0, np.flatnonzero(np.diff(starts // CHUNK_TOKENS)) + 1, len(lengths)]
+    # reused by every batch: fresh multi-megabyte temporaries on every batch
+    # cost more in page faults than the arithmetic on them
+    work = (np.empty((BATCH, 2 * params.window, d)), np.empty((BATCH, params.negatives + 1, d)))
     epoch_losses: list[float] = []
-    words_done = 0
-
-    if params.mode == "parallel" and params.threads > 1:
-        shards = [sentences[i :: params.threads] for i in range(params.threads)]
-        for epoch in range(params.epochs):
-            loss_accs = [[0.0, 0] for _ in shards]
-            threads = []
-            for k, shard in enumerate(shards):
-                worker_rng = np.random.default_rng((params.seed, epoch, k))
-                t = threading.Thread(
-                    target=_train_sentences,
-                    args=(shard, syn0, syn1, keep_prob, neg_cum, params, worker_rng,
-                          total_words, words_done, loss_accs[k]),
-                )
-                threads.append(t)
-                t.start()
-            for t in threads:
-                t.join()
-            words_done += stream_tokens
-            total_loss = sum(a[0] for a in loss_accs)
-            total_n = sum(a[1] for a in loss_accs)
-            epoch_losses.append(total_loss / max(total_n, 1))
-            _check_finite(syn0, syn1, epoch)
-    else:
-        for epoch in range(params.epochs):
-            loss_acc = [0.0, 0]
-            words_done = _train_sentences(
-                sentences, syn0, syn1, keep_prob, neg_cum, params, rng,
-                total_words, words_done, loss_acc, alpha_trace,
-            )
-            epoch_losses.append(loss_acc[0] / max(loss_acc[1], 1))
-            _check_finite(syn0, syn1, epoch)
+    for epoch in range(params.epochs):
+        loss_sum, n_positions = 0.0, 0
+        for s0, s1 in zip(chunks[:-1], chunks[1:]):
+            done = epoch * len(ids) + starts[s0:s1]
+            alpha = np.maximum(params.lr0 + (done / total_words) * lr_span, params.lr_min)
+            if alpha_trace is not None:
+                for words_done, a in zip(done.tolist(), alpha.tolist()):
+                    alpha_trace(words_done, a)
+            centers, ctx, mask, sentence = _chunk_positions(
+                ids[starts[s0] : ends[s1 - 1]], lengths[s0:s1], keep_prob,
+                params.window, rng)
+            row_alpha = alpha[sentence]
+            for b in range(0, len(centers), BATCH):
+                batch = slice(b, b + BATCH)
+                outs = _draw_outputs(centers[batch], neg_cum, params.negatives, rng)
+                loss_sum += _apply_batch(syn0, syn1, ctx[batch], mask[batch], outs,
+                                         row_alpha[batch], work)
+            n_positions += len(centers)
+        epoch_losses.append(loss_sum / max(n_positions, 1))
+        _check_finite(syn0, syn1, epoch)
 
     return EmbeddingModel(
         vocab=vocab, syn0=syn0, syn1=syn1, params=params,
-        epoch_losses=tuple(epoch_losses),
+        epoch_losses=tuple(epoch_losses), train_seconds=time.perf_counter() - start,
     )
 
 
@@ -445,7 +442,9 @@ def _parse_vector_line(line: str, d: int, path, line_no: int) -> tuple[str, np.n
 
 
 def load_model(path) -> EmbeddingModel:
-    """Inverse of save_model; load(save(m)) reproduces m exactly."""
+    """Inverse of save_model; load(save(m)) reproduces m exactly.  Metadata
+    keys it does not read, such as the `mode` and `threads` lines that older
+    files carry, are ignored."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != f"# {MODEL_FORMAT}":
@@ -482,37 +481,30 @@ def load_model(path) -> EmbeddingModel:
     while i < len(lines):
         section = lines[i]
         i += 1
-        if section == "# counts":
-            for _ in range(V):
-                if i >= len(lines):
-                    raise ModelFormatError(f"{path}: truncated counts section")
-                token, _, c = lines[i].partition(" ")
-                counts[index[token]] = int(c)
-                i += 1
-        elif section == "# output":
-            for row in range(V):
-                if i >= len(lines):
-                    raise ModelFormatError(f"{path}: truncated output-matrix section")
-                token, vec = _parse_vector_line(lines[i], d, path, i + 1)
-                syn1[index[token]] = vec
-                i += 1
-        elif section.strip() == "":
+        if section.strip() == "":
             continue
-        else:
+        if section not in ("# counts", "# output"):
             raise ModelFormatError(f"{path}: unexpected section marker {section!r}")
+        if len(lines) < i + V:
+            raise ModelFormatError(f"{path}: truncated {section[2:]} section")
+        for line_no, line in enumerate(lines[i : i + V], start=i + 1):
+            if section == "# counts":
+                token, _, value = line.partition(" ")
+            else:
+                token, value = _parse_vector_line(line, d, path, line_no)
+            if token not in index:
+                raise ModelFormatError(
+                    f"{path}:{line_no}: token {token!r} is not in the vector section")
+            if section == "# counts":
+                counts[index[token]] = int(value)
+            else:
+                syn1[index[token]] = value
+        i += V
 
-    params = TrainParams(
-        dim=d,
-        epochs=int(meta["epochs"]),
-        lr0=float(meta["lr0"]),
-        lr_min=float(meta["lr_min"]),
-        window=int(meta["window"]),
-        negatives=int(meta["negatives"]),
-        subsample=float(meta["subsample"]),
-        seed=int(meta["seed"]),
-        mode=meta.get("mode", "deterministic"),
-        threads=int(meta.get("threads", 1)),
-    )
+    # every field but dim is parsed with the type of its default
+    params = TrainParams(dim=d, **{key: type(default)(meta[key])
+                                   for key, default in TrainParams().as_dict().items()
+                                   if key != "dim"})
     vocab = Vocabulary(
         tokens=tuple(tokens),
         counts=tuple(counts),

@@ -3,8 +3,8 @@
 Each stage persists its artifacts under the output directory and records a
 completion marker carrying a fingerprint of the effective configuration.
 Re-running with an unchanged config skips completed stages; changing the
-config invalidates downstream markers.  Deterministic mode with a fixed
-seed reproduces embedding files and CSV reports byte for byte.
+config invalidates downstream markers.  A fixed seed reproduces embedding
+files and CSV reports byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +33,8 @@ from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexi
 from .projection import build_tensor, read_tensor_csv, write_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
+# keys of a config's "training" object; the seed is a top-level key
+TRAINING_KEYS = {f.name for f in fields(TrainParams)} - {"seed"} | {"min_count"}
 
 
 class ConfigError(ValueError):
@@ -123,8 +125,9 @@ class RunConfig:
 
 
 def load_config(path, out_dir: Optional[str] = None,
-                deterministic: bool = False, threads: int = 1) -> RunConfig:
-    """Read a JSON config; relative paths resolve against the config file."""
+                deterministic: bool = False) -> RunConfig:
+    """Read a JSON config; relative paths resolve against the config file.
+    `deterministic` is ignored: training is always seeded and reproducible."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
@@ -137,17 +140,15 @@ def load_config(path, out_dir: Optional[str] = None,
         return p if p.is_absolute() else (base / p)
 
     training_cfg = dict(raw.get("training", {}))
-    min_count = int(training_cfg.pop("min_count", raw.get("min_count", 5)))
-    mode = training_cfg.pop("mode", "deterministic")
-    if deterministic:
-        mode = "deterministic"
-    training_cfg.pop("threads", None)
-    params = TrainParams(
-        seed=int(raw.get("seed", 1)),
-        mode=mode,
-        threads=1 if deterministic else max(1, threads),
-        **training_cfg,
-    )
+    unknown = sorted(set(training_cfg) - TRAINING_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown training key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(sorted(TRAINING_KEYS))}")
+    try:
+        min_count = int(training_cfg.pop("min_count", raw.get("min_count", 5)))
+        params = TrainParams(seed=int(raw.get("seed", 1)), **training_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad training config: {exc}") from exc
     corpora = []
     for c in raw.get("corpora", []):
         missing = [k for k in ("id", "culture", "input", "lang", "country", "lexicon")
@@ -299,10 +300,15 @@ class Pipeline:
                                    corpus_params, self.config.runs)
             for r, model in enumerate(models):
                 save_model(model, self.model_path(spec.corpus_id, r))
+            # the tokens one run trains on: in-vocabulary tokens times epochs
+            run_tokens = vocab.kept_tokens * corpus_params.epochs
             info[spec.corpus_id] = {
                 "vocabulary": len(vocab),
                 "corpus_tokens": vocab.corpus_tokens,
                 "epoch_losses": [list(m.epoch_losses) for m in models],
+                "runs": [{"seconds": round(m.train_seconds, 3),
+                          "tokens_per_s": round(run_tokens / max(m.train_seconds, 1e-9))}
+                         for m in models],
             }
         return {"training": info}
 

@@ -67,3 +67,15 @@ def test_stage_without_predecessor_fails_cleanly(small_config, capsys):
     code = main(["analyze", "--config", str(small_config)])
     assert code == 1
     assert "project" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("dimm", 50), ("dim", 0), ("mode", "parallel"),
+                                        ("threads", 2)])
+def test_bad_training_config_is_exit_2_with_one_line(small_config, capsys, key, value):
+    raw = json.loads(small_config.read_text())
+    raw["training"][key] = value
+    small_config.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err

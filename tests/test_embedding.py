@@ -12,7 +12,6 @@ from crossmoji.embedding import (
     build_vocabulary,
     cbow_gradients,
     cbow_loss,
-    keep_probability,
     load_model,
     neighbors,
     save_model,
@@ -115,21 +114,6 @@ def test_small_step_in_negative_gradient_never_increases_loss():
 
 # --- subsampling ----------------------------------------------------------------
 
-def test_keep_probability_formula():
-    threshold = 200.0
-    for count in (1, 10, 200, 1000, 50000):
-        expected = min(1.0, (np.sqrt(count / threshold) + 1) * (threshold / count))
-        assert keep_probability(count, threshold) == pytest.approx(expected, abs=1e-15)
-
-
-def test_keep_probability_disabled_passes_everything():
-    assert keep_probability(10**9, 0.0) == 1.0
-
-
-def test_rare_tokens_always_kept():
-    assert keep_probability(1, 100.0) == 1.0
-
-
 def test_subsample_disabled_is_exact_passthrough():
     from crossmoji.embedding import subsample_keep_probabilities
 
@@ -143,6 +127,15 @@ def test_subsample_disabled_is_exact_passthrough():
     assert keep[2] == 1.0
     expected = (np.sqrt(counts[0] / 1000.0) + 1) * (1000.0 / counts[0])
     assert keep[0] == pytest.approx(expected, abs=1e-15)
+    # the formula at several counts, with a threshold count of 200
+    threshold = 200.0
+    counts = np.array([1, 10, 200, 1000, 50000])
+    keep = subsample_keep_probabilities(counts, threshold / 10**6, 10**6)
+    for count, got in zip(counts, keep):
+        expected = min(1.0, (np.sqrt(count / threshold) + 1) * (threshold / count))
+        assert got == pytest.approx(expected, abs=1e-15)
+    # a token seen once is kept even against a 100-count threshold
+    assert subsample_keep_probabilities(np.array([1, 10**9]), 1e-7, 10**9)[0] == 1.0
 
 
 def test_same_seed_same_model():
@@ -220,23 +213,11 @@ def test_run_set_shares_vocab_with_distinct_seeds():
     assert not np.array_equal(models[0].syn0, models[1].syn0)
 
 
-def test_parallel_mode_trains_and_stays_finite():
-    sents = streams(*(["one two three four five six"] * 40))
-    vocab = build_vocabulary(sents, min_count=1)
-    params = TrainParams(dim=8, epochs=2, window=2, negatives=2, seed=4,
-                         mode="parallel", threads=3)
-    model = train_cbow(sents, vocab, params)
-    assert np.isfinite(model.syn0).all()
-    assert len(model.epoch_losses) == 2
-
-
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         TrainParams(lr0=1e-5, lr_min=1e-4)
     with pytest.raises(ValueError):
         TrainParams(dim=0)
-    with pytest.raises(ValueError):
-        TrainParams(mode="warp")
 
 
 def test_single_token_vocabulary_rejected():
@@ -247,31 +228,111 @@ def test_single_token_vocabulary_rejected():
 
 
 def test_position_update_accumulates_duplicate_indices():
-    # a token occurring twice in one window gets twice the update; a twice-
-    # sampled negative likewise.  Oracle: explicit per-occurrence loop.
-    from crossmoji.embedding import _apply_position, _sigmoid
+    # a token occurring twice in one window gets twice the update, and so
+    # does a twice-sampled negative, within one row and across the rows of
+    # one batch.  Oracle: an explicit loop over every occurrence, with all
+    # gradients taken at the parameters before the step.
+    from crossmoji.embedding import _apply_batch, _sigmoid
 
     rng = np.random.default_rng(8)
-    syn0 = rng.normal(size=(4, 6))
-    syn1 = rng.normal(size=(4, 6))
-    ctx = np.array([0, 2, 0])    # token 0 appears twice in the context
-    outs = np.array([1, 3, 3])   # negative 3 sampled twice
-    alpha = 0.1
+    syn0 = rng.normal(size=(5, 6))
+    syn1 = rng.normal(size=(5, 6))
+    ctx = np.array([[0, 2, 0, 4],     # token 0 twice in row 0
+                    [2, 0, 3, 3]])    # token 3 twice, 0 and 2 again across rows
+    mask = np.array([[True, True, True, False],
+                     [True, True, True, True]])
+    outs = np.array([[1, 3, 3],       # negative 3 sampled twice in row 0
+                     [4, 3, 1]])      # 3 and 1 again across rows
+    alpha = np.array([0.1, 0.05])
 
     exp0, exp1 = syn0.copy(), syn1.copy()
-    h = syn0[ctx].mean(axis=0)
-    f = _sigmoid(syn1[outs] @ h)
-    g = f.copy()
-    g[0] -= 1.0
-    grad_h = g @ syn1[outs]
-    for k, idx in enumerate(outs):
-        exp1[idx] -= alpha * g[k] * h
-    for idx in ctx:
-        exp0[idx] -= (alpha / len(ctx)) * grad_h
+    expected_loss = 0.0
+    for b in range(len(ctx)):
+        real = ctx[b][mask[b]]
+        h = syn0[real].mean(axis=0)
+        scores = syn1[outs[b]] @ h
+        g = _sigmoid(scores)
+        g[0] -= 1.0
+        grad_h = g @ syn1[outs[b]]
+        for k, idx in enumerate(outs[b]):
+            exp1[idx] -= alpha[b] * g[k] * h
+        for idx in real:
+            exp0[idx] -= (alpha[b] / len(real)) * grad_h
+        expected_loss += np.logaddexp(0, -scores[0]) + np.logaddexp(0, scores[1:]).sum()
 
-    _apply_position(syn0, syn1, ctx, outs, alpha, loss_acc=None)
-    assert np.allclose(syn0, exp0, atol=1e-15)
-    assert np.allclose(syn1, exp1, atol=1e-15)
+    loss = _apply_batch(syn0, syn1, ctx, mask, outs, alpha,
+                        (np.empty((2, 4, 6)), np.empty((2, 3, 6))))
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    assert np.allclose(syn0, exp0, rtol=0, atol=1e-14)
+    assert np.allclose(syn1, exp1, rtol=0, atol=1e-14)
+
+
+def test_ragged_batch_gradients_equal_stacked_single_positions():
+    rng = np.random.default_rng(21)
+    B, C, K, d = 7, 6, 4, 5
+    ctx = rng.normal(size=(B, C, d))
+    out = rng.normal(size=(B, K + 1, d))
+    mask = np.zeros((B, C), dtype=bool)
+    for b in range(B):  # 1 to C real slots per row, scattered among padding
+        mask[b, rng.choice(C, size=1 + b % C, replace=False)] = True
+    loss, g_ctx, g_out = cbow_gradients(ctx, out, mask)
+    assert loss.shape == (B,)
+    # gradients written over the inputs themselves, as the trainer does
+    ctx_buf, out_buf = ctx.copy(), out.copy()
+    aliased = cbow_gradients(ctx_buf, out_buf, mask, out=(ctx_buf, out_buf))
+    assert aliased[1] is ctx_buf and aliased[2] is out_buf
+    for want, got in zip((loss, g_ctx, g_out), aliased):
+        assert np.array_equal(want, got)
+    for b in range(B):
+        row_loss, row_ctx, row_out = cbow_gradients(ctx[b][mask[b]], out[b])
+        assert loss[b] == pytest.approx(row_loss, rel=1e-12)
+        assert np.allclose(g_ctx[b][mask[b]], row_ctx, rtol=1e-12, atol=1e-15)
+        assert not g_ctx[b][~mask[b]].any()
+        assert np.allclose(g_out[b], row_out, rtol=1e-12, atol=1e-15)
+
+
+def test_chunk_positions_match_per_position_window_oracle():
+    # oracle: the per-sentence, per-position window loop, fed the same
+    # subsampling and shrink draws (one generator, same order)
+    from crossmoji.embedding import _chunk_positions
+
+    rng = np.random.default_rng(5)
+    lengths = np.array([1, 7, 2, 5, 3])
+    ids = rng.integers(0, 9, size=lengths.sum())
+    keep_prob = np.linspace(0.3, 1.0, 9)
+    window = 3
+    centers, ctx, mask, sentence = _chunk_positions(ids, lengths, keep_prob, window,
+                                                    np.random.default_rng(77))
+
+    oracle_rng = np.random.default_rng(77)
+    kept = oracle_rng.random(len(ids)) < keep_prob[ids]
+    shrink = oracle_rng.integers(1, window + 1, size=int(kept.sum()))
+    expected, k = [], 0
+    ends = np.cumsum(lengths)
+    for s, (lo, hi) in enumerate(zip(ends - lengths, ends)):
+        sent = ids[lo:hi][kept[lo:hi]]
+        for pos in range(len(sent)):
+            w = shrink[k]
+            k += 1
+            window_ids = list(sent[max(0, pos - w):pos]) + list(sent[pos + 1:pos + 1 + w])
+            if window_ids:
+                expected.append((int(sent[pos]), window_ids, s))
+    got = [(int(c), list(row[m]), int(sn)) for c, row, m, sn in zip(centers, ctx, mask, sentence)]
+    assert got == expected
+    assert len(got) > 5
+
+
+def test_drawn_negatives_never_hit_their_center():
+    from crossmoji.embedding import _draw_outputs
+
+    # token 0 holds almost all the sampling mass, so clashes are frequent
+    neg_cum = np.cumsum([0.9, 0.05, 0.05])
+    centers = np.array([0, 1, 2, 0] * 64)
+    outs = _draw_outputs(centers, neg_cum, 5, np.random.default_rng(3))
+    assert outs.shape == (256, 6)
+    assert np.array_equal(outs[:, 0], centers)
+    assert not (outs[:, 1:] == centers[:, None]).any()
+    assert outs.min() >= 0 and outs.max() <= 2
 
 
 def test_non_finite_parameters_fatal_with_diagnostics():
@@ -417,3 +478,31 @@ def test_unexpected_section_marker_fatal(tmp_path):
     (tmp_path / "odd.vec").write_text(text)
     with pytest.raises(ModelFormatError, match="section"):
         load_model(tmp_path / "odd.vec")
+
+
+@pytest.mark.parametrize("section", ["counts", "output"])
+def test_unknown_token_in_section_fatal(tmp_path, section):
+    model = trained_tiny_model()
+    path = tmp_path / "m.vec"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    row = lines.index(f"# {section}") + 1  # first row of the section
+    lines[row] = "stranger " + lines[row].split(" ", 1)[1]
+    line_no = row + 1
+    (tmp_path / "odd.vec").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"odd.vec:{line_no}: token 'stranger'"):
+        load_model(tmp_path / "odd.vec")
+
+
+def test_old_mode_and_threads_header_lines_still_load(tmp_path):
+    model = trained_tiny_model()
+    path = tmp_path / "m.vec"
+    save_model(model, path)
+    text = path.read_text().replace("# seed: 42\n",
+                                    "# seed: 42\n# mode: deterministic\n# threads: 1\n")
+    assert "# threads: 1" in text
+    (tmp_path / "old.vec").write_text(text)
+    back = load_model(tmp_path / "old.vec")
+    assert back.params == model.params
+    assert np.array_equal(back.syn0, model.syn0)
+    assert np.array_equal(back.syn1, model.syn1)

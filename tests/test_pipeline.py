@@ -194,13 +194,45 @@ def test_config_validation_errors(tmp_path):
 
 
 def test_deterministic_flag_overrides_mode(tmp_path):
+    # training is always deterministic, so the removed `mode` and `threads`
+    # keys are rejected by name instead of being overridden or dropped
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
+    for key, value in (("mode", "parallel"), ("threads", 8)):
+        raw = json.loads(cfg_path.read_text())
+        raw["training"][key] = value
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(cfg_path, deterministic=True)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dimm", 50, "unknown training key"),
+    ("dim", 0, "dim must be >= 1"),
+    ("dim", "fifty", "bad training config"),
+])
+def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
     raw = json.loads(cfg_path.read_text())
-    raw["training"]["mode"] = "parallel"
+    raw["training"][key] = value
     cfg_path.write_text(json.dumps(raw))
-    config = load_config(cfg_path, deterministic=True, threads=8)
-    assert config.training.mode == "deterministic"
-    assert config.training.threads == 1
+    with pytest.raises(ConfigError, match=match):
+        load_config(cfg_path)
+
+
+def test_manifest_records_train_throughput_per_run(completed_run):
+    # tokens per run are the in-vocabulary tokens times epochs; seconds are
+    # rounded to the millisecond, tokens_per_s is not
+    from crossmoji.embedding import load_model
+
+    _, config, manifest = completed_run
+    for corpus_id, info in manifest.stages["train"]["training"].items():
+        vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
+        tokens = vocab.kept_tokens * config.training.epochs
+        assert len(info["runs"]) == config.runs
+        for run in info["runs"]:
+            assert run["seconds"] > 0
+            assert (tokens / (run["seconds"] + 5e-4) - 1 <= run["tokens_per_s"]
+                    <= tokens / max(run["seconds"] - 5e-4, 1e-9) + 1)
 
 
 def test_unknown_stage_rejected(tmp_path):
