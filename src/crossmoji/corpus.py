@@ -81,8 +81,12 @@ def parse_record(line: str) -> PostRecord:
     country, lang = str(obj["country"]), str(obj["lang"])
     if not country or not lang:
         raise RecordError("empty country or lang")
+    post_id = str(obj["post_id"])
+    if any(c in post_id for c in "\t\n\r"):
+        # the stream files are "post_id<TAB>tokens" lines
+        raise RecordError(f"post_id {post_id!r} contains a tab or line break")
     return PostRecord(
-        post_id=str(obj["post_id"]),
+        post_id=post_id,
         text=text,
         country=country,
         lang=lang,

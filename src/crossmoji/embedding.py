@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-MODEL_FORMAT = "crossmoji-model 1"
+MODEL_FORMAT = "crossmoji-model 2"
 
 BATCH = 256  # positions per minibatch step
 CHUNK_TOKENS = 4096  # positions are built for about this many tokens at a time
@@ -407,111 +407,52 @@ def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, floa
 
 # --- persistence ----------------------------------------------------------
 
-def _format_row(vec: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in vec)
-
-
 def save_model(model: EmbeddingModel, path) -> None:
-    """Text format: '#' metadata block, '|V| d' header, one 'token v1..vd'
-    line per token (input matrix), then counts and output-matrix sections.
-    Floats are written with full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# {MODEL_FORMAT}\n")
-        for key, value in model.params.as_dict().items():
-            f.write(f"# {key}: {value}\n")
-        f.write(f"# min_count: {model.vocab.min_count}\n")
-        f.write(f"# corpus_tokens: {model.vocab.corpus_tokens}\n")
-        f.write(f"# epoch_losses: {json.dumps(list(model.epoch_losses))}\n")
-        V, d = model.syn0.shape
-        f.write(f"{V} {d}\n")
-        for i, token in enumerate(model.vocab.tokens):
-            f.write(f"{token} {_format_row(model.syn0[i])}\n")
-        f.write("# counts\n")
-        for token, count in zip(model.vocab.tokens, model.vocab.counts):
-            f.write(f"{token} {count}\n")
-        f.write("# output\n")
-        for i, token in enumerate(model.vocab.tokens):
-            f.write(f"{token} {_format_row(model.syn1[i])}\n")
-
-
-def _parse_vector_line(line: str, d: int, path, line_no: int) -> tuple[str, np.ndarray]:
-    parts = line.rstrip("\n").split(" ")
-    if len(parts) != d + 1:
-        raise ModelFormatError(f"{path}:{line_no}: expected token + {d} floats, got {len(parts)} fields")
-    return parts[0], np.array([float(x) for x in parts[1:]], dtype=np.float64)
+    """One JSON metadata line (format tag, training parameters, vocabulary),
+    then the input and output matrices stacked as one (2, |V|, d) float64
+    array in .npy format.  The same model always gives the same bytes."""
+    vocab = model.vocab
+    meta = {
+        "format": MODEL_FORMAT,
+        "params": model.params.as_dict(),
+        "min_count": vocab.min_count,
+        "corpus_tokens": vocab.corpus_tokens,
+        "epoch_losses": list(model.epoch_losses),
+        "tokens": list(vocab.tokens),
+        "counts": list(vocab.counts),
+    }
+    with open(path, "wb") as f:
+        f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
+        np.save(f, np.stack([model.syn0, model.syn1]).astype("<f8", copy=False),
+                allow_pickle=False)
 
 
 def load_model(path) -> EmbeddingModel:
-    """Inverse of save_model; load(save(m)) reproduces m exactly.  Metadata
-    keys it does not read, such as the `mode` and `threads` lines that older
-    files carry, are ignored."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != f"# {MODEL_FORMAT}":
-        raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("# "):
-        key, _, value = lines[i][2:].partition(": ")
-        meta[key] = value
-        i += 1
-    if i >= len(lines):
-        raise ModelFormatError(f"{path}: header-only file, no '|V| d' line or vectors")
+    """Inverse of save_model; load(save(m)) reproduces m exactly.  Anything
+    that does not decode to a consistent model raises ModelFormatError
+    naming `path`."""
     try:
-        V, d = (int(x) for x in lines[i].split())
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}:{i + 1}: bad '|V| d' header: {lines[i]!r}") from exc
-    if int(meta.get("dim", d)) != d:
-        raise ModelFormatError(f"{path}: dimension mismatch: header {d}, metadata {meta.get('dim')}")
-    i += 1
-    if len(lines) < i + V:
-        raise ModelFormatError(f"{path}: truncated: expected {V} vector lines")
-
-    tokens: list[str] = []
-    syn0 = np.empty((V, d))
-    for row in range(V):
-        token, vec = _parse_vector_line(lines[i + row], d, path, i + row + 1)
-        tokens.append(token)
-        syn0[row] = vec
-    i += V
-
-    counts = [0] * V
-    syn1 = np.zeros((V, d))
-    index = {t: j for j, t in enumerate(tokens)}
-    while i < len(lines):
-        section = lines[i]
-        i += 1
-        if section.strip() == "":
-            continue
-        if section not in ("# counts", "# output"):
-            raise ModelFormatError(f"{path}: unexpected section marker {section!r}")
-        if len(lines) < i + V:
-            raise ModelFormatError(f"{path}: truncated {section[2:]} section")
-        for line_no, line in enumerate(lines[i : i + V], start=i + 1):
-            if section == "# counts":
-                token, _, value = line.partition(" ")
-            else:
-                token, value = _parse_vector_line(line, d, path, line_no)
-            if token not in index:
-                raise ModelFormatError(
-                    f"{path}:{line_no}: token {token!r} is not in the vector section")
-            if section == "# counts":
-                counts[index[token]] = int(value)
-            else:
-                syn1[index[token]] = value
-        i += V
-
-    # every field but dim is parsed with the type of its default
-    params = TrainParams(dim=d, **{key: type(default)(meta[key])
-                                   for key, default in TrainParams().as_dict().items()
-                                   if key != "dim"})
-    vocab = Vocabulary(
-        tokens=tuple(tokens),
-        counts=tuple(counts),
-        min_count=int(meta.get("min_count", 1)),
-        corpus_tokens=int(meta.get("corpus_tokens", sum(counts))),
-    )
-    return EmbeddingModel(
-        vocab=vocab, syn0=syn0, syn1=syn1, params=params,
-        epoch_losses=tuple(json.loads(meta.get("epoch_losses", "[]"))),
-    )
+        with open(path, "rb") as f:
+            meta = json.loads(f.readline())
+            if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
+                raise ModelFormatError(f"not a {MODEL_FORMAT} file")
+            matrices = np.lib.format.read_array(f, allow_pickle=False)
+            if f.read(1):
+                raise ModelFormatError("trailing bytes after the matrices")
+        params = TrainParams(**meta["params"])
+        tokens, counts = tuple(meta["tokens"]), tuple(meta["counts"])
+        if len(counts) != len(tokens):
+            raise ModelFormatError(f"{len(counts)} counts for {len(tokens)} tokens")
+        shape = (2, len(tokens), params.dim)
+        if matrices.shape != shape or matrices.dtype != np.float64:
+            raise ModelFormatError(f"matrices are {matrices.dtype} {matrices.shape}, "
+                                   f"expected float64 {shape}")
+        vocab = Vocabulary(tokens=tokens, counts=counts, min_count=meta["min_count"],
+                           corpus_tokens=meta["corpus_tokens"])
+        epoch_losses = tuple(meta["epoch_losses"])
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: metadata lacks {exc}") from exc
+    except (TypeError, ValueError, EOFError) as exc:  # ModelFormatError is a ValueError
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    return EmbeddingModel(vocab=vocab, syn0=matrices[0], syn1=matrices[1], params=params,
+                          epoch_losses=epoch_losses)

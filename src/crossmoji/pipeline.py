@@ -21,7 +21,14 @@ from . import __version__
 from .analytics import CorrelationReport, build_report
 from .charts import emit_charts
 from .corpus import CorpusHandle, ingest_handle, read_streams, write_streams
-from .embedding import TrainParams, build_vocabulary, load_model, save_model, train_run_set
+from .embedding import (
+    MODEL_FORMAT,
+    TrainParams,
+    build_vocabulary,
+    load_model,
+    save_model,
+    train_run_set,
+)
 from .inventory import (
     count_frequencies,
     default_category_path,
@@ -85,6 +92,8 @@ class RunConfig:
                 raise ConfigError(f"corpus {c.corpus_id}: culture must be West or East")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.top_k < 1:
+            raise ConfigError("top_k must be >= 1")
         if self.emoji_data is None:
             self.emoji_data = Path(str(default_data_path()))
         if self.emoji_categories is None:
@@ -117,6 +126,8 @@ class RunConfig:
             "emoji_data": str(self.emoji_data),
             "emoji_categories": str(self.emoji_categories),
             "ekman_words": str(self.ekman_words),
+            # a new model file format must re-train, not fail to read old models
+            "model_format": MODEL_FORMAT,
         }
 
     def fingerprint(self) -> str:
@@ -130,8 +141,19 @@ def load_config(path, out_dir: Optional[str] = None,
     `deterministic` is ignored: training is always seeded and reproducible."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     base = path.parent
+
+    def integer(key: str, default: int) -> int:
+        value = raw.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return value
 
     def resolve(p) -> Optional[Path]:
         if p is None:
@@ -166,9 +188,9 @@ def load_config(path, out_dir: Optional[str] = None,
         out_dir=Path(out_dir) if out_dir else resolve(raw.get("out_dir", "out")),
         training=params,
         min_count=min_count,
-        runs=int(raw.get("runs", 5)),
-        shared_threshold=int(raw.get("shared_threshold", 1000)),
-        top_k=int(raw.get("top_k", 15)),
+        runs=integer("runs", 5),
+        shared_threshold=integer("shared_threshold", 1000),
+        top_k=integer("top_k", 15),
         emoji_data=resolve(raw.get("emoji_data")),
         emoji_categories=resolve(raw.get("emoji_categories")),
         ekman_words=resolve(raw.get("ekman_words")),
@@ -468,10 +490,6 @@ class Pipeline:
             self._mark_complete(name, extra, self.manifest.warnings[warnings_before:])
         self.manifest.save(self.out / "manifest.json")
         return self.manifest
-
-
-def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
-    return Pipeline(config).run(stage)
 
 
 # --- report serialization ----------------------------------------------------

@@ -117,15 +117,6 @@ class SimilarityTensor:
     def n_categories(self) -> int:
         return sum(1 for a in self.axes if not a.startswith(EKMAN_AXIS_PREFIX))
 
-    @property
-    def category_axes(self) -> tuple[str, ...]:
-        return self.axes[: self.n_categories]
-
-    @property
-    def runs(self) -> int:
-        first = next(iter(self.per_run.values()))
-        return int(first.shape[0])
-
     def corpus_mean(self, corpus: str) -> np.ndarray:
         runs = self.per_run[corpus]
         return runs.sum(axis=0) * (1.0 / runs.shape[0])
@@ -146,12 +137,6 @@ class SimilarityTensor:
         if not members:
             raise KeyError(f"no corpus in culture group {culture!r}")
         return culture_average([self.corpus_mean(c) for c in members])
-
-    def axis_index(self, axis: str) -> int:
-        return self.axes.index(axis)
-
-    def target_index(self, target: str) -> int:
-        return self.targets.index(target)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 
 from crossmoji.cli import main
 
-from util import write_two_culture_setup
+from util import edit_config, write_two_culture_setup
 
 
 @pytest.fixture()
@@ -69,13 +69,15 @@ def test_stage_without_predecessor_fails_cleanly(small_config, capsys):
     assert "project" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("dimm", 50), ("dim", 0), ("mode", "parallel"),
-                                        ("threads", 2)])
+@pytest.mark.parametrize("key, value", [
+    ("dimm", 50), ("dim", 0), ("mode", "parallel"), ("threads", 2),
+    ("runs", "three"), ("top_k", 2.5), ("shared_threshold", None), ("top_k", 0),
+    pytest.param(None, '{"seed": 1,', id="unfinished-json"),
+    pytest.param(None, '"config"', id="json-string"),
+])
 def test_bad_training_config_is_exit_2_with_one_line(small_config, capsys, key, value):
-    raw = json.loads(small_config.read_text())
-    raw["training"][key] = value
-    small_config.write_text(json.dumps(raw))
+    edit_config(small_config, key, value)
     assert main(["all", "--config", str(small_config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert key in err
+    assert (key or "JSON") in err

@@ -255,6 +255,19 @@ def test_stream_io_roundtrip():
     assert list(read_streams(buf)) == streams
 
 
+def test_post_id_with_tab_or_line_break_is_a_parse_error(tmp_path):
+    lines = [jline("1", "hello \U0001F604"), jline("a\tb", "tab"), jline("c\nd", "newline"),
+             jline("e\rf", "return"), jline("g\r\nh", "both"), jline("2", "bye \U0001F62D")]
+    streams, counts = ingest_corpus(lines, US, INV)
+    assert counts.parse_errors == 4
+    assert [s.post_id for s in streams] == ["1", "2"]
+    path = tmp_path / "US.tokens"
+    with open(path, "w", encoding="utf-8") as f:
+        write_streams(streams, f)
+    with open(path, encoding="utf-8") as f:
+        assert list(read_streams(f)) == streams
+
+
 def test_corpus_level_pre_tokenized_flag():
     lines = [jline("1", "Tokyo 行き ROUTE", country="JP", lang="ja")]
     jp = FilterConfig(lang="ja", country="JP")

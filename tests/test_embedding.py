@@ -1,5 +1,9 @@
 """Vocabulary, CBOW trainer, gradient correctness, persistence."""
 
+import io
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -415,94 +419,100 @@ def test_save_then_save_again_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_truncated_file_fatal(tmp_path):
+def saved_tiny_model(tmp_path):
+    """A saved model: its file's metadata line and the .npy bytes after it."""
     model = trained_tiny_model()
     path = tmp_path / "m.vec"
     save_model(model, path)
-    lines = path.read_text().splitlines()
-    header_end = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    (tmp_path / "trunc.vec").write_text("\n".join(lines[: header_end + 2]) + "\n")
-    with pytest.raises(ModelFormatError, match="truncated"):
-        load_model(tmp_path / "trunc.vec")
+    header, _, matrices = path.read_bytes().partition(b"\n")
+    return model, json.loads(header), matrices
+
+
+def write_model_file(path, meta, matrices):
+    path.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + matrices)
+    return path
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def assert_format_error(path, match=""):
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: ") + ".*" + match):
+        load_model(path)
+
+
+def test_truncated_file_fatal(tmp_path):
+    _, meta, matrices = saved_tiny_model(tmp_path)
+    # inside the .npy magic, inside its header, inside the data
+    for cut in (3, 40, len(matrices) - 8):
+        assert_format_error(write_model_file(tmp_path / "trunc.vec", meta, matrices[:cut]),
+                            "EOF|read all data")
 
 
 def test_header_only_file_fatal(tmp_path):
-    (tmp_path / "h.vec").write_text("# crossmoji-model 1\n# dim: 5\n")
-    with pytest.raises(ModelFormatError, match="header-only"):
-        load_model(tmp_path / "h.vec")
+    _, meta, _ = saved_tiny_model(tmp_path)
+    assert_format_error(write_model_file(tmp_path / "h.vec", meta, b""), "EOF")
 
 
 def test_wrong_format_marker_fatal(tmp_path):
-    (tmp_path / "x.vec").write_text("3 5\nfoo 1 2 3 4 5\n")
-    with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "x.vec")
+    for i, text in enumerate(["3 5\nfoo 1 2 3 4 5\n", "[1, 2]\n", "\n", ""]):
+        (tmp_path / f"x{i}.vec").write_text(text)
+        assert_format_error(tmp_path / f"x{i}.vec")
 
 
 def test_future_format_version_rejected(tmp_path):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    text = path.read_text().replace("crossmoji-model 1", "crossmoji-model 9")
-    (tmp_path / "v9.vec").write_text(text)
-    with pytest.raises(ModelFormatError):
-        load_model(tmp_path / "v9.vec")
+    _, meta, matrices = saved_tiny_model(tmp_path)
+    meta["format"] = "crossmoji-model 9"
+    assert_format_error(write_model_file(tmp_path / "v9.vec", meta, matrices),
+                        "not a crossmoji-model 2 file")
+
+
+def test_parent_text_format_file_rejected(tmp_path):
+    path = tmp_path / "old.vec"
+    path.write_text("# crossmoji-model 1\n# dim: 2\n# seed: 1\n2 2\n"
+                    "a 0.5 -0.25\nb 0.125 1.0\n# counts\na 3\nb 2\n"
+                    "# output\na 0.0 0.0\nb 0.0 0.0\n")
+    assert_format_error(path)
 
 
 def test_dimension_mismatch_fatal(tmp_path):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    text = path.read_text().replace("# dim: 5", "# dim: 7")
-    (tmp_path / "bad.vec").write_text(text)
-    with pytest.raises(ModelFormatError, match="mismatch"):
-        load_model(tmp_path / "bad.vec")
+    _, meta, matrices = saved_tiny_model(tmp_path)
+    meta["params"]["dim"] = 7
+    assert_format_error(write_model_file(tmp_path / "bad.vec", meta, matrices),
+                        r"expected float64 \(2, 4, 7\)")
 
 
 def test_wrong_row_width_fatal(tmp_path):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    lines = path.read_text().splitlines()
-    first_vec = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
-    lines[first_vec] = lines[first_vec].rsplit(" ", 1)[0]  # drop one float
-    (tmp_path / "narrow.vec").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ModelFormatError, match="fields"):
-        load_model(tmp_path / "narrow.vec")
+    model, meta, _ = saved_tiny_model(tmp_path)
+    narrow = np.stack([model.syn0, model.syn1])[:, :, :-1]  # drop one column
+    assert_format_error(write_model_file(tmp_path / "narrow.vec", meta, npy_bytes(narrow)),
+                        r"float64 \(2, 4, 4\), expected float64 \(2, 4, 5\)")
 
 
-def test_unexpected_section_marker_fatal(tmp_path):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    text = path.read_text().replace("# counts", "# mystery")
-    (tmp_path / "odd.vec").write_text(text)
-    with pytest.raises(ModelFormatError, match="section"):
-        load_model(tmp_path / "odd.vec")
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: (meta["tokens"].append("stranger"), meta["counts"].append(1)),
+     r"\(2, 4, 5\), expected float64 \(2, 5, 5\)"),
+    (lambda meta: meta["counts"].pop(), "3 counts for 4 tokens"),
+    (lambda meta: meta.pop("corpus_tokens"), "metadata lacks 'corpus_tokens'"),
+    (lambda meta: meta["params"].update(mode="parallel"), "unexpected keyword argument 'mode'"),
+], ids=["extra-token", "short-counts", "missing-key", "unknown-param"])
+def test_inconsistent_metadata_fatal(tmp_path, edit, match):
+    _, meta, matrices = saved_tiny_model(tmp_path)
+    edit(meta)
+    assert_format_error(write_model_file(tmp_path / "odd.vec", meta, matrices), match)
 
 
-@pytest.mark.parametrize("section", ["counts", "output"])
-def test_unknown_token_in_section_fatal(tmp_path, section):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    lines = path.read_text().splitlines()
-    row = lines.index(f"# {section}") + 1  # first row of the section
-    lines[row] = "stranger " + lines[row].split(" ", 1)[1]
-    line_no = row + 1
-    (tmp_path / "odd.vec").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ModelFormatError, match=f"odd.vec:{line_no}: token 'stranger'"):
-        load_model(tmp_path / "odd.vec")
-
-
-def test_old_mode_and_threads_header_lines_still_load(tmp_path):
-    model = trained_tiny_model()
-    path = tmp_path / "m.vec"
-    save_model(model, path)
-    text = path.read_text().replace("# seed: 42\n",
-                                    "# seed: 42\n# mode: deterministic\n# threads: 1\n")
-    assert "# threads: 1" in text
-    (tmp_path / "old.vec").write_text(text)
-    back = load_model(tmp_path / "old.vec")
-    assert back.params == model.params
-    assert np.array_equal(back.syn0, model.syn0)
-    assert np.array_equal(back.syn1, model.syn1)
+def test_garbled_or_foreign_matrices_fatal(tmp_path):
+    model, meta, matrices = saved_tiny_model(tmp_path)
+    stacked = np.stack([model.syn0, model.syn1])
+    for name, data, match in [
+        ("magic", b"XX" + matrices[2:], "magic"),
+        ("float32", npy_bytes(stacked.astype(np.float32)), "float32"),
+        ("big-endian", npy_bytes(stacked.astype(">f8")), "expected float64"),
+        ("pickled", npy_bytes(np.array([None, 1], dtype=object)), "pickle"),
+        ("trailing", matrices + b"\0", "trailing bytes"),
+    ]:
+        assert_format_error(write_model_file(tmp_path / f"{name}.vec", meta, data), match)

@@ -14,7 +14,7 @@ from crossmoji.pipeline import (
     read_report_json,
 )
 
-from util import write_two_culture_setup
+from util import edit_config, write_two_culture_setup
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,18 @@ def test_config_change_invalidates_markers(completed_run, tmp_path):
     changed = dataclasses.replace(config, top_k=7)
     pipe = Pipeline(changed)
     assert not pipe._is_complete("ingest")
+
+
+def test_model_format_change_invalidates_markers(completed_run, monkeypatch):
+    # a directory trained under another model format re-trains instead of
+    # failing to read its models
+    _, config, _ = completed_run
+    pipeline = Pipeline(config)
+    before = config.fingerprint()
+    assert pipeline._is_complete("train")
+    monkeypatch.setattr("crossmoji.pipeline.MODEL_FORMAT", "crossmoji-model 0")
+    assert config.fingerprint() != before
+    assert not pipeline._is_complete("train")
 
 
 def test_report_json_round_trip(completed_run):
@@ -209,12 +221,16 @@ def test_deterministic_flag_overrides_mode(tmp_path):
     ("dimm", 50, "unknown training key"),
     ("dim", 0, "dim must be >= 1"),
     ("dim", "fifty", "bad training config"),
+    ("runs", "three", "runs must be an integer"),
+    ("top_k", 2.5, "top_k must be an integer"),
+    ("shared_threshold", True, "shared_threshold must be an integer"),
+    ("top_k", 0, "top_k must be >= 1"),
+    pytest.param(None, '{"seed": 1,', "not valid JSON", id="unfinished-json"),
+    pytest.param(None, "[1, 2]", "must be a JSON object", id="json-list"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
-    raw = json.loads(cfg_path.read_text())
-    raw["training"][key] = value
-    cfg_path.write_text(json.dumps(raw))
+    edit_config(cfg_path, key, value)
     with pytest.raises(ConfigError, match=match):
         load_config(cfg_path)
 

@@ -144,3 +144,15 @@ def write_two_culture_setup(
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return cfg_path
+
+
+def edit_config(path: Path, key, value) -> None:
+    """Set one key of a config file: the run-wide integers `runs`, `top_k`
+    and `shared_threshold` at top level, any other key in its `training`
+    object.  With key None, replace the whole file by the text `value`."""
+    if key is None:
+        path.write_text(value, encoding="utf-8")
+        return
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    (raw if key in ("runs", "top_k", "shared_threshold") else raw["training"])[key] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
