@@ -1,10 +1,13 @@
 """End-to-end staged pipeline: ingest -> train -> project -> analyze -> report.
 
 Each stage persists its artifacts under the output directory and records a
-completion marker carrying a fingerprint of the effective configuration.
-Re-running with an unchanged config skips completed stages; changing the
-config invalidates downstream markers.  A fixed seed reproduces embedding
-files and CSV reports byte for byte.
+completion marker with its cache key and the digest of every artifact it
+wrote.  The key covers only what the stage reads (`STAGE_READS`): its
+config fields, and the content of its outside files and of the earlier
+stages' artifacts.  Re-running `all` skips a stage whose key and artifacts
+still match, so an edit re-runs the stages that read it and those whose
+inputs then change.  A fixed seed reproduces embedding files and CSV
+reports byte for byte.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -40,6 +44,23 @@ from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexi
 from .projection import build_tensor, read_tensor_csv, write_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
+# What each stage reads, and so what its cache key covers: fields of
+# `RunConfig.snapshot()` plus the model format (`corpora.<name>` is that
+# field of every corpus, in corpus order), and files, hashed by content:
+# outside inputs and the artifacts of earlier stages.  Train seeds are
+# offset by the corpus index, so train reads the corpus order.
+STAGE_READS = {
+    "ingest": (("corpora.id", "corpora.lang", "corpora.country", "corpora.pre_tokenized"),
+               ("inputs", "emoji_data", "emoji_categories")),
+    "train": (("training", "min_count", "runs", "corpora.id", "model_format"),
+              ("streams/",)),
+    "project": (("shared_threshold", "corpora.id", "corpora.culture", "corpora.lang"),
+                ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
+                 "streams/", "models/")),
+    "analyze": (("top_k", "shared_threshold", "corpora.id", "corpora.culture"),
+                ("emoji_data", "emoji_categories", "streams/", "models/", "tensors/")),
+    "report": ((), ("report/report.json",)),
+}
 # keys of a config's "training" object; the seed is a top-level key
 TRAINING_KEYS = {f.name for f in fields(TrainParams)} - {"seed"} | {"min_count"}
 
@@ -126,13 +147,7 @@ class RunConfig:
             "emoji_data": str(self.emoji_data),
             "emoji_categories": str(self.emoji_categories),
             "ekman_words": str(self.ekman_words),
-            # a new model file format must re-train, not fail to read old models
-            "model_format": MODEL_FORMAT,
         }
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def load_config(path, out_dir: Optional[str] = None,
@@ -161,7 +176,10 @@ def load_config(path, out_dir: Optional[str] = None,
         p = Path(p)
         return p if p.is_absolute() else (base / p)
 
-    training_cfg = dict(raw.get("training", {}))
+    training_cfg = raw.get("training", {})
+    if not isinstance(training_cfg, dict):
+        raise ConfigError(f"training must be a JSON object, got {training_cfg!r}")
+    training_cfg = dict(training_cfg)
     unknown = sorted(set(training_cfg) - TRAINING_KEYS)
     if unknown:
         raise ConfigError(f"unknown training key(s) {', '.join(map(repr, unknown))}; "
@@ -171,8 +189,13 @@ def load_config(path, out_dir: Optional[str] = None,
         params = TrainParams(seed=int(raw.get("seed", 1)), **training_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad training config: {exc}") from exc
+    corpora_cfg = raw.get("corpora", [])
+    if not isinstance(corpora_cfg, list):
+        raise ConfigError(f"corpora must be a JSON list, got {corpora_cfg!r}")
     corpora = []
-    for c in raw.get("corpora", []):
+    for c in corpora_cfg:
+        if not isinstance(c, dict):
+            raise ConfigError(f"corpora entries must be JSON objects, got {c!r}")
         missing = [k for k in ("id", "culture", "input", "lang", "country", "lexicon")
                    if k not in c]
         if missing:
@@ -200,14 +223,14 @@ def load_config(path, out_dir: Optional[str] = None,
 @dataclass
 class RunManifest:
     config: dict
-    fingerprint: str
     version: str = __version__
     stages: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     charts: dict = field(default_factory=dict)
 
-    def record(self, stage: str, seconds: float, skipped: bool = False, **extra) -> None:
-        self.stages[stage] = {"completed": True, "skipped": skipped,
+    def record(self, stage: str, key: str, seconds: float, skipped: bool = False,
+               **extra) -> None:
+        self.stages[stage] = {"completed": True, "skipped": skipped, "key": key,
                               "seconds": round(seconds, 3), **extra}
 
     def save(self, path) -> None:
@@ -222,9 +245,10 @@ class Pipeline:
     def __init__(self, config: RunConfig):
         self.config = config
         self.out = Path(config.out_dir)
-        self.manifest = RunManifest(config=config.snapshot(),
-                                    fingerprint=config.fingerprint())
+        self.manifest = RunManifest(config=config.snapshot())
         self._inventory = None
+        self._digests: dict[Path, Optional[str]] = {}
+        self._artifacts: dict[str, str] = {}  # written by the running stage
 
     # --- shared resources ---
 
@@ -245,21 +269,77 @@ class Pipeline:
     def _marker(self, stage: str) -> Path:
         return self.out / f".stage_{stage}.json"
 
-    def _is_complete(self, stage: str) -> bool:
-        marker = self._marker(stage)
-        if not marker.exists():
-            return False
-        try:
-            data = json.loads(marker.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            return False
-        return data.get("fingerprint") == self.config.fingerprint()
+    # --- cache keys ---
 
-    def _mark_complete(self, stage: str, extra: dict, warnings: list) -> None:
-        payload = {"fingerprint": self.config.fingerprint(), "stage": stage,
+    def _digest(self, path: Path) -> Optional[str]:
+        """sha256 of a file's content, None if it cannot be read (the stage
+        that reads it then runs and reports why); each file is hashed once
+        per pipeline, or again after a stage rewrites it."""
+        if path not in self._digests:
+            try:
+                with open(path, "rb") as f:
+                    self._digests[path] = hashlib.file_digest(f, "sha256").hexdigest()
+            except OSError:
+                self._digests[path] = None
+        return self._digests[path]
+
+    def _wrote(self, path: Path) -> None:
+        """Record the digest of an artifact the running stage just wrote."""
+        self._digests.pop(path, None)
+        self._artifacts[path.relative_to(self.out).as_posix()] = self._digest(path)
+
+    def _files(self) -> dict[str, list[Path]]:
+        """The files of each name `STAGE_READS` uses."""
+        c = self.config
+        return {
+            "inputs": [s.input_path for s in c.corpora],
+            "lexicons": [s.lexicon_path for s in c.corpora],
+            "emoji_data": [c.emoji_data],
+            "emoji_categories": [c.emoji_categories],
+            "ekman_words": [c.ekman_words],
+            "streams/": [self.streams_path(s.corpus_id) for s in c.corpora],
+            "models/": [self.model_path(s.corpus_id, r)
+                        for s in c.corpora for r in range(c.runs)],
+            "tensors/": [self.out / "tensors" / "similarity_orthonormal.csv"],
+            "report/report.json": [self.out / "report" / "report.json"],
+        }
+
+    def _key(self, stage: str) -> str:
+        field_names, file_names = STAGE_READS[stage]
+        # a new model file format must re-train, not fail to read old models
+        config = self.config.snapshot() | {"model_format": MODEL_FORMAT}
+        files = self._files()
+
+        def value(name: str):
+            key, _, corpus_field = name.partition(".")
+            return [c[corpus_field] for c in config[key]] if corpus_field else config[key]
+
+        parts = [stage, __version__, {n: value(n) for n in field_names},
+                 {n: [self._digest(p) for p in files[n]] for n in file_names}]
+        blob = json.dumps(parts, sort_keys=True, ensure_ascii=False)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def _is_complete(self, stage: str) -> bool:
+        """For this stage and every stage before it, the marker holds the
+        stage's current key, and every artifact the marker lists is still
+        there with the digest it was written with."""
+        for name in STAGES[:STAGES.index(stage) + 1]:
+            marker = self._read_marker(name)
+            artifacts = marker.get("artifacts")
+            if not (marker.get("key") == self._key(name) and isinstance(artifacts, dict)
+                    and all(self._digest(self.out / rel) == digest
+                            for rel, digest in artifacts.items())):
+                return False
+        return True
+
+    def _mark_complete(self, stage: str, key: str, extra: dict, warnings: list) -> None:
+        payload = {"key": key, "stage": stage, "artifacts": self._artifacts,
                    "extra": extra, "warnings": warnings}
-        self._marker(stage).write_text(
-            json.dumps(payload, ensure_ascii=False, default=str) + "\n", encoding="utf-8")
+        marker = self._marker(stage)
+        tmp = marker.with_name(marker.name + ".tmp")
+        tmp.write_text(json.dumps(payload, ensure_ascii=False, default=str) + "\n",
+                       encoding="utf-8")
+        os.replace(tmp, marker)
 
     def _read_marker(self, stage: str) -> dict:
         try:
@@ -301,10 +381,12 @@ class Pipeline:
             streams, counts = ingest_handle(handle, self.inventory)
             with open(self.streams_path(spec.corpus_id), "w", encoding="utf-8") as f:
                 write_streams(streams, f)
+            self._wrote(self.streams_path(spec.corpus_id))
             counts_by_corpus[spec.corpus_id] = counts.as_dict()
         with open(self.out / "counts.json", "w", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
+        self._wrote(self.out / "counts.json")
         return {"counts": counts_by_corpus}
 
     def stage_train(self) -> dict:
@@ -322,6 +404,7 @@ class Pipeline:
                                    corpus_params, self.config.runs)
             for r, model in enumerate(models):
                 save_model(model, self.model_path(spec.corpus_id, r))
+                self._wrote(self.model_path(spec.corpus_id, r))
             # the tokens one run trains on: in-vocabulary tokens times epochs
             run_tokens = vocab.kept_tokens * corpus_params.epochs
             info[spec.corpus_id] = {
@@ -336,7 +419,12 @@ class Pipeline:
 
     def stage_project(self) -> dict:
         self._require("train")
-        (self.out / "tensors").mkdir(parents=True, exist_ok=True)
+        tensors = self.out / "tensors"
+        tensors.mkdir(parents=True, exist_ok=True)
+        # analyze reads the tensor CSV if there is one: none may outlive its run
+        for name in ("EMPTY", "similarity_orthonormal.csv", "similarity_raw.csv"):
+            (tensors / name).unlink(missing_ok=True)
+            self._digests.pop(tensors / name, None)
         streams = self._load_streams()
         models = self._load_models()
         table = count_frequencies(streams, self.inventory)
@@ -390,6 +478,7 @@ class Pipeline:
         info = {"schema": list(schema), "shared_emoji": len(shared)}
         if len(shared) == 0:
             (self.out / "tensors" / "EMPTY").write_text("no shared emoji\n")
+            self._wrote(self.out / "tensors" / "EMPTY")
             return info
         for flavor, ortho in (("orthonormal", True), ("raw", False)):
             tensor = build_tensor(
@@ -397,6 +486,7 @@ class Pipeline:
                 ekman_axes=ekman_axes or None, orthonormalize=ortho,
             )
             write_tensor_csv(tensor, self.out / "tensors" / f"similarity_{flavor}.csv")
+            self._wrote(self.out / "tensors" / f"similarity_{flavor}.csv")
             if ortho:
                 info["axes"] = list(tensor.axes)
                 info["targets"] = len(tensor.targets)
@@ -441,8 +531,11 @@ class Pipeline:
         )
         self.manifest.warnings.extend(report.warnings)
         table.to_csv(report_dir / "frequency.csv")
-        write_report_csvs(report, self.inventory, report_dir)
+        self._wrote(report_dir / "frequency.csv")
+        for path in write_report_csvs(report, self.inventory, report_dir):
+            self._wrote(path)
         write_report_json(report, report_dir / "report.json")
+        self._wrote(report_dir / "report.json")
         return {"warnings": list(report.warnings)}
 
     def stage_report(self) -> dict:
@@ -452,6 +545,8 @@ class Pipeline:
         for name, filename in charts.items():
             if filename is None:
                 self.manifest.warnings.append(f"chart {name} omitted: empty report section")
+            else:
+                self._wrote(self.out / "charts" / filename)
         self.manifest.charts = charts
         return {"charts": charts}
 
@@ -467,17 +562,19 @@ class Pipeline:
             raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
         for name in wanted:
             fn = getattr(self, f"stage_{name}")
+            key = self._key(name)
             if stage == "all" and self._is_complete(name):
                 # restore the cached run's stage info so the manifest stays whole
                 marker = self._read_marker(name)
                 extra = marker.get("extra", {})
-                self.manifest.record(name, 0.0, skipped=True, **extra)
+                self.manifest.record(name, key, 0.0, skipped=True, **extra)
                 self.manifest.warnings.extend(marker.get("warnings", []))
                 if name == "report" and "charts" in extra:
                     self.manifest.charts = extra["charts"]
                 continue
             start = time.perf_counter()
             warnings_before = len(self.manifest.warnings)
+            self._artifacts = {}
             try:
                 extra = fn() or {}
             except PipelineStageError:
@@ -486,59 +583,58 @@ class Pipeline:
             except Exception as exc:
                 self.manifest.save(self.out / "manifest.json")
                 raise PipelineStageError(name, exc) from exc
-            self.manifest.record(name, time.perf_counter() - start, **extra)
-            self._mark_complete(name, extra, self.manifest.warnings[warnings_before:])
+            self.manifest.record(name, key, time.perf_counter() - start, **extra)
+            self._mark_complete(name, key, extra, self.manifest.warnings[warnings_before:])
         self.manifest.save(self.out / "manifest.json")
         return self.manifest
 
 
 # --- report serialization ----------------------------------------------------
 
-def write_report_csvs(report: CorrelationReport, inventory, out_dir: Path) -> None:
+def write_report_csvs(report: CorrelationReport, inventory, out_dir: Path) -> list[Path]:
+    """Write the report's non-empty sections as CSV files; returns their paths."""
+    written = []
+
+    def table(name: str, header: list, rows) -> None:
+        with open(out_dir / name, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+        written.append(out_dir / name)
+
     def top5_cell(culture: str, axis: str) -> str:
         entries = report.top5.get((culture, axis), [])
         return " ".join(e for e, _ in entries)
 
     if report.category_rho:
-        with open(out_dir / "category_scc.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["category", "rho", "top5_west", "top5_east"])
-            for axis in report.category_rho:
-                w.writerow([axis, repr(report.category_rho[axis]),
-                            top5_cell("West", axis), top5_cell("East", axis)])
+        table("category_scc.csv", ["category", "rho", "top5_west", "top5_east"],
+              ([axis, repr(report.category_rho[axis]),
+                top5_cell("West", axis), top5_cell("East", axis)]
+               for axis in report.category_rho))
     if report.icon is not None:
-        with open(out_dir / "icon_scc.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["emoji", "scc", "unicode_category"])
-            for emoji in sorted(report.icon.scc, key=lambda e: (-report.icon.scc[e], e)):
-                w.writerow([emoji, repr(report.icon.scc[emoji]), inventory.category(emoji)])
+        scc = report.icon.scc
+        table("icon_scc.csv", ["emoji", "scc", "unicode_category"],
+              ([emoji, repr(scc[emoji]), inventory.category(emoji)]
+               for emoji in sorted(scc, key=lambda e: (-scc[e], e))))
     if report.country is not None:
-        with open(out_dir / "country_matrix.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["corpus"] + list(report.country.corpora))
-            for i, corpus in enumerate(report.country.corpora):
-                w.writerow([corpus] + [repr(float(v)) for v in report.country.matrix[i]])
+        country = report.country
+        table("country_matrix.csv", ["corpus"] + list(country.corpora),
+              ([corpus] + [repr(float(v)) for v in country.matrix[i]]
+               for i, corpus in enumerate(country.corpora)))
     if report.triples:
-        with open(out_dir / "triples.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["item", "in_west", "in_east", "cross"])
-            for item, (iw, ie, xc) in report.triples.items():
-                w.writerow([item] + ["" if v is None else repr(v) for v in (iw, ie, xc)])
+        table("triples.csv", ["item", "in_west", "in_east", "cross"],
+              ([item] + ["" if v is None else repr(v) for v in values]
+               for item, values in report.triples.items()))
     freq = report.frequency
     if freq is not None:
-        with open(out_dir / "frequency_summary.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["culture", "rank", "emoji", "count", "share"])
-            for culture in sorted(freq.top_by_culture):
-                for rank, (emoji, count, share) in enumerate(freq.top_by_culture[culture], 1):
-                    w.writerow([culture, rank, emoji, count, repr(share)])
-        with open(out_dir / "frequency_category_scc.csv", "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["unicode_category", "scc"])
-            if freq.overall_scc is not None:
-                w.writerow(["__overall__", repr(freq.overall_scc)])
-            for cat, val in freq.category_scc.items():
-                w.writerow([cat, repr(val)])
+        table("frequency_summary.csv", ["culture", "rank", "emoji", "count", "share"],
+              ([culture, rank, emoji, count, repr(share)]
+               for culture in sorted(freq.top_by_culture)
+               for rank, (emoji, count, share) in enumerate(freq.top_by_culture[culture], 1)))
+        overall = [] if freq.overall_scc is None else [["__overall__", repr(freq.overall_scc)]]
+        table("frequency_category_scc.csv", ["unicode_category", "scc"],
+              overall + [[cat, repr(val)] for cat, val in freq.category_scc.items()])
+    return written
 
 
 def write_report_json(report: CorrelationReport, path: Path) -> None:

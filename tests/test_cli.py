@@ -57,6 +57,17 @@ def test_missing_input_file_is_clean_error(tmp_path, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):
+    # hashing the input for the cache key must not raise before ingest does
+    cfg = write_two_culture_setup(tmp_path, posts_per_pattern=3)
+    raw = json.loads(cfg.read_text())
+    raw["corpora"][0]["input"] = "."
+    cfg.write_text(json.dumps(raw))
+    assert main(["all", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'ingest' failed") and err.count("\n") == 1
+
+
 def test_bad_config_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpora": []}))
@@ -72,6 +83,8 @@ def test_stage_without_predecessor_fails_cleanly(small_config, capsys):
 @pytest.mark.parametrize("key, value", [
     ("dimm", 50), ("dim", 0), ("mode", "parallel"), ("threads", 2),
     ("runs", "three"), ("top_k", 2.5), ("shared_threshold", None), ("top_k", 0),
+    ("training", 5), ("corpora", 5),
+    pytest.param("corpora", [5], id="corpora-entry-5"),
     pytest.param(None, '{"seed": 1,', id="unfinished-json"),
     pytest.param(None, '"config"', id="json-string"),
 ])

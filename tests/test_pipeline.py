@@ -1,12 +1,16 @@
 """End-to-end pipeline: staging, resumability, determinism, reporting."""
 
+import dataclasses
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from crossmoji.embedding import TrainParams
 from crossmoji.pipeline import (
+    STAGES,
     ConfigError,
     Pipeline,
     PipelineStageError,
@@ -80,13 +84,15 @@ def test_stage_requires_predecessor(tmp_path):
         Pipeline(config).run("train")
 
 
-def test_config_change_invalidates_markers(completed_run, tmp_path):
-    tmp, config, _ = completed_run
-    import dataclasses
+def incomplete(config) -> list[str]:
+    pipeline = Pipeline(config)
+    return [stage for stage in STAGES if not pipeline._is_complete(stage)]
 
-    changed = dataclasses.replace(config, top_k=7)
-    pipe = Pipeline(changed)
-    assert not pipe._is_complete("ingest")
+
+def test_config_change_invalidates_markers(completed_run):
+    # top_k is read by analyze alone: the stages before it stay complete
+    _, config, _ = completed_run
+    assert incomplete(dataclasses.replace(config, top_k=7)) == ["analyze", "report"]
 
 
 def test_model_format_change_invalidates_markers(completed_run, monkeypatch):
@@ -94,11 +100,192 @@ def test_model_format_change_invalidates_markers(completed_run, monkeypatch):
     # failing to read its models
     _, config, _ = completed_run
     pipeline = Pipeline(config)
-    before = config.fingerprint()
     assert pipeline._is_complete("train")
     monkeypatch.setattr("crossmoji.pipeline.MODEL_FORMAT", "crossmoji-model 0")
-    assert config.fingerprint() != before
+    pipeline = Pipeline(config)
+    assert pipeline._is_complete("ingest")
     assert not pipeline._is_complete("train")
+
+
+# --- per-stage cache keys ------------------------------------------------------
+
+def copy_run(completed_run, tmp_path):
+    """A private copy of the shared completed run (inputs, config and
+    outputs) to edit and re-run; returns the copy's config."""
+    shutil.copytree(completed_run[0], tmp_path / "run")
+    return load_config(tmp_path / "run" / "config.json")
+
+
+def ran(manifest) -> list[str]:
+    return [stage for stage, info in manifest.stages.items() if not info["skipped"]]
+
+
+def outputs(out: Path, also=()) -> dict[str, bytes]:
+    """Every file under tensors/, report/ and charts/ (and `also`), plus
+    counts.json, by path relative to `out`."""
+    files = [out / "counts.json"] + [p for d in ("tensors", "report", "charts", *also)
+                                     for p in (out / d).rglob("*")]
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in files if p.is_file()}
+
+
+def drop_last_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
+def test_moved_run_directory_stays_complete(completed_run, tmp_path):
+    # keys cover file contents, not paths
+    assert incomplete(copy_run(completed_run, tmp_path)) == []
+
+
+def test_input_edit_reruns_every_stage(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    west = config.corpora[0].input_path
+    lines = west.read_text(encoding="utf-8").splitlines(keepends=True)
+    west.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    counts = (config.out_dir / "counts.json").read_bytes()
+    manifest = Pipeline(config).run("all")
+    assert ran(manifest) == list(STAGES)
+    assert (config.out_dir / "counts.json").read_bytes() != counts
+    assert manifest.stages["ingest"]["counts"]["US"]["posts_read"] == len(lines) // 2
+
+
+def test_lexicon_edit_reruns_project_and_later(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    drop_last_line(config.corpora[0].lexicon_path)
+    assert ran(Pipeline(config).run("all")) == ["project", "analyze", "report"]
+
+
+def test_top_k_edit_reruns_analyze_and_report_equal_to_cold_run(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    edit_config(tmp_path / "run" / "config.json", "top_k", 3)
+    edited = load_config(tmp_path / "run" / "config.json")
+    assert ran(Pipeline(edited).run("all")) == ["analyze", "report"]
+    cold = load_config(tmp_path / "run" / "config.json", out_dir=str(tmp_path / "cold"))
+    assert ran(Pipeline(cold).run("all")) == list(STAGES)
+    assert outputs(config.out_dir) == outputs(cold.out_dir)
+
+
+def corpus_edit(index: int, **changes):
+    def edit(config, tmp_path):
+        corpora = list(config.corpora)
+        corpora[index] = dataclasses.replace(corpora[index], **changes)
+        return dataclasses.replace(config, corpora=corpora)
+    return edit
+
+
+def file_edit(field: str, corpus_field: bool = False):
+    """Point `field` at a copy of its file with one byte more."""
+    def edit(config, tmp_path):
+        owner = config.corpora[0] if corpus_field else config
+        copy = tmp_path / Path(getattr(owner, field)).name
+        copy.write_bytes(Path(getattr(owner, field)).read_bytes() + b"\n")
+        if corpus_field:
+            return corpus_edit(0, **{field: copy})(config, tmp_path)
+        return dataclasses.replace(config, **{field: copy})
+    return edit
+
+
+def training_edit(name: str):
+    def edit(config, tmp_path):
+        value = getattr(config.training, name)
+        new = (value * 2 or 1e-3) if isinstance(value, float) else value + 1
+        return dataclasses.replace(
+            config, training=dataclasses.replace(config.training, **{name: new}))
+    return edit
+
+
+# snapshot() field -> (the first stage that reads it, an edit of it)
+FIELD_READERS = {
+    "corpora.id": ("ingest", corpus_edit(0, corpus_id="USX")),
+    "corpora.culture": ("project", corpus_edit(1, culture="West")),
+    "corpora.input": ("ingest", file_edit("input_path", corpus_field=True)),
+    "corpora.lang": ("ingest", corpus_edit(0, lang="fr")),
+    "corpora.country": ("ingest", corpus_edit(0, country="GB")),
+    "corpora.lexicon": ("project", file_edit("lexicon_path", corpus_field=True)),
+    "corpora.pre_tokenized": ("ingest", corpus_edit(0, pre_tokenized=True)),
+    **{f"training.{f.name}": ("train", training_edit(f.name))
+       for f in dataclasses.fields(TrainParams)},
+    "min_count": ("train", lambda c, _: dataclasses.replace(c, min_count=c.min_count + 1)),
+    "runs": ("train", lambda c, _: dataclasses.replace(c, runs=c.runs + 1)),
+    "shared_threshold": ("project", lambda c, _: dataclasses.replace(
+        c, shared_threshold=c.shared_threshold + 1)),
+    "top_k": ("analyze", lambda c, _: dataclasses.replace(c, top_k=c.top_k + 1)),
+    "emoji_data": ("ingest", file_edit("emoji_data")),
+    "emoji_categories": ("ingest", file_edit("emoji_categories")),
+    "ekman_words": ("project", file_edit("ekman_words")),
+}
+
+
+def test_every_snapshot_field_has_a_reader_case(completed_run):
+    snapshot = completed_run[1].snapshot()
+    names = {f"{key}.{sub}" for key in ("corpora", "training")
+             for sub in (snapshot[key][0] if key == "corpora" else snapshot[key])}
+    names |= set(snapshot) - {"corpora", "training"}
+    assert names == set(FIELD_READERS)
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_READERS))
+def test_edit_invalidates_first_stage_reading_it(completed_run, tmp_path, field):
+    # the stages before the first reader stay complete: no over-invalidation
+    stage, edit = FIELD_READERS[field]
+    changed = edit(completed_run[1], tmp_path)
+    assert incomplete(changed)[0] == stage
+
+
+def test_truncated_model_retrains_to_same_bytes(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    before = outputs(config.out_dir, also=("models",))
+    model = config.out_dir / "models" / "US.run0.vec"
+    model.write_bytes(model.read_bytes()[:-100])
+    manifest = Pipeline(config).run("all")
+    assert not manifest.stages["train"]["skipped"]
+    assert manifest.stages["ingest"]["skipped"]
+    assert outputs(config.out_dir, also=("models",)) == before
+    # the repaired directory is complete again
+    assert ran(Pipeline(config).run("all")) == []
+
+
+def test_deleted_tensor_reruns_project(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    (config.out_dir / "tensors" / "similarity_orthonormal.csv").unlink()
+    manifest = Pipeline(config).run("all")
+    assert ran(manifest)[0] == "project"
+    assert (config.out_dir / "tensors" / "similarity_orthonormal.csv").exists()
+
+
+def test_analyze_after_lexicon_edit_refuses_stale_tensors(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    report = outputs(config.out_dir)
+    drop_last_line(config.corpora[0].lexicon_path)
+    with pytest.raises(PipelineStageError, match="missing or stale"):
+        Pipeline(config).run("analyze")
+    assert outputs(config.out_dir) == report
+
+
+def test_no_tensor_outlives_its_project_run(completed_run, tmp_path):
+    # with no shared emoji left, analyze must not read the earlier tensor
+    config = copy_run(completed_run, tmp_path)
+    edit_config(tmp_path / "run" / "config.json", "shared_threshold", 10**9)
+    config = load_config(tmp_path / "run" / "config.json")
+    Pipeline(config).run("all")
+    assert sorted(p.name for p in (config.out_dir / "tensors").iterdir()) == ["EMPTY"]
+    assert not read_report_json(config.out_dir / "report" / "report.json").category_rho
+
+
+def test_every_output_file_is_a_recorded_artifact(completed_run):
+    # no temp file stays behind: each file is a marker, the manifest or an
+    # artifact a marker records with its digest
+    _, config, _ = completed_run
+    out = Path(config.out_dir)
+    recorded = {"manifest.json"}
+    for stage in STAGES:
+        recorded.add(f".stage_{stage}.json")
+        recorded |= set(json.loads((out / f".stage_{stage}.json").read_text())["artifacts"])
+    files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert files == recorded
+    assert sorted(p.name for p in (out / "models").iterdir()) == \
+        sorted(f"{c.corpus_id}.run{r}.vec" for c in config.corpora for r in range(config.runs))
 
 
 def test_report_json_round_trip(completed_run):
@@ -227,6 +414,9 @@ def test_deterministic_flag_overrides_mode(tmp_path):
     ("top_k", 0, "top_k must be >= 1"),
     pytest.param(None, '{"seed": 1,', "not valid JSON", id="unfinished-json"),
     pytest.param(None, "[1, 2]", "must be a JSON object", id="json-list"),
+    ("training", 5, "training must be a JSON object"),
+    ("corpora", 5, "corpora must be a JSON list"),
+    pytest.param("corpora", [5], "corpora entries must be JSON objects", id="corpora-entry-5"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)

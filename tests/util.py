@@ -146,13 +146,16 @@ def write_two_culture_setup(
     return cfg_path
 
 
+TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora")
+
+
 def edit_config(path: Path, key, value) -> None:
-    """Set one key of a config file: the run-wide integers `runs`, `top_k`
-    and `shared_threshold` at top level, any other key in its `training`
-    object.  With key None, replace the whole file by the text `value`."""
+    """Set one key of a config file: the keys of `TOP_LEVEL_KEYS` at top
+    level, any other key in its `training` object.  With key None, replace
+    the whole file by the text `value`."""
     if key is None:
         path.write_text(value, encoding="utf-8")
         return
     raw = json.loads(path.read_text(encoding="utf-8"))
-    (raw if key in ("runs", "top_k", "shared_threshold") else raw["training"])[key] = value
+    (raw if key in TOP_LEVEL_KEYS else raw["training"])[key] = value
     path.write_text(json.dumps(raw), encoding="utf-8")
