@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
+
 MODEL_FORMAT = "crossmoji-model 2"
 
 BATCH = 256  # positions per minibatch step
@@ -410,7 +412,8 @@ def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, floa
 def save_model(model: EmbeddingModel, path) -> None:
     """One JSON metadata line (format tag, training parameters, vocabulary),
     then the input and output matrices stacked as one (2, |V|, d) float64
-    array in .npy format.  The same model always gives the same bytes."""
+    array in .npy format.  The same model always gives the same bytes; the
+    file is renamed into place once complete."""
     vocab = model.vocab
     meta = {
         "format": MODEL_FORMAT,
@@ -421,7 +424,7 @@ def save_model(model: EmbeddingModel, path) -> None:
         "tokens": list(vocab.tokens),
         "counts": list(vocab.counts),
     }
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
         np.save(f, np.stack([model.syn0, model.syn1]).astype("<f8", copy=False),
                 allow_pickle=False)

@@ -6,8 +6,12 @@ wrote.  The key covers only what the stage reads (`STAGE_READS`): its
 config fields, and the content of its outside files and of the earlier
 stages' artifacts.  Re-running `all` skips a stage whose key and artifacts
 still match, so an edit re-runs the stages that read it and those whose
-inputs then change.  A fixed seed reproduces embedding files and CSV
-reports byte for byte.
+inputs then change.  Before a stage runs, the artifacts its last run
+recorded are deleted, so a run that writes fewer files leaves none stale.
+Ingest runs one job per corpus and train one per (corpus, run), on forked
+worker processes when more than one CPU is usable (`fan_out`).  A fixed
+seed reproduces embedding files and CSV reports byte for byte, whatever
+the number of workers.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +38,7 @@ from .embedding import (
     save_model,
     train_run_set,
 )
+from .fileio import atomic_write
 from .inventory import (
     count_frequencies,
     default_category_path,
@@ -67,6 +73,57 @@ TRAINING_KEYS = {f.name for f in fields(TrainParams)} - {"seed"} | {"min_count"}
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (`taskset` narrows them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_calls: list = []  # in a worker process: the calls of the fan_out that forked it
+
+
+def _inherit(calls: list) -> None:
+    global _calls
+    _calls = calls
+
+
+def _call(index: int):
+    return _calls[index]()
+
+
+def fan_out(calls: list) -> tuple[list, int]:
+    """Run independent zero-argument calls; return their results in call
+    order and the number of worker processes used.
+
+    With more than one call and more than one usable CPU, the calls run on
+    `min(calls, CPUs)` forked worker processes.  The workers inherit all the
+    calls refer to, so only a call's index goes to a worker and only its
+    result comes back.  Otherwise, or where `fork` is unavailable, the calls
+    run here one after another.  A call that raises raises its exception
+    here."""
+    workers = min(len(calls), usable_cpus())
+    if workers > 1:
+        # imported here: a run that fans nothing out does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return [call() for call in calls], 1
+    # a fork-context pool forks every worker before it starts its own thread,
+    # and fork passes `initargs` on without pickling them
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(calls,)) as pool:
+        futures = [pool.submit(_call, i) for i in range(len(calls))]
+        try:
+            return [f.result() for f in futures], workers
+        finally:
+            for f in futures:  # after a failure, start no further call
+                f.cancel()
 
 
 class PipelineStageError(RuntimeError):
@@ -335,11 +392,8 @@ class Pipeline:
     def _mark_complete(self, stage: str, key: str, extra: dict, warnings: list) -> None:
         payload = {"key": key, "stage": stage, "artifacts": self._artifacts,
                    "extra": extra, "warnings": warnings}
-        marker = self._marker(stage)
-        tmp = marker.with_name(marker.name + ".tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=False, default=str) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, marker)
+        with atomic_write(self._marker(stage), encoding="utf-8") as f:
+            f.write(json.dumps(payload, ensure_ascii=False, default=str) + "\n")
 
     def _read_marker(self, stage: str) -> dict:
         try:
@@ -347,11 +401,15 @@ class Pipeline:
         except (OSError, json.JSONDecodeError):
             return {}
 
-    def _require(self, stage: str) -> None:
-        if not self._is_complete(stage):
-            raise PipelineStageError(
-                stage, RuntimeError(
-                    f"artifacts missing or stale; run the {stage!r} stage first"))
+    def _clear(self, stage: str) -> None:
+        """Delete the artifacts the stage's marker records, so that a run
+        writing fewer files leaves none of the last run's behind."""
+        artifacts = self._read_marker(stage).get("artifacts")
+        for rel in artifacts if isinstance(artifacts, dict) else ():
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                continue  # not a file a stage writes
+            (self.out / rel).unlink(missing_ok=True)
+            self._digests.pop(self.out / rel, None)
 
     def _load_streams(self) -> dict[str, list]:
         out = {}
@@ -371,60 +429,70 @@ class Pipeline:
 
     def stage_ingest(self) -> dict:
         (self.out / "streams").mkdir(parents=True, exist_ok=True)
-        counts_by_corpus = {}
-        for spec in self.config.corpora:
+        inventory = self.inventory  # loaded here, so that workers inherit it
+
+        def ingest(spec: CorpusSpec) -> tuple[dict, float]:
+            start = time.perf_counter()
             handle = CorpusHandle(
                 corpus_id=spec.corpus_id, culture_group=spec.culture,
                 paths=(str(spec.input_path),), lang=spec.lang,
                 country=spec.country, pre_tokenized=spec.pre_tokenized,
             )
-            streams, counts = ingest_handle(handle, self.inventory)
-            with open(self.streams_path(spec.corpus_id), "w", encoding="utf-8") as f:
+            streams, counts = ingest_handle(handle, inventory)
+            with atomic_write(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
                 write_streams(streams, f)
+            return counts.as_dict(), time.perf_counter() - start
+
+        results, workers = fan_out([partial(ingest, spec) for spec in self.config.corpora])
+        counts_by_corpus, throughput = {}, {}
+        for spec, (counts, seconds) in zip(self.config.corpora, results):
             self._wrote(self.streams_path(spec.corpus_id))
-            counts_by_corpus[spec.corpus_id] = counts.as_dict()
-        with open(self.out / "counts.json", "w", encoding="utf-8") as f:
+            counts_by_corpus[spec.corpus_id] = counts
+            records = counts["posts_read"]
+            throughput[spec.corpus_id] = {"seconds": round(seconds, 3), "records": records,
+                                          "posts_per_s": round(records / max(seconds, 1e-9))}
+        with atomic_write(self.out / "counts.json", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
         self._wrote(self.out / "counts.json")
-        return {"counts": counts_by_corpus}
+        return {"counts": counts_by_corpus, "throughput": throughput, "workers": workers}
 
     def stage_train(self) -> dict:
-        self._require("ingest")
         (self.out / "models").mkdir(parents=True, exist_ok=True)
-        info = {}
+        c = self.config
         streams = self._load_streams()
-        for k, spec in enumerate(self.config.corpora):
-            vocab = build_vocabulary(streams[spec.corpus_id], self.config.min_count)
-            # every (corpus, run) pair gets its own seed; same-sized vocabularies
-            # must not share initializations across corpora
-            corpus_params = replace(self.config.training,
-                                    seed=self.config.training.seed + k * self.config.runs)
-            models = train_run_set(streams[spec.corpus_id], vocab,
-                                   corpus_params, self.config.runs)
-            for r, model in enumerate(models):
-                save_model(model, self.model_path(spec.corpus_id, r))
-                self._wrote(self.model_path(spec.corpus_id, r))
+        vocabs = {spec.corpus_id: build_vocabulary(streams[spec.corpus_id], c.min_count)
+                  for spec in c.corpora}
+
+        def train(corpus_id: str, seed: int, path: Path) -> tuple:
+            [model] = train_run_set(streams[corpus_id], vocabs[corpus_id],
+                                    replace(c.training, seed=seed), 1)
+            save_model(model, path)
+            return model.epoch_losses, model.train_seconds
+
+        # every (corpus, run) pair gets its own seed; same-sized vocabularies
+        # must not share initializations across corpora
+        jobs = [(spec.corpus_id, r, c.training.seed + k * c.runs + r)
+                for k, spec in enumerate(c.corpora) for r in range(c.runs)]
+        results, workers = fan_out([partial(train, corpus_id, seed,
+                                            self.model_path(corpus_id, r))
+                                    for corpus_id, r, seed in jobs])
+        info = {}
+        for (corpus_id, r, _), (losses, seconds) in zip(jobs, results):
+            self._wrote(self.model_path(corpus_id, r))
+            vocab = vocabs[corpus_id]
+            entry = info.setdefault(corpus_id, {
+                "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
+                "epoch_losses": [], "runs": []})
+            entry["epoch_losses"].append(list(losses))
             # the tokens one run trains on: in-vocabulary tokens times epochs
-            run_tokens = vocab.kept_tokens * corpus_params.epochs
-            info[spec.corpus_id] = {
-                "vocabulary": len(vocab),
-                "corpus_tokens": vocab.corpus_tokens,
-                "epoch_losses": [list(m.epoch_losses) for m in models],
-                "runs": [{"seconds": round(m.train_seconds, 3),
-                          "tokens_per_s": round(run_tokens / max(m.train_seconds, 1e-9))}
-                         for m in models],
-            }
-        return {"training": info}
+            run_tokens = vocab.kept_tokens * c.training.epochs
+            entry["runs"].append({"seconds": round(seconds, 3),
+                                  "tokens_per_s": round(run_tokens / max(seconds, 1e-9))})
+        return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        self._require("train")
-        tensors = self.out / "tensors"
-        tensors.mkdir(parents=True, exist_ok=True)
-        # analyze reads the tensor CSV if there is one: none may outlive its run
-        for name in ("EMPTY", "similarity_orthonormal.csv", "similarity_raw.csv"):
-            (tensors / name).unlink(missing_ok=True)
-            self._digests.pop(tensors / name, None)
+        (self.out / "tensors").mkdir(parents=True, exist_ok=True)
         streams = self._load_streams()
         models = self._load_models()
         table = count_frequencies(streams, self.inventory)
@@ -506,7 +574,6 @@ class Pipeline:
         return info
 
     def stage_analyze(self) -> dict:
-        self._require("project")
         report_dir = self.out / "report"
         report_dir.mkdir(parents=True, exist_ok=True)
         streams = self._load_streams()
@@ -514,10 +581,11 @@ class Pipeline:
         table = count_frequencies(streams, self.inventory)
         shared = shared_set(table, self.config.shared_threshold)
 
-        tensor_path = self.out / "tensors" / "similarity_orthonormal.csv"
         tensor = None
-        if tensor_path.exists():
-            tensor = read_tensor_csv(tensor_path, self.config.culture_of)
+        # only the tensor project's last run recorded, never a leftover
+        if "tensors/similarity_orthonormal.csv" in self._read_marker("project")["artifacts"]:
+            tensor = read_tensor_csv(self.out / "tensors" / "similarity_orthonormal.csv",
+                                     self.config.culture_of)
 
         cross = {"West", "East"} <= self.config.cultures_present()
         if not cross:
@@ -539,7 +607,6 @@ class Pipeline:
         return {"warnings": list(report.warnings)}
 
     def stage_report(self) -> dict:
-        self._require("analyze")
         report = read_report_json(self.out / "report" / "report.json")
         charts = emit_charts(report, self.out / "charts")
         for name, filename in charts.items():
@@ -576,6 +643,12 @@ class Pipeline:
             warnings_before = len(self.manifest.warnings)
             self._artifacts = {}
             try:
+                index = STAGES.index(name)
+                if index and not self._is_complete(STAGES[index - 1]):
+                    raise PipelineStageError(STAGES[index - 1], RuntimeError(
+                        f"artifacts missing or stale; run the {STAGES[index - 1]!r} "
+                        "stage first"))
+                self._clear(name)
                 extra = fn() or {}
             except PipelineStageError:
                 self.manifest.save(self.out / "manifest.json")

@@ -57,6 +57,25 @@ def test_missing_input_file_is_clean_error(tmp_path, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+def test_worker_failure_is_stage_error_exit_1(tmp_path, capsys, monkeypatch):
+    # one vocabulary token cannot train: each run's worker raises
+    from crossmoji import pipeline
+
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    cfg = write_two_culture_setup(tmp_path, posts_per_pattern=3, runs=2)
+    raw = json.loads(cfg.read_text())
+    raw["corpora"] = raw["corpora"][:1]
+    cfg.write_text(json.dumps(raw))
+    (tmp_path / "west.jsonl").write_text("".join(
+        json.dumps({"post_id": str(i), "text": "hello hello", "country": "US",
+                    "lang": "en"}) + "\n" for i in range(5)))
+    code = main(["all", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "stage 'train' failed: need at least 2 vocabulary tokens" in err
+    assert "BrokenProcessPool" not in err
+
+
 def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):
     # hashing the input for the cache key must not raise before ingest does
     cfg = write_two_culture_setup(tmp_path, posts_per_pattern=3)

@@ -419,6 +419,20 @@ def test_save_then_save_again_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch):
+    # the model goes to a temporary name and is renamed only once whole
+    def torn_save(f, array, allow_pickle=True):
+        f.write(b"\x93NUMPY partial")
+        raise OSError("disk full")
+
+    path = tmp_path / "m.vec"
+    model = trained_tiny_model()
+    monkeypatch.setattr(np, "save", torn_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(model, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def saved_tiny_model(tmp_path):
     """A saved model: its file's metadata line and the .npy bytes after it."""
     model = trained_tiny_model()

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from crossmoji import pipeline
 from crossmoji.embedding import TrainParams
 from crossmoji.pipeline import (
     STAGES,
@@ -273,10 +277,9 @@ def test_no_tensor_outlives_its_project_run(completed_run, tmp_path):
     assert not read_report_json(config.out_dir / "report" / "report.json").category_rho
 
 
-def test_every_output_file_is_a_recorded_artifact(completed_run):
-    # no temp file stays behind: each file is a marker, the manifest or an
-    # artifact a marker records with its digest
-    _, config, _ = completed_run
+def assert_only_recorded_files(config) -> None:
+    # no temp file or earlier run's file stays behind: each file is a marker,
+    # the manifest or an artifact a marker records with its digest
     out = Path(config.out_dir)
     recorded = {"manifest.json"}
     for stage in STAGES:
@@ -286,6 +289,24 @@ def test_every_output_file_is_a_recorded_artifact(completed_run):
     assert files == recorded
     assert sorted(p.name for p in (out / "models").iterdir()) == \
         sorted(f"{c.corpus_id}.run{r}.vec" for c in config.corpora for r in range(config.runs))
+
+
+def test_every_output_file_is_a_recorded_artifact(completed_run):
+    assert_only_recorded_files(completed_run[1])
+
+
+def test_smaller_rerun_leaves_no_stale_artifacts(completed_run, tmp_path):
+    # dropping the East corpus writes fewer streams, models, report CSVs and
+    # charts; those of the earlier run must go
+    copy_run(completed_run, tmp_path)
+    edit_config(tmp_path / "run" / "config.json", "corpora",
+                [c for c in json.loads((tmp_path / "run" / "config.json").read_text())["corpora"]
+                 if c["culture"] == "West"])
+    config = load_config(tmp_path / "run" / "config.json")
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert not (config.out_dir / "streams" / "JP.tokens").exists()
+    assert not (config.out_dir / "report" / "category_scc.csv").exists()
+    assert_only_recorded_files(config)
 
 
 def test_report_json_round_trip(completed_run):
@@ -425,20 +446,79 @@ def test_bad_training_config_is_config_error(tmp_path, key, value, match):
         load_config(cfg_path)
 
 
+def within_rounding(items: int, seconds: float, per_s: int) -> bool:
+    # seconds are rounded to the millisecond, the rate is not
+    return items / (seconds + 5e-4) - 1 <= per_s <= items / max(seconds - 5e-4, 1e-9) + 1
+
+
 def test_manifest_records_train_throughput_per_run(completed_run):
-    # tokens per run are the in-vocabulary tokens times epochs; seconds are
-    # rounded to the millisecond, tokens_per_s is not
+    # tokens per run are the in-vocabulary tokens times epochs; ingest
+    # records posts per second per corpus, and both stages their workers
     from crossmoji.embedding import load_model
 
     _, config, manifest = completed_run
-    for corpus_id, info in manifest.stages["train"]["training"].items():
+    ingest, train = manifest.stages["ingest"], manifest.stages["train"]
+    for corpus_id, info in train["training"].items():
         vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
         tokens = vocab.kept_tokens * config.training.epochs
         assert len(info["runs"]) == config.runs
         for run in info["runs"]:
             assert run["seconds"] > 0
-            assert (tokens / (run["seconds"] + 5e-4) - 1 <= run["tokens_per_s"]
-                    <= tokens / max(run["seconds"] - 5e-4, 1e-9) + 1)
+            assert within_rounding(tokens, run["seconds"], run["tokens_per_s"])
+    assert list(ingest["throughput"]) == [c.corpus_id for c in config.corpora]
+    for corpus_id, info in ingest["throughput"].items():
+        assert info["records"] == ingest["counts"][corpus_id]["posts_read"] > 0
+        assert info["seconds"] > 0
+        assert within_rounding(info["records"], info["seconds"], info["posts_per_s"])
+    cpus = pipeline.usable_cpus()
+    assert ingest["workers"] == min(len(config.corpora), cpus)
+    assert train["workers"] == min(len(config.corpora) * config.runs, cpus)
+
+
+# --- worker processes ------------------------------------------------------------
+
+def test_one_and_two_workers_give_identical_outputs(tmp_path, monkeypatch):
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=15, runs=2,
+                                       dim=12, epochs=2)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        config = load_config(cfg_path, out_dir=str(tmp_path / f"cpus{cpus}"))
+        manifest = Pipeline(config).run("all")
+        assert manifest.stages["ingest"]["workers"] == cpus
+        assert manifest.stages["train"]["workers"] == cpus
+        results[cpus] = outputs(config.out_dir, also=("models", "streams"))
+    assert results[1] == results[2]
+
+
+def test_fan_out_keeps_call_order_and_runs_in_workers(monkeypatch):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    results, workers = pipeline.fan_out([os.getpid, os.getpid, lambda: "last"])
+    assert workers == 2
+    assert results[2] == "last"
+    assert os.getpid() not in results[:2]
+
+
+def test_one_job_or_one_cpu_creates_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    assert pipeline.fan_out([os.getpid]) == ([os.getpid()], 1)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    assert pipeline.fan_out([os.getpid, lambda: 2]) == ([os.getpid(), 2], 1)
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, crossmoji.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_stage_rejected(tmp_path):
