@@ -24,7 +24,6 @@ from .corpus import (
     FilterConfig,
     PostRecord,
     TokenStream,
-    filter_post,
     ingest_corpus,
     normalize_text,
     tokenize,
@@ -47,7 +46,6 @@ from .inventory import (
     count_frequencies,
     load_default_inventory,
     load_inventory,
-    normalize_emoji,
     shared_set,
 )
 from .lexicon import (
@@ -59,7 +57,6 @@ from .lexicon import (
     shared_schema,
 )
 from .projection import (
-    CategoryVectorSet,
     SimilarityTensor,
     build_category_vectors,
     build_tensor,

@@ -24,9 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--stage", choices=list(STAGES) + ["all"], default=None,
                         help="alternative to the positional stage")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="accepted for compatibility; training is always seeded "
-                             "and byte-reproducible")
     parser.add_argument("--out", default=None, help="override the config's output directory")
     return parser
 

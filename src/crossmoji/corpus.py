@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .inventory import EmojiInventory, strip_variation_selectors
@@ -36,32 +37,26 @@ class TokenStream:
 
 @dataclass(frozen=True)
 class CorpusHandle:
-    """One corpus: id, culture group, and where its records live."""
+    """One corpus of a run config: its id, culture group ("West" or "East"),
+    input file, filter values and lexicon."""
 
     corpus_id: str
-    culture_group: str  # "West" or "East"
-    paths: tuple[str, ...]
+    culture: str
+    input_path: Path
     lang: str
     country: str
+    lexicon_path: Path
     pre_tokenized: bool = False
-
-    def __post_init__(self):
-        if self.culture_group not in ("West", "East"):
-            raise ValueError(f"culture_group must be West or East, got {self.culture_group!r}")
-
-
-DEFAULT_RETWEET_MARKERS = (r"RT @\w+:", r"@\w+//")
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     lang: str
     country: str
-    retweet_markers: tuple[str, ...] = DEFAULT_RETWEET_MARKERS
 
-    def __post_init__(self):
-        compiled = tuple(re.compile(p) for p in self.retweet_markers)
-        object.__setattr__(self, "_marker_res", compiled)
+
+# direct-repost prefixes: "RT @user:" and "@user//"
+_RETWEET_RE = re.compile(r"RT @\w+:|@\w+//")
 
 
 def parse_record(line: str) -> PostRecord:
@@ -85,12 +80,15 @@ def parse_record(line: str) -> PostRecord:
     if any(c in post_id for c in "\t\n\r"):
         # the stream files are "post_id<TAB>tokens" lines
         raise RecordError(f"post_id {post_id!r} contains a tab or line break")
+    pre_tokenized = obj.get("pre_tokenized", False)
+    if not isinstance(pre_tokenized, bool):
+        raise RecordError(f"pre_tokenized must be true or false, got {pre_tokenized!r}")
     return PostRecord(
         post_id=post_id,
         text=text,
         country=country,
         lang=lang,
-        pre_tokenized=bool(obj.get("pre_tokenized", False)),
+        pre_tokenized=pre_tokenized,
     )
 
 
@@ -99,22 +97,14 @@ def _lang_matches(record_lang: str, wanted: str) -> bool:
     return a == b or a.split("-")[0] == b.split("-")[0]
 
 
-def filter_post(record: PostRecord, config: FilterConfig) -> Optional[PostRecord]:
-    """Keep the record only if language, country and not-a-retweet all hold."""
-    reason = filter_reason(record, config)
-    return None if reason else record
-
-
 def filter_reason(record: PostRecord, config: FilterConfig) -> Optional[str]:
     """Why a record would be dropped: 'lang', 'country', 'retweet' or None."""
     if not _lang_matches(record.lang, config.lang):
         return "lang"
     if record.country.upper() != config.country.upper():
         return "country"
-    text = record.text.lstrip()
-    for marker in config._marker_res:
-        if marker.match(text):
-            return "retweet"
+    if _RETWEET_RE.match(record.text.lstrip()):
+        return "retweet"
     return None
 
 
@@ -173,17 +163,17 @@ _META_TOKEN_RE = re.compile("|".join(re.escape(t) for t in sorted(META_TOKENS)))
 _EDGE_PUNCT = ".,!?;:\"'()[]{}…“”‘’"
 
 
-def _split_verbal(piece: str, lowercase: bool) -> Iterator[str]:
+def _split_verbal(piece: str) -> Iterator[str]:
     """Split meta-tokens out of a whitespace chunk, trim edge punctuation."""
     pos = 0
     for m in _META_TOKEN_RE.finditer(piece):
-        yield from _split_plain(piece[pos:m.start()], lowercase)
+        yield from _split_plain(piece[pos:m.start()])
         yield m.group(0)
         pos = m.end()
-    yield from _split_plain(piece[pos:], lowercase)
+    yield from _split_plain(piece[pos:])
 
 
-def _split_plain(chunk: str, lowercase: bool) -> Iterator[str]:
+def _split_plain(chunk: str) -> Iterator[str]:
     chunk = strip_variation_selectors(chunk)  # orphans next to non-emoji chars
     if not chunk:
         return
@@ -197,12 +187,11 @@ def _split_plain(chunk: str, lowercase: bool) -> Iterator[str]:
         chunk = chunk[:-1]
     yield from lead
     if chunk:
-        yield chunk.lower() if lowercase else chunk
+        yield chunk.lower()
     yield from reversed(trail)
 
 
-def tokenize(record: PostRecord, inventory: EmojiInventory,
-             lowercase: Optional[bool] = None) -> TokenStream:
+def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
     """Turn a filtered record into tokens with emoji split out standalone.
 
     Pre-tokenized records (CJK path) are split on whitespace as-is, except
@@ -210,8 +199,6 @@ def tokenize(record: PostRecord, inventory: EmojiInventory,
     lowercased and edge punctuation is split off; meta-tokens pass through
     verbatim.
     """
-    if lowercase is None:
-        lowercase = not record.pre_tokenized
     tokens: list[str] = []
     for chunk in record.text.split():
         for piece, is_emoji in inventory.split_text(chunk):
@@ -221,7 +208,7 @@ def tokenize(record: PostRecord, inventory: EmojiInventory,
                 if piece:
                     tokens.append(piece)
             else:
-                tokens.extend(t for t in _split_verbal(piece, lowercase) if t)
+                tokens.extend(t for t in _split_verbal(piece) if t)
     return TokenStream(post_id=record.post_id, tokens=tuple(tokens))
 
 
@@ -303,28 +290,12 @@ def ingest_corpus(
 
 
 def ingest_handle(
-    handle: CorpusHandle,
-    inventory: EmojiInventory,
-    retweet_markers: tuple[str, ...] = DEFAULT_RETWEET_MARKERS,
+    handle: CorpusHandle, inventory: EmojiInventory
 ) -> tuple[list[TokenStream], IngestCounts]:
-    """Ingest every source file of one corpus handle."""
-    config = FilterConfig(lang=handle.lang, country=handle.country,
-                          retweet_markers=retweet_markers)
-    all_streams: list[TokenStream] = []
-    total = IngestCounts()
-    for path in handle.paths:
-        with open(path, encoding="utf-8") as f:
-            streams, counts = ingest_corpus(f, config, inventory,
-                                            pre_tokenized=handle.pre_tokenized)
-        all_streams.extend(streams)
-        total.read += counts.read
-        total.parse_errors += counts.parse_errors
-        for key in total.dropped:
-            total.dropped[key] += counts.dropped[key]
-        total.kept += counts.kept
-        total.empty_streams += counts.empty_streams
-    total.streams = len(all_streams)
-    return all_streams, total
+    """Ingest the input file of one corpus."""
+    with open(handle.input_path, encoding="utf-8") as f:
+        return ingest_corpus(f, FilterConfig(lang=handle.lang, country=handle.country),
+                             inventory, pre_tokenized=handle.pre_tokenized)
 
 
 def write_streams(streams: Iterable[TokenStream], f: TextIO) -> None:

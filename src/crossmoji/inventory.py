@@ -137,10 +137,6 @@ class EmojiInventory:
         return best_end, best
 
 
-def normalize_emoji(sequence: str, inventory: EmojiInventory) -> tuple[str, bool]:
-    return inventory.normalize(sequence)
-
-
 def _parse_codepoints(spec: str, path: str, line_no: int) -> list[str]:
     """Expand a 'CODEPOINT(S)' field, supporting 'A..B' ranges."""
     spec = spec.strip()

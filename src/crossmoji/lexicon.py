@@ -201,13 +201,6 @@ class EkmanWordList:
                         f"ekman list for {language!r}/{emotion!r} must be exactly [noun, adjective]"
                     )
 
-    def languages(self) -> tuple[str, ...]:
-        return tuple(sorted(self.words))
-
-    def word(self, language: str, emotion: str, form: str) -> str:
-        noun, adj = self.words[language][emotion]
-        return noun if form == "noun" else adj
-
     def axes(self, language: str) -> list[tuple[str, str]]:
         """(axis_label, word) pairs for one language, in a fixed order."""
         out = []

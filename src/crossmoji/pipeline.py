@@ -7,11 +7,12 @@ config fields, and the content of its outside files and of the earlier
 stages' artifacts.  Re-running `all` skips a stage whose key and artifacts
 still match, so an edit re-runs the stages that read it and those whose
 inputs then change.  Before a stage runs, the artifacts its last run
-recorded are deleted, so a run that writes fewer files leaves none stale.
-Ingest runs one job per corpus and train one per (corpus, run), on forked
-worker processes when more than one CPU is usable (`fan_out`).  A fixed
-seed reproduces embedding files and CSV reports byte for byte, whatever
-the number of workers.
+recorded are deleted, so a run that writes fewer files leaves none stale;
+a stage that fails records what it declared or wrote under no key, so the
+next run deletes that too.  Ingest runs one job per corpus and train one
+per (corpus, run), on forked worker processes when more than one CPU is
+usable (`fan_out`).  A fixed seed reproduces embedding files and CSV
+reports byte for byte, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import __version__
 from .analytics import CorrelationReport, build_report
@@ -67,8 +68,10 @@ STAGE_READS = {
                 ("emoji_data", "emoji_categories", "streams/", "models/", "tensors/")),
     "report": ((), ("report/report.json",)),
 }
-# keys of a config's "training" object; the seed is a top-level key
-TRAINING_KEYS = {f.name for f in fields(TrainParams)} - {"seed"} | {"min_count"}
+# keys of a config's "training" object and their types; the seed is a
+# top-level key
+TRAINING_TYPES = {name: kind for name, kind in get_type_hints(TrainParams).items()
+                  if name != "seed"} | {"min_count": int}
 
 
 class ConfigError(ValueError):
@@ -135,20 +138,9 @@ class PipelineStageError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    corpus_id: str
-    culture: str
-    input_path: Path
-    lang: str
-    country: str
-    lexicon_path: Path
-    pre_tokenized: bool = False
-
-
 @dataclass
 class RunConfig:
-    corpora: list[CorpusSpec]
+    corpora: list[CorpusHandle]
     out_dir: Path
     training: TrainParams
     min_count: int = 5
@@ -166,6 +158,9 @@ class RunConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate corpus ids: {ids}")
         for c in self.corpora:
+            # ids name files under the output directory: streams/<id>.tokens
+            if c.corpus_id in ("", ".", "..") or any(ch in c.corpus_id for ch in "/\\\0"):
+                raise ConfigError(f"corpus id {c.corpus_id!r} must be a plain file name")
             if c.culture not in ("West", "East"):
                 raise ConfigError(f"corpus {c.corpus_id}: culture must be West or East")
         if self.runs < 1:
@@ -221,8 +216,7 @@ def load_config(path, out_dir: Optional[str] = None,
         raise ConfigError(f"{path}: config must be a JSON object")
     base = path.parent
 
-    def integer(key: str, default: int) -> int:
-        value = raw.get(key, default)
+    def integer(key: str, value) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return value
@@ -237,14 +231,20 @@ def load_config(path, out_dir: Optional[str] = None,
     if not isinstance(training_cfg, dict):
         raise ConfigError(f"training must be a JSON object, got {training_cfg!r}")
     training_cfg = dict(training_cfg)
-    unknown = sorted(set(training_cfg) - TRAINING_KEYS)
+    unknown = sorted(set(training_cfg) - set(TRAINING_TYPES))
     if unknown:
         raise ConfigError(f"unknown training key(s) {', '.join(map(repr, unknown))}; "
-                          f"allowed: {', '.join(sorted(TRAINING_KEYS))}")
+                          f"allowed: {', '.join(sorted(TRAINING_TYPES))}")
+    min_count = integer("min_count", training_cfg.pop("min_count", raw.get("min_count", 5)))
+    for key, value in training_cfg.items():
+        # an int field takes an int, a float field an int or a float; no bools
+        kind = TRAINING_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+            raise ConfigError(f"bad training config: {key} must be of type {kind.__name__}, "
+                              f"got {value!r}")
     try:
-        min_count = int(training_cfg.pop("min_count", raw.get("min_count", 5)))
-        params = TrainParams(seed=int(raw.get("seed", 1)), **training_cfg)
-    except (TypeError, ValueError) as exc:
+        params = TrainParams(seed=integer("seed", raw.get("seed", 1)), **training_cfg)
+    except ValueError as exc:
         raise ConfigError(f"bad training config: {exc}") from exc
     corpora_cfg = raw.get("corpora", [])
     if not isinstance(corpora_cfg, list):
@@ -257,20 +257,24 @@ def load_config(path, out_dir: Optional[str] = None,
                    if k not in c]
         if missing:
             raise ConfigError(f"corpus entry missing {missing}: {c}")
-        corpora.append(CorpusSpec(
+        pre_tokenized = c.get("pre_tokenized", False)
+        if not isinstance(pre_tokenized, bool):
+            raise ConfigError(f"corpus {c['id']}: pre_tokenized must be true or false, "
+                              f"got {pre_tokenized!r}")
+        corpora.append(CorpusHandle(
             corpus_id=str(c["id"]), culture=str(c["culture"]),
             input_path=resolve(c["input"]), lang=str(c["lang"]),
             country=str(c["country"]), lexicon_path=resolve(c["lexicon"]),
-            pre_tokenized=bool(c.get("pre_tokenized", False)),
+            pre_tokenized=pre_tokenized,
         ))
     return RunConfig(
         corpora=corpora,
         out_dir=Path(out_dir) if out_dir else resolve(raw.get("out_dir", "out")),
         training=params,
         min_count=min_count,
-        runs=integer("runs", 5),
-        shared_threshold=integer("shared_threshold", 1000),
-        top_k=integer("top_k", 15),
+        runs=integer("runs", raw.get("runs", 5)),
+        shared_threshold=integer("shared_threshold", raw.get("shared_threshold", 1000)),
+        top_k=integer("top_k", raw.get("top_k", 15)),
         emoji_data=resolve(raw.get("emoji_data")),
         emoji_categories=resolve(raw.get("emoji_categories")),
         ekman_words=resolve(raw.get("ekman_words")),
@@ -340,6 +344,12 @@ class Pipeline:
                 self._digests[path] = None
         return self._digests[path]
 
+    def _declare(self, paths: list[Path]) -> None:
+        """Record artifacts the running stage is about to write, so that the
+        marker of a failed run lists them and the next run deletes them."""
+        for path in paths:
+            self._artifacts.setdefault(path.relative_to(self.out).as_posix(), None)
+
     def _wrote(self, path: Path) -> None:
         """Record the digest of an artifact the running stage just wrote."""
         self._digests.pop(path, None)
@@ -389,7 +399,10 @@ class Pipeline:
                 return False
         return True
 
-    def _mark_complete(self, stage: str, key: str, extra: dict, warnings: list) -> None:
+    def _write_marker(self, stage: str, key: Optional[str], extra: dict,
+                      warnings: list) -> None:
+        """Record a stage's run: the key of a completed run, or None for a
+        failed one, and the artifacts it declared or wrote."""
         payload = {"key": key, "stage": stage, "artifacts": self._artifacts,
                    "extra": extra, "warnings": warnings}
         with atomic_write(self._marker(stage), encoding="utf-8") as f:
@@ -431,18 +444,14 @@ class Pipeline:
         (self.out / "streams").mkdir(parents=True, exist_ok=True)
         inventory = self.inventory  # loaded here, so that workers inherit it
 
-        def ingest(spec: CorpusSpec) -> tuple[dict, float]:
+        def ingest(spec: CorpusHandle) -> tuple[dict, float]:
             start = time.perf_counter()
-            handle = CorpusHandle(
-                corpus_id=spec.corpus_id, culture_group=spec.culture,
-                paths=(str(spec.input_path),), lang=spec.lang,
-                country=spec.country, pre_tokenized=spec.pre_tokenized,
-            )
-            streams, counts = ingest_handle(handle, inventory)
+            streams, counts = ingest_handle(spec, inventory)
             with atomic_write(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
                 write_streams(streams, f)
             return counts.as_dict(), time.perf_counter() - start
 
+        self._declare(self._files()["streams/"] + [self.out / "counts.json"])
         results, workers = fan_out([partial(ingest, spec) for spec in self.config.corpora])
         counts_by_corpus, throughput = {}, {}
         for spec, (counts, seconds) in zip(self.config.corpora, results):
@@ -474,6 +483,7 @@ class Pipeline:
         # must not share initializations across corpora
         jobs = [(spec.corpus_id, r, c.training.seed + k * c.runs + r)
                 for k, spec in enumerate(c.corpora) for r in range(c.runs)]
+        self._declare(self._files()["models/"])
         results, workers = fan_out([partial(train, corpus_id, seed,
                                             self.model_path(corpus_id, r))
                                     for corpus_id, r, seed in jobs])
@@ -654,10 +664,12 @@ class Pipeline:
                 self.manifest.save(self.out / "manifest.json")
                 raise
             except Exception as exc:
+                # lists what this run declared or wrote, for the next run's _clear
+                self._write_marker(name, None, {}, [])
                 self.manifest.save(self.out / "manifest.json")
                 raise PipelineStageError(name, exc) from exc
             self.manifest.record(name, key, time.perf_counter() - start, **extra)
-            self._mark_complete(name, key, extra, self.manifest.warnings[warnings_before:])
+            self._write_marker(name, key, extra, self.manifest.warnings[warnings_before:])
         self.manifest.save(self.out / "manifest.json")
         return self.manifest
 
@@ -711,85 +723,35 @@ def write_report_csvs(report: CorrelationReport, inventory, out_dir: Path) -> li
 
 
 def write_report_json(report: CorrelationReport, path: Path) -> None:
-    payload = {
-        "category_rho": report.category_rho,
-        "top5": {f"{culture}|{axis}": entries
-                 for (culture, axis), entries in report.top5.items()},
-        "icon": None,
-        "country": None,
-        "frequency": None,
-        "triples": {k: list(v) for k, v in report.triples.items()},
-        "warnings": list(report.warnings),
-    }
-    if report.icon is not None:
-        payload["icon"] = {
-            "scc": report.icon.scc,
-            "by_category": {k: list(v) for k, v in report.icon.by_category.items()},
-            "top": report.icon.top,
-            "bottom": report.icon.bottom,
-        }
+    """Write the report as JSON: the dataclass fields in order, `top5` keyed
+    "culture|axis", the country matrix as nested lists, and no frequency
+    warnings (the report's own `warnings` include them)."""
+    payload = asdict(report)
+    payload["top5"] = {f"{culture}|{axis}": entries
+                       for (culture, axis), entries in report.top5.items()}
     if report.country is not None:
-        payload["country"] = {
-            "corpora": list(report.country.corpora),
-            "matrix": [[float(v) for v in row] for row in report.country.matrix],
-            "cross_pair_mean": report.country.cross_pair_mean,
-            "culture_vector_corr": report.country.culture_vector_corr,
-            "emoji_used": list(report.country.emoji_used),
-            "excluded": list(report.country.excluded),
-        }
+        payload["country"]["matrix"] = report.country.matrix.tolist()
     if report.frequency is not None:
-        payload["frequency"] = {
-            "top_by_culture": report.frequency.top_by_culture,
-            "culture_shares": report.frequency.culture_shares,
-            "category_shares": report.frequency.category_shares,
-            "overall_scc": report.frequency.overall_scc,
-            "category_scc": report.frequency.category_scc,
-            "omitted_categories": list(report.frequency.omitted_categories),
-        }
+        del payload["frequency"]["warnings"]
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, ensure_ascii=False, indent=2)
         f.write("\n")
 
 
 def read_report_json(path) -> CorrelationReport:
+    """Read what `write_report_json` wrote; sequences come back as lists."""
     import numpy as np
 
     from .analytics import CountryMatrix, FrequencyReport, IconReport
 
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    report = CorrelationReport()
-    report.category_rho = data.get("category_rho", {})
-    report.top5 = {
-        tuple(key.split("|", 1)): [(e, s) for e, s in entries]
-        for key, entries in data.get("top5", {}).items()
-    }
-    if data.get("icon"):
-        icon = data["icon"]
-        report.icon = IconReport(
-            scc=icon["scc"],
-            by_category={k: tuple(v) for k, v in icon["by_category"].items()},
-            top={k: [(e, s) for e, s in v] for k, v in icon["top"].items()},
-            bottom={k: [(e, s) for e, s in v] for k, v in icon["bottom"].items()},
-        )
-    if data.get("country"):
-        c = data["country"]
-        report.country = CountryMatrix(
-            corpora=tuple(c["corpora"]), matrix=np.array(c["matrix"]),
-            cross_pair_mean=c["cross_pair_mean"],
-            culture_vector_corr=c["culture_vector_corr"],
-            emoji_used=tuple(c["emoji_used"]), excluded=tuple(c["excluded"]),
-        )
-    if data.get("frequency"):
-        fr = data["frequency"]
-        report.frequency = FrequencyReport(
-            top_by_culture={k: [tuple(x) for x in v] for k, v in fr["top_by_culture"].items()},
-            culture_shares=fr["culture_shares"],
-            category_shares=fr["category_shares"],
-            overall_scc=fr["overall_scc"],
-            category_scc=fr["category_scc"],
-            omitted_categories=tuple(fr["omitted_categories"]),
-        )
-    report.triples = {k: tuple(v) for k, v in data.get("triples", {}).items()}
-    report.warnings = tuple(data.get("warnings", ()))
-    return report
+    data["top5"] = {tuple(key.split("|", 1)): entries for key, entries in data["top5"].items()}
+    if data["icon"] is not None:
+        data["icon"] = IconReport(**data["icon"])
+    if data["country"] is not None:
+        data["country"]["matrix"] = np.array(data["country"]["matrix"])
+        data["country"] = CountryMatrix(**data["country"])
+    if data["frequency"] is not None:
+        data["frequency"] = FrequencyReport(**data["frequency"])
+    return CorrelationReport(**data)

@@ -139,33 +139,17 @@ class SimilarityTensor:
         return culture_average([self.corpus_mean(c) for c in members])
 
 
-@dataclass(frozen=True)
-class CategoryVectorSet:
-    """Category vectors of one (corpus, run): rows follow `names` order."""
-
-    names: tuple[str, ...]
-    vectors: np.ndarray   # len(names) x d
-    orthonormal: bool
-
-    def vector(self, name: str) -> np.ndarray:
-        return self.vectors[self.names.index(name)]
-
-
 def build_category_vectors(
     model: EmbeddingModel,
     schema: Sequence[str],
     expanded: Mapping[str, Sequence[str]],
     orthonormalize: bool = True,
-) -> CategoryVectorSet:
-    """Mean-of-token vectors per category, optionally orthonormalized in
-    schema order (the order matters: earlier categories keep more of the
-    shared embedding direction)."""
+) -> np.ndarray:
+    """Mean-of-token vectors per category, one row per category in schema
+    order, optionally orthonormalized in that order (the order matters:
+    earlier categories keep more of the shared embedding direction)."""
     raw = np.stack([category_vector(sorted(expanded[c]), model) for c in schema])
-    if orthonormalize:
-        return CategoryVectorSet(names=tuple(schema),
-                                 vectors=gram_schmidt(raw, labels=list(schema)),
-                                 orthonormal=True)
-    return CategoryVectorSet(names=tuple(schema), vectors=raw, orthonormal=False)
+    return gram_schmidt(raw, labels=list(schema)) if orthonormalize else raw
 
 
 def build_tensor(
@@ -250,9 +234,8 @@ def build_tensor(
         models = run_models[corpus]
         cube = np.empty((len(models), len(axes), len(usable_targets)))
         for r, model in enumerate(models):
-            cat_set = build_category_vectors(model, kept_categories,
-                                             expansions[corpus], orthonormalize)
-            rows = [cat_set.vectors]
+            rows = [build_category_vectors(model, kept_categories,
+                                           expansions[corpus], orthonormalize)]
             if ekman_labels:
                 rows.append(np.stack([model.vector(word_of[(corpus, lbl)]) for lbl in ekman_labels]))
             axis_matrix = np.vstack(rows)

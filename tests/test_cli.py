@@ -17,7 +17,7 @@ def small_config(tmp_path):
 
 
 def test_all_stage_via_positional(small_config, capsys):
-    code = main(["all", "--config", str(small_config), "--deterministic"])
+    code = main(["all", "--config", str(small_config)])
     out = capsys.readouterr().out
     assert code == 0
     assert "ingest" in out and "report" in out
@@ -30,7 +30,7 @@ def test_stage_flag_equivalent(small_config, capsys):
 
 
 def test_default_stage_is_all(small_config):
-    assert main(["--config", str(small_config), "--deterministic"]) == 0
+    assert main(["--config", str(small_config)]) == 0
     assert (small_config.parent / "out" / "report" / "report.json").exists()
 
 
@@ -42,8 +42,7 @@ def test_conflicting_stage_forms_rejected(small_config, capsys):
 
 def test_out_override(small_config, tmp_path):
     alt = tmp_path / "elsewhere"
-    assert main(["all", "--config", str(small_config), "--out", str(alt),
-                 "--deterministic"]) == 0
+    assert main(["all", "--config", str(small_config), "--out", str(alt)]) == 0
     assert (alt / "manifest.json").exists()
 
 
@@ -74,6 +73,10 @@ def test_worker_failure_is_stage_error_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "stage 'train' failed: need at least 2 vocabulary tokens" in err
     assert "BrokenProcessPool" not in err
+    # the failed stage's marker lists the models it was to write
+    marker = json.loads((tmp_path / "out" / ".stage_train.json").read_text())
+    assert marker["key"] is None
+    assert set(marker["artifacts"]) == {"models/US.run0.vec", "models/US.run1.vec"}
 
 
 def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):
@@ -91,6 +94,18 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpora": []}))
     assert main(["all", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("corpus_id", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
+def test_corpus_id_that_is_not_a_file_name_is_exit_2(small_config, capsys, corpus_id):
+    raw = json.loads(small_config.read_text())
+    raw["corpora"][0]["id"] = corpus_id
+    small_config.write_text(json.dumps(raw))
+    # "../../escaped" would put files next to the config, outside out/
+    before = set(small_config.parent.rglob("*"))
+    assert main(["all", "--config", str(small_config)]) == 2
+    assert "must be a plain file name" in capsys.readouterr().err
+    assert set(small_config.parent.rglob("*")) == before
 
 
 def test_stage_without_predecessor_fails_cleanly(small_config, capsys):

@@ -1,5 +1,6 @@
 """Record filtering, meta-token normalization, tokenization, stream I/O."""
 
+import dataclasses
 import io
 import itertools
 import json
@@ -13,7 +14,6 @@ from crossmoji.corpus import (
     FilterConfig,
     PostRecord,
     RecordError,
-    filter_post,
     filter_reason,
     ingest_corpus,
     normalize_text,
@@ -36,32 +36,31 @@ def rec(text, lang="en", country="US", pre_tokenized=False, post_id="p1"):
 # --- filtering -----------------------------------------------------------------
 
 def test_direct_retweet_removed():
-    assert filter_post(rec("RT @bob: hello"), US) is None
+    assert filter_reason(rec("RT @bob: hello"), US) == "retweet"
 
 
 def test_double_slash_retweet_marker_removed():
-    assert filter_post(rec("@alice// nice one"), US) is None
+    assert filter_reason(rec("@alice// nice one"), US) == "retweet"
 
 
 def test_clean_record_passes_unchanged():
-    r = rec("hello \U0001F604")
-    assert filter_post(r, US) is r
+    assert filter_reason(rec("hello \U0001F604"), US) is None
 
 
 def test_language_mismatch_dropped():
-    assert filter_post(rec("hello", lang="ja"), US) is None
+    assert filter_reason(rec("hello", lang="ja"), US) == "lang"
 
 
 def test_country_mismatch_dropped():
-    assert filter_post(rec("hello", country="JP"), US) is None
+    assert filter_reason(rec("hello", country="JP"), US) == "country"
 
 
 def test_lang_primary_subtag_matches():
-    assert filter_post(rec("hello", lang="en-GB"), US) is not None
+    assert filter_reason(rec("hello", lang="en-GB"), US) is None
 
 
 def test_mention_without_marker_is_kept():
-    assert filter_post(rec("@bob hello"), US) is not None  # not a retweet prefix
+    assert filter_reason(rec("@bob hello"), US) is None  # not a retweet prefix
 
 
 def test_filter_order_independence():
@@ -87,16 +86,19 @@ def test_filter_order_independence():
     for order in itertools.permutations(("lang", "country", "retweet")):
         assert [survives(r, order) for r in records] == baseline
     # and the combined filter agrees
-    assert [filter_post(r, US) is not None for r in records] == baseline
+    assert [filter_reason(r, US) is None for r in records] == baseline
 
 
 def test_parse_record_roundtrip_and_errors():
     line = json.dumps({"post_id": "42", "text": "hi", "country": "US", "lang": "en"})
     r = parse_record(line)
     assert r.post_id == "42" and not r.pre_tokenized
+    assert parse_record(line[:-1] + ', "pre_tokenized": true}').pre_tokenized
     for bad in ["not json", "[1,2]", '{"post_id": "1"}',
                 '{"post_id":"1","text":"  ","country":"US","lang":"en"}',
-                '{"post_id":"1","text":"x","country":"","lang":"en"}']:
+                '{"post_id":"1","text":"x","country":"","lang":"en"}',
+                '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":"false"}',
+                '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":1}']:
         with pytest.raises(RecordError):
             parse_record(bad)
 
@@ -275,24 +277,19 @@ def test_corpus_level_pre_tokenized_flag():
     assert streams[0].tokens == ("Tokyo", "行き", "ROUTE")  # no lowercasing
 
 
-def test_ingest_handle_merges_files(tmp_path):
+def test_ingest_handle_reads_its_input_file(tmp_path):
     from crossmoji.corpus import CorpusHandle, ingest_handle
 
-    (tmp_path / "a.jsonl").write_text(jline("1", "hello \U0001F604") + "\n")
-    (tmp_path / "b.jsonl").write_text(
-        jline("2", "RT @x: copy") + "\n" + jline("3", "again") + "\n")
-    handle = CorpusHandle(corpus_id="US", culture_group="West",
-                          paths=(str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")),
-                          lang="en", country="US")
+    (tmp_path / "us.jsonl").write_text(
+        jline("1", "Hello \U0001F604") + "\n" + jline("2", "RT @x: copy") + "\n"
+        + jline("3", "again", pre_tokenized="no") + "\n" + jline("4", "Tokyo", lang="ja") + "\n")
+    handle = CorpusHandle(corpus_id="US", culture="West", input_path=tmp_path / "us.jsonl",
+                          lang="en", country="US", lexicon_path=tmp_path / "demo.dic")
     streams, counts = ingest_handle(handle, INV)
-    assert [s.post_id for s in streams] == ["1", "3"]
-    assert counts.read == 3
-    assert counts.dropped["retweet"] == 1
-
-
-def test_corpus_handle_rejects_unknown_culture():
-    from crossmoji.corpus import CorpusHandle
-
-    with pytest.raises(ValueError, match="culture_group"):
-        CorpusHandle(corpus_id="X", culture_group="North", paths=(),
-                     lang="en", country="US")
+    assert [s.tokens for s in streams] == [("hello", "\U0001F604")]
+    assert counts.as_dict() == {
+        "posts_read": 4, "parse_errors": 1, "dropped_lang": 1, "dropped_country": 0,
+        "dropped_retweet": 1, "posts_after_filter": 1, "empty_streams": 0,
+        "streams_written": 1}
+    streams, _ = ingest_handle(dataclasses.replace(handle, pre_tokenized=True), INV)
+    assert [s.tokens for s in streams] == [("Hello", "\U0001F604")]  # no lowercasing

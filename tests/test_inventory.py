@@ -13,7 +13,6 @@ from crossmoji.inventory import (
     count_frequencies,
     load_default_inventory,
     load_inventory,
-    normalize_emoji,
     shared_set,
 )
 
@@ -87,34 +86,34 @@ def test_skin_tone_entries_dropped_with_warning(tmp_path):
     assert any("skin-tone" in w for w in inv.warnings)
 
 
-# --- normalize_emoji ------------------------------------------------------------
+# --- EmojiInventory.normalize ---------------------------------------------------
 
 def test_variation_selector_stripped(full_inventory):
-    canonical, is_emoji = normalize_emoji("❤️", full_inventory)
+    canonical, is_emoji = full_inventory.normalize("❤️")
     assert canonical == "❤"
     assert is_emoji
 
 
 def test_plain_emoji_identity(full_inventory):
-    assert normalize_emoji("\U0001F600", full_inventory) == ("\U0001F600", True)
+    assert full_inventory.normalize("\U0001F600") == ("\U0001F600", True)
 
 
 def test_plain_letter_flagged_non_emoji(full_inventory):
-    assert normalize_emoji("A", full_inventory) == ("A", False)
+    assert full_inventory.normalize("A") == ("A", False)
 
 
 def test_normalize_emoji_idempotent(full_inventory):
     for seq in ["❤️", "\U0001F600", "A", "A️"]:
-        once = normalize_emoji(seq, full_inventory)
-        twice = normalize_emoji(once[0], full_inventory)
+        once = full_inventory.normalize(seq)
+        twice = full_inventory.normalize(once[0])
         assert once[0] == twice[0]
         assert once[1] == twice[1]
 
 
 def test_flag_pair_and_keycap_match(full_inventory):
-    assert normalize_emoji("\U0001F1FA\U0001F1F8", full_inventory)[1]  # US flag
-    assert normalize_emoji("#⃣", full_inventory)[1]
-    assert normalize_emoji("#️⃣", full_inventory) == ("#⃣", True)
+    assert full_inventory.normalize("\U0001F1FA\U0001F1F8")[1]  # US flag
+    assert full_inventory.normalize("#⃣")[1]
+    assert full_inventory.normalize("#️⃣") == ("#⃣", True)
 
 
 # --- split_text -------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossmoji import pipeline
@@ -309,13 +310,22 @@ def test_smaller_rerun_leaves_no_stale_artifacts(completed_run, tmp_path):
     assert_only_recorded_files(config)
 
 
-def test_report_json_round_trip(completed_run):
+def test_report_json_round_trip(completed_run, tmp_path):
     tmp, config, _ = completed_run
-    report = read_report_json(Path(config.out_dir) / "report" / "report.json")
+    path = Path(config.out_dir) / "report" / "report.json"
+    report = read_report_json(path)
     assert report.category_rho
     assert report.frequency is not None
     assert report.country is not None
     report.validate()
+    # charts and the acceptance tests read these types
+    assert report.top5 and all(isinstance(key, tuple) and len(key) == 2
+                               for key in report.top5)
+    assert ("West", "catA") in report.top5
+    assert isinstance(report.country.matrix, np.ndarray)
+    assert "warnings" not in json.loads(path.read_text())["frequency"]
+    pipeline.write_report_json(report, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_charts_are_well_formed_svg(completed_run):
@@ -385,6 +395,28 @@ def test_stage_failure_names_stage_and_keeps_partial_artifacts(tmp_path):
     assert (Path(config.out_dir) / "manifest.json").exists()
 
 
+def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
+    # the failed ingest wrote US's streams; its marker lists them, so the
+    # next run deletes them although its config no longer has US
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1,
+                                       dim=8, epochs=1)
+    (tmp_path / "east.jsonl").rename(tmp_path / "east-kept.jsonl")
+    with pytest.raises(PipelineStageError, match="ingest"):
+        Pipeline(load_config(cfg_path)).run("all")
+    out = tmp_path / "out"
+    assert (out / "streams" / "US.tokens").exists()
+    marker = json.loads((out / ".stage_ingest.json").read_text())
+    assert marker["key"] is None
+    assert set(marker["artifacts"]) == {"streams/US.tokens", "streams/JP.tokens", "counts.json"}
+    edit_config(cfg_path, "corpora", [
+        {"id": "JP", "culture": "East", "input": "east-kept.jsonl", "lang": "en",
+         "country": "JP", "lexicon": "demo.dic"}])
+    config = load_config(cfg_path)
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert not (out / "streams" / "US.tokens").exists()
+    assert_only_recorded_files(config)
+
+
 def test_duplicate_token_set_categories_dropped_not_fatal(tmp_path):
     # two lexicon categories resolving to the same tokens would be linearly
     # dependent; the pipeline must drop the duplicate and continue
@@ -438,6 +470,19 @@ def test_deterministic_flag_overrides_mode(tmp_path):
     ("training", 5, "training must be a JSON object"),
     ("corpora", 5, "corpora must be a JSON list"),
     pytest.param("corpora", [5], "corpora entries must be JSON objects", id="corpora-entry-5"),
+    pytest.param(None, '{"seed": 2.7}', "seed must be an integer", id="seed-2.7"),
+    pytest.param(None, '{"seed": true}', "seed must be an integer", id="seed-true"),
+    ("min_count", 2.9, "min_count must be an integer"),
+    pytest.param(None, '{"min_count": "3"}', "min_count must be an integer",
+                 id="top-level-min_count-3"),
+    ("dim", 8.5, "bad training config: dim must be of type int"),
+    ("epochs", True, "bad training config: epochs must be of type int"),
+    ("lr0", False, "bad training config: lr0 must be of type float"),
+    ("subsample", "0", "bad training config: subsample must be of type float"),
+    pytest.param("corpora", [{"id": "US", "culture": "West", "input": "west.jsonl",
+                              "lang": "en", "country": "US", "lexicon": "demo.dic",
+                              "pre_tokenized": "false"}],
+                 "pre_tokenized must be true or false", id="pre_tokenized-false-string"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)

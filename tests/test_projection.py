@@ -244,7 +244,7 @@ def test_tensor_ekman_axes_raw_not_orthonormalized():
     assert t.per_run["W1"][0, 2, j] == pytest.approx(expected, abs=1e-12)
 
 
-def test_category_vector_set_raw_vs_orthonormal():
+def test_category_vectors_raw_vs_orthonormal():
     from crossmoji.projection import build_category_vectors
 
     rng = np.random.default_rng(21)
@@ -253,17 +253,17 @@ def test_category_vector_set_raw_vs_orthonormal():
     expanded = {"catA": ["a1", "a2"], "catB": ["b1", "b2"], "catC": ["c1"]}
     schema = ["catA", "catB", "catC"]
 
+    # one row per category, in schema order
     raw = build_category_vectors(m, schema, expanded, orthonormalize=False)
-    assert not raw.orthonormal
-    assert np.allclose(raw.vector("catA"), (vocab["a1"] + vocab["a2"]) / 2)
-    assert np.allclose(raw.vector("catC"), vocab["c1"])
+    assert raw.shape == (3, 8)
+    assert np.allclose(raw[0], (vocab["a1"] + vocab["a2"]) / 2)
+    assert np.allclose(raw[2], vocab["c1"])
 
     ortho = build_category_vectors(m, schema, expanded)
-    assert ortho.orthonormal
-    gram = ortho.vectors @ ortho.vectors.T
+    gram = ortho @ ortho.T
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
     # raw vectors reconstruct from the basis (span preserved)
-    residual = raw.vectors - (raw.vectors @ ortho.vectors.T) @ ortho.vectors
+    residual = raw - (raw @ ortho.T) @ ortho
     assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-8
 
 
