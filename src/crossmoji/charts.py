@@ -183,22 +183,17 @@ def icon_extremes_grid(
     return _doc(width, height, body, title)
 
 
-def emit_charts(report, out_dir) -> dict[str, Optional[str]]:
-    """Write all renderable charts; returns chart name -> filename (None when
-    the backing report section is empty, noted by the caller)."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def emit_charts(report, open_file) -> dict[str, Optional[str]]:
+    """Write all renderable charts, each into `open_file(filename)`, a
+    context manager giving a text file; returns chart name -> filename (None
+    when the backing report section is empty, noted by the caller)."""
     written: dict[str, Optional[str]] = {}
 
     def emit(name: str, svg: Optional[str]):
-        if svg is None:
-            written[name] = None
-            return
-        path = out / f"{name}.svg"
-        path.write_text(svg, encoding="utf-8")
-        written[name] = path.name
+        written[name] = None if svg is None else f"{name}.svg"
+        if svg is not None:
+            with open_file(written[name]) as f:
+                f.write(svg)
 
     freq = report.frequency
     if freq and any(freq.top_by_culture.values()):

@@ -257,18 +257,18 @@ class FrequencyTable:
             agg[self.inventory.category(emoji)] += n
         return dict(sorted(agg.items()))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["corpus", "emoji", "codepoints", "count", "normalized_freq", "category"])
-            for corpus_id in self.counts:
-                total = self.total(corpus_id)
-                for emoji, n in self.top(corpus_id, len(self.counts[corpus_id])):
-                    freq = repr(n / total) if total else ""
-                    writer.writerow(
-                        [corpus_id, emoji, codepoint_str(emoji), n, freq,
-                         self.inventory.category(emoji)]
-                    )
+    def to_csv(self, f) -> None:
+        """Write the table as CSV into `f`, a text file opened with `newline=""`."""
+        writer = csv.writer(f)
+        writer.writerow(["corpus", "emoji", "codepoints", "count", "normalized_freq", "category"])
+        for corpus_id in self.counts:
+            total = self.total(corpus_id)
+            for emoji, n in self.top(corpus_id, len(self.counts[corpus_id])):
+                freq = repr(n / total) if total else ""
+                writer.writerow(
+                    [corpus_id, emoji, codepoint_str(emoji), n, freq,
+                     self.inventory.category(emoji)]
+                )
 
 
 def count_frequencies(

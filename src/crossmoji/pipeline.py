@@ -2,17 +2,19 @@
 
 Each stage persists its artifacts under the output directory and records a
 completion marker with its cache key and the digest of every artifact it
-wrote.  The key covers only what the stage reads (`STAGE_READS`): its
-config fields, and the content of its outside files and of the earlier
+declared.  An artifact is declared before it is written and is written to
+a temporary file renamed into place (`Pipeline._artifact`), so none is
+torn or unlisted.  The key covers only what the stage reads (`STAGE_READS`):
+its config fields, and the content of its outside files and of the earlier
 stages' artifacts.  Re-running `all` skips a stage whose key and artifacts
 still match, so an edit re-runs the stages that read it and those whose
 inputs then change.  Before a stage runs, the artifacts its last run
 recorded are deleted, so a run that writes fewer files leaves none stale;
-a stage that fails records what it declared or wrote under no key, so the
-next run deletes that too.  Ingest runs one job per corpus and train one
-per (corpus, run), on forked worker processes when more than one CPU is
-usable (`fan_out`).  A fixed seed reproduces embedding files and CSV
-reports byte for byte, whatever the number of workers.
+a stage that fails records what it declared under no key, so the next run
+deletes that too.  Ingest runs one job per corpus and train one per
+(corpus, run), on forked worker processes when more than one CPU is usable
+(`fan_out`).  A fixed seed reproduces embedding files and CSV reports byte
+for byte, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -253,18 +255,17 @@ def load_config(path, out_dir: Optional[str] = None,
     for c in corpora_cfg:
         if not isinstance(c, dict):
             raise ConfigError(f"corpora entries must be JSON objects, got {c!r}")
-        missing = [k for k in ("id", "culture", "input", "lang", "country", "lexicon")
-                   if k not in c]
-        if missing:
-            raise ConfigError(f"corpus entry missing {missing}: {c}")
+        bad = [k for k in ("id", "culture", "input", "lang", "country", "lexicon")
+               if not isinstance(c.get(k), str)]
+        if bad:
+            raise ConfigError(f"corpus entry needs JSON strings for {bad}: {c}")
         pre_tokenized = c.get("pre_tokenized", False)
         if not isinstance(pre_tokenized, bool):
             raise ConfigError(f"corpus {c['id']}: pre_tokenized must be true or false, "
                               f"got {pre_tokenized!r}")
         corpora.append(CorpusHandle(
-            corpus_id=str(c["id"]), culture=str(c["culture"]),
-            input_path=resolve(c["input"]), lang=str(c["lang"]),
-            country=str(c["country"]), lexicon_path=resolve(c["lexicon"]),
+            corpus_id=c["id"], culture=c["culture"], input_path=resolve(c["input"]),
+            lang=c["lang"], country=c["country"], lexicon_path=resolve(c["lexicon"]),
             pre_tokenized=pre_tokenized,
         ))
     return RunConfig(
@@ -295,7 +296,7 @@ class RunManifest:
                               "seconds": round(seconds, 3), **extra}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path, encoding="utf-8") as f:
             json.dump(self.__dict__, f, ensure_ascii=False, indent=2, default=str)
             f.write("\n")
 
@@ -309,7 +310,7 @@ class Pipeline:
         self.manifest = RunManifest(config=config.snapshot())
         self._inventory = None
         self._digests: dict[Path, Optional[str]] = {}
-        self._artifacts: dict[str, str] = {}  # written by the running stage
+        self._artifacts: list[Path] = []  # declared by the running stage
 
     # --- shared resources ---
 
@@ -345,15 +346,23 @@ class Pipeline:
         return self._digests[path]
 
     def _declare(self, paths: list[Path]) -> None:
-        """Record artifacts the running stage is about to write, so that the
-        marker of a failed run lists them and the next run deletes them."""
+        """Record artifacts the running stage is about to write, and make their
+        directories; its marker lists them, even if it fails, for `_clear`."""
         for path in paths:
-            self._artifacts.setdefault(path.relative_to(self.out).as_posix(), None)
+            if path not in self._artifacts:
+                self._artifacts.append(path)
+                path.parent.mkdir(parents=True, exist_ok=True)
 
-    def _wrote(self, path: Path) -> None:
-        """Record the digest of an artifact the running stage just wrote."""
-        self._digests.pop(path, None)
-        self._artifacts[path.relative_to(self.out).as_posix()] = self._digest(path)
+    def _artifact(self, path: Path, mode: str = "w", **open_kwargs):
+        """Declare an artifact of the running stage and open it with
+        `atomic_write`, so it appears whole when the block ends, or not at all."""
+        self._declare([path])
+        return atomic_write(path, mode, **open_kwargs)
+
+    def _opener(self, directory: str):
+        """name -> `_artifact` of the text file `directory/name`."""
+        return lambda name: self._artifact(self.out / directory / name,
+                                           newline="", encoding="utf-8")
 
     def _files(self) -> dict[str, list[Path]]:
         """The files of each name `STAGE_READS` uses."""
@@ -402,8 +411,13 @@ class Pipeline:
     def _write_marker(self, stage: str, key: Optional[str], extra: dict,
                       warnings: list) -> None:
         """Record a stage's run: the key of a completed run, or None for a
-        failed one, and the artifacts it declared or wrote."""
-        payload = {"key": key, "stage": stage, "artifacts": self._artifacts,
+        failed one, and the digest of every artifact it declared (None for
+        one it did not write)."""
+        for path in self._artifacts:
+            self._digests.pop(path, None)  # the stage wrote it since it was hashed
+        artifacts = {p.relative_to(self.out).as_posix(): self._digest(p)
+                     for p in self._artifacts}
+        payload = {"key": key, "stage": stage, "artifacts": artifacts,
                    "extra": extra, "warnings": warnings}
         with atomic_write(self._marker(stage), encoding="utf-8") as f:
             f.write(json.dumps(payload, ensure_ascii=False, default=str) + "\n")
@@ -441,13 +455,12 @@ class Pipeline:
     # --- stages ---
 
     def stage_ingest(self) -> dict:
-        (self.out / "streams").mkdir(parents=True, exist_ok=True)
         inventory = self.inventory  # loaded here, so that workers inherit it
 
         def ingest(spec: CorpusHandle) -> tuple[dict, float]:
             start = time.perf_counter()
             streams, counts = ingest_handle(spec, inventory)
-            with atomic_write(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
+            with self._artifact(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
                 write_streams(streams, f)
             return counts.as_dict(), time.perf_counter() - start
 
@@ -455,19 +468,16 @@ class Pipeline:
         results, workers = fan_out([partial(ingest, spec) for spec in self.config.corpora])
         counts_by_corpus, throughput = {}, {}
         for spec, (counts, seconds) in zip(self.config.corpora, results):
-            self._wrote(self.streams_path(spec.corpus_id))
             counts_by_corpus[spec.corpus_id] = counts
             records = counts["posts_read"]
             throughput[spec.corpus_id] = {"seconds": round(seconds, 3), "records": records,
                                           "posts_per_s": round(records / max(seconds, 1e-9))}
-        with atomic_write(self.out / "counts.json", encoding="utf-8") as f:
+        with self._artifact(self.out / "counts.json", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
-        self._wrote(self.out / "counts.json")
         return {"counts": counts_by_corpus, "throughput": throughput, "workers": workers}
 
     def stage_train(self) -> dict:
-        (self.out / "models").mkdir(parents=True, exist_ok=True)
         c = self.config
         streams = self._load_streams()
         vocabs = {spec.corpus_id: build_vocabulary(streams[spec.corpus_id], c.min_count)
@@ -489,7 +499,6 @@ class Pipeline:
                                     for corpus_id, r, seed in jobs])
         info = {}
         for (corpus_id, r, _), (losses, seconds) in zip(jobs, results):
-            self._wrote(self.model_path(corpus_id, r))
             vocab = vocabs[corpus_id]
             entry = info.setdefault(corpus_id, {
                 "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
@@ -502,7 +511,6 @@ class Pipeline:
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        (self.out / "tensors").mkdir(parents=True, exist_ok=True)
         streams = self._load_streams()
         models = self._load_models()
         table = count_frequencies(streams, self.inventory)
@@ -555,16 +563,17 @@ class Pipeline:
 
         info = {"schema": list(schema), "shared_emoji": len(shared)}
         if len(shared) == 0:
-            (self.out / "tensors" / "EMPTY").write_text("no shared emoji\n")
-            self._wrote(self.out / "tensors" / "EMPTY")
+            with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
+                f.write("no shared emoji\n")
             return info
         for flavor, ortho in (("orthonormal", True), ("raw", False)):
             tensor = build_tensor(
                 models, expansions, schema, shared, self.config.culture_of,
                 ekman_axes=ekman_axes or None, orthonormalize=ortho,
             )
-            write_tensor_csv(tensor, self.out / "tensors" / f"similarity_{flavor}.csv")
-            self._wrote(self.out / "tensors" / f"similarity_{flavor}.csv")
+            path = self.out / "tensors" / f"similarity_{flavor}.csv"
+            self._declare([path])
+            write_tensor_csv(tensor, path)
             if ortho:
                 info["axes"] = list(tensor.axes)
                 info["targets"] = len(tensor.targets)
@@ -584,8 +593,6 @@ class Pipeline:
         return info
 
     def stage_analyze(self) -> dict:
-        report_dir = self.out / "report"
-        report_dir.mkdir(parents=True, exist_ok=True)
         streams = self._load_streams()
         models = self._load_models()
         table = count_frequencies(streams, self.inventory)
@@ -608,22 +615,20 @@ class Pipeline:
             top_k=self.config.top_k,
         )
         self.manifest.warnings.extend(report.warnings)
-        table.to_csv(report_dir / "frequency.csv")
-        self._wrote(report_dir / "frequency.csv")
-        for path in write_report_csvs(report, self.inventory, report_dir):
-            self._wrote(path)
-        write_report_json(report, report_dir / "report.json")
-        self._wrote(report_dir / "report.json")
+        open_report = self._opener("report")
+        with open_report("frequency.csv") as f:
+            table.to_csv(f)
+        write_report_csvs(report, self.inventory, open_report)
+        with open_report("report.json") as f:
+            write_report_json(report, f)
         return {"warnings": list(report.warnings)}
 
     def stage_report(self) -> dict:
         report = read_report_json(self.out / "report" / "report.json")
-        charts = emit_charts(report, self.out / "charts")
+        charts = emit_charts(report, self._opener("charts"))
         for name, filename in charts.items():
             if filename is None:
                 self.manifest.warnings.append(f"chart {name} omitted: empty report section")
-            else:
-                self._wrote(self.out / "charts" / filename)
         self.manifest.charts = charts
         return {"charts": charts}
 
@@ -651,7 +656,7 @@ class Pipeline:
                 continue
             start = time.perf_counter()
             warnings_before = len(self.manifest.warnings)
-            self._artifacts = {}
+            self._artifacts = []
             try:
                 index = STAGES.index(name)
                 if index and not self._is_complete(STAGES[index - 1]):
@@ -664,7 +669,7 @@ class Pipeline:
                 self.manifest.save(self.out / "manifest.json")
                 raise
             except Exception as exc:
-                # lists what this run declared or wrote, for the next run's _clear
+                # lists what this run declared, for the next run's _clear
                 self._write_marker(name, None, {}, [])
                 self.manifest.save(self.out / "manifest.json")
                 raise PipelineStageError(name, exc) from exc
@@ -676,16 +681,15 @@ class Pipeline:
 
 # --- report serialization ----------------------------------------------------
 
-def write_report_csvs(report: CorrelationReport, inventory, out_dir: Path) -> list[Path]:
-    """Write the report's non-empty sections as CSV files; returns their paths."""
-    written = []
+def write_report_csvs(report: CorrelationReport, inventory, open_file) -> None:
+    """Write the report's non-empty sections as CSV files, each into
+    `open_file(name)`: a context manager giving a text file with `newline=""`."""
 
     def table(name: str, header: list, rows) -> None:
-        with open(out_dir / name, "w", newline="", encoding="utf-8") as f:
+        with open_file(name) as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows(rows)
-        written.append(out_dir / name)
 
     def top5_cell(culture: str, axis: str) -> str:
         entries = report.top5.get((culture, axis), [])
@@ -719,13 +723,12 @@ def write_report_csvs(report: CorrelationReport, inventory, out_dir: Path) -> li
         overall = [] if freq.overall_scc is None else [["__overall__", repr(freq.overall_scc)]]
         table("frequency_category_scc.csv", ["unicode_category", "scc"],
               overall + [[cat, repr(val)] for cat, val in freq.category_scc.items()])
-    return written
 
 
-def write_report_json(report: CorrelationReport, path: Path) -> None:
-    """Write the report as JSON: the dataclass fields in order, `top5` keyed
-    "culture|axis", the country matrix as nested lists, and no frequency
-    warnings (the report's own `warnings` include them)."""
+def write_report_json(report: CorrelationReport, f) -> None:
+    """Write the report as JSON into `f`: the dataclass fields in order, `top5`
+    keyed "culture|axis", the country matrix as nested lists, and no
+    frequency warnings (the report's own `warnings` include them)."""
     payload = asdict(report)
     payload["top5"] = {f"{culture}|{axis}": entries
                        for (culture, axis), entries in report.top5.items()}
@@ -733,9 +736,8 @@ def write_report_json(report: CorrelationReport, path: Path) -> None:
         payload["country"]["matrix"] = report.country.matrix.tolist()
     if report.frequency is not None:
         del payload["frequency"]["warnings"]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    json.dump(payload, f, ensure_ascii=False, indent=2)
+    f.write("\n")
 
 
 def read_report_json(path) -> CorrelationReport:

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .embedding import EmbeddingModel
+from .fileio import atomic_write
 from .inventory import SharedEmojiSet
 
 EKMAN_AXIS_PREFIX = "ekman:"
@@ -264,7 +265,7 @@ TENSOR_HEADER = ["culture_or_corpus", "run_or_avg", "category", "target", "simil
 
 
 def write_tensor_csv(tensor: SimilarityTensor, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TENSOR_HEADER)
         for corpus in tensor.corpora:

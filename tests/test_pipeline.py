@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from crossmoji import pipeline
 from crossmoji.embedding import TrainParams
+from crossmoji.inventory import EmojiInventory
 from crossmoji.pipeline import (
     STAGES,
     ConfigError,
@@ -22,6 +24,7 @@ from crossmoji.pipeline import (
     load_config,
     read_report_json,
 )
+from crossmoji.projection import SimilarityTensor
 
 from util import edit_config, write_two_culture_setup
 
@@ -324,7 +327,8 @@ def test_report_json_round_trip(completed_run, tmp_path):
     assert ("West", "catA") in report.top5
     assert isinstance(report.country.matrix, np.ndarray)
     assert "warnings" not in json.loads(path.read_text())["frequency"]
-    pipeline.write_report_json(report, tmp_path / "again.json")
+    with open(tmp_path / "again.json", "w", encoding="utf-8") as f:
+        pipeline.write_report_json(report, f)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
@@ -417,6 +421,83 @@ def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
     assert_only_recorded_files(config)
 
 
+def cut_off(*args):
+    raise OSError("disk full")
+
+
+def fail_raw_tensor(monkeypatch) -> str:
+    """project: the raw tensor write raises after its per-run rows."""
+    write = pipeline.write_tensor_csv
+
+    def failing(tensor, path):
+        with monkeypatch.context() as m:
+            if Path(path).name == "similarity_raw.csv":
+                m.setattr(SimilarityTensor, "culture_mean", cut_off)
+            write(tensor, path)
+
+    monkeypatch.setattr(pipeline, "write_tensor_csv", failing)
+    return "tensors/similarity_raw.csv"
+
+
+def fail_icon_table(monkeypatch) -> str:
+    """analyze: `EmojiInventory.category` raises only while the report CSVs
+    are written, so `category_scc.csv` is whole and `icon_scc.csv` is not."""
+    write = pipeline.write_report_csvs
+
+    def failing(*args):
+        with monkeypatch.context() as m:
+            m.setattr(EmojiInventory, "category", cut_off)
+            write(*args)
+
+    monkeypatch.setattr(pipeline, "write_report_csvs", failing)
+    return "report/icon_scc.csv"
+
+
+def fail_second_chart(monkeypatch) -> str:
+    """report: the second chart file raises part-way through its write."""
+    emit = pipeline.emit_charts
+
+    def failing(report, open_file):
+        opened = []
+
+        @contextmanager
+        def open_failing(name):
+            with open_file(name) as f:
+                opened.append(name)
+                if len(opened) == 2:
+                    f.write("<svg")
+                    cut_off()
+                yield f
+
+        return emit(report, open_failing)
+
+    monkeypatch.setattr(pipeline, "emit_charts", failing)
+    return "charts/fig_category_shares.svg"
+
+
+@pytest.mark.parametrize("stage, fail", [
+    ("project", fail_raw_tensor), ("analyze", fail_icon_table), ("report", fail_second_chart),
+], ids=["project", "analyze", "report"])
+def test_stage_failing_after_its_first_artifact_leaves_nothing_unrecorded(
+        tmp_path, monkeypatch, stage, fail):
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=1,
+                                       dim=8, epochs=1)
+    failing_path = fail(monkeypatch)
+    with pytest.raises(PipelineStageError, match=f"stage '{stage}' failed: disk full"):
+        Pipeline(load_config(cfg_path)).run("all")
+    out = tmp_path / "out"
+    assert list(out.rglob("*.tmp")) == []
+    assert not (out / failing_path).exists()
+    monkeypatch.undo()
+    # the files the failed stage wrote go with the next run, whose config
+    # no longer asks for them
+    edit_config(cfg_path, "corpora", [c for c in json.loads(cfg_path.read_text())["corpora"]
+                                      if c["culture"] == "West"])
+    config = load_config(cfg_path)
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert_only_recorded_files(config)
+
+
 def test_duplicate_token_set_categories_dropped_not_fatal(tmp_path):
     # two lexicon categories resolving to the same tokens would be linearly
     # dependent; the pipeline must drop the duplicate and continue
@@ -457,6 +538,10 @@ def test_deterministic_flag_overrides_mode(tmp_path):
             load_config(cfg_path, deterministic=True)
 
 
+WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "country": "US",
+        "lexicon": "demo.dic"}
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("dimm", 50, "unknown training key"),
     ("dim", 0, "dim must be >= 1"),
@@ -479,10 +564,14 @@ def test_deterministic_flag_overrides_mode(tmp_path):
     ("epochs", True, "bad training config: epochs must be of type int"),
     ("lr0", False, "bad training config: lr0 must be of type float"),
     ("subsample", "0", "bad training config: subsample must be of type float"),
-    pytest.param("corpora", [{"id": "US", "culture": "West", "input": "west.jsonl",
-                              "lang": "en", "country": "US", "lexicon": "demo.dic",
-                              "pre_tokenized": "false"}],
+    pytest.param("corpora", [WEST | {"pre_tokenized": "false"}],
                  "pre_tokenized must be true or false", id="pre_tokenized-false-string"),
+    pytest.param("corpora", [WEST | {"input": 5}], r"JSON strings for \['input'\]",
+                 id="input-5"),
+    pytest.param("corpora", [WEST | {"lexicon": None}], r"JSON strings for \['lexicon'\]",
+                 id="lexicon-null"),
+    pytest.param("corpora", [WEST | {"id": 5}], r"JSON strings for \['id'\]", id="id-5"),
+    pytest.param("corpora", [WEST | {"lang": 7}], r"JSON strings for \['lang'\]", id="lang-7"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
