@@ -216,47 +216,36 @@ def frequency_analysis(
     top_k: int = 15,
 ) -> FrequencyReport:
     """Culture-level frequency shares, top-k lists, and East-West SCCs."""
-    cultures: dict[str, list[str]] = {}
+    cultures = FrequencyTable(inventory)  # the corpus counts summed per culture
     for corpus in table.corpora:
-        cultures.setdefault(culture_of[corpus], []).append(corpus)
+        cultures.add_corpus(culture_of[corpus])
+        cultures.counts[culture_of[corpus]].update(table.counts[corpus])
 
     warnings: list[str] = []
-    culture_counts: dict[str, dict[str, int]] = {}
-    for culture, members in cultures.items():
-        agg: dict[str, int] = {}
-        for corpus in members:
-            for emoji, n in table.counts[corpus].items():
-                agg[emoji] = agg.get(emoji, 0) + n
-        culture_counts[culture] = agg
-
     top_by_culture = {}
     culture_shares = {}
     category_shares = {}
-    for culture, agg in culture_counts.items():
-        total = sum(agg.values())
+    for culture in cultures.corpora:
+        total = cultures.total(culture)
         if total == 0:
             warnings.append(f"culture {culture} has no emoji occurrences")
             top_by_culture[culture] = []
             culture_shares[culture] = {}
             category_shares[culture] = {}
             continue
-        ranked = sorted(agg.items(), key=lambda kv: (-kv[1], tuple(ord(c) for c in kv[0])))
-        top_by_culture[culture] = [(e, n, n / total) for e, n in ranked[:top_k]]
-        culture_shares[culture] = {e: n / total for e, n in sorted(agg.items())}
-        cat_agg: dict[str, int] = {}
-        for emoji, n in agg.items():
-            key = inventory.category(emoji)
-            cat_agg[key] = cat_agg.get(key, 0) + n
-        category_shares[culture] = {c: n / total for c, n in sorted(cat_agg.items())}
+        top_by_culture[culture] = [(e, n, n / total) for e, n in cultures.top(culture, top_k)]
+        culture_shares[culture] = cultures.normalized(culture)
+        category_shares[culture] = {c: n / total
+                                    for c, n in cultures.by_category(culture).items()}
 
     overall = None
     per_category: dict[str, float] = {}
     omitted: list[str] = []
-    if WEST in culture_counts and EAST in culture_counts:
+    if WEST in cultures.counts and EAST in cultures.counts:
         members = list(shared.emoji)
         if len(members) >= 3:
-            w = [culture_counts[WEST].get(e, 0) for e in members]
-            e_ = [culture_counts[EAST].get(e, 0) for e in members]
+            w = [cultures.count(WEST, e) for e in members]
+            e_ = [cultures.count(EAST, e) for e in members]
             try:
                 overall = spearman(w, e_)
             except UndefinedCorrelationError as exc:
@@ -273,8 +262,8 @@ def frequency_analysis(
                 continue
             try:
                 per_category[cat] = spearman(
-                    [culture_counts[WEST].get(e, 0) for e in group],
-                    [culture_counts[EAST].get(e, 0) for e in group],
+                    [cultures.count(WEST, e) for e in group],
+                    [cultures.count(EAST, e) for e in group],
                 )
             except UndefinedCorrelationError:
                 omitted.append(cat)

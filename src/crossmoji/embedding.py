@@ -116,9 +116,6 @@ class TrainParams:
         if self.window < 1 or self.negatives < 1 or self.epochs < 1:
             raise ValueError("window, negatives and epochs must be >= 1")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EmbeddingModel:
@@ -417,7 +414,7 @@ def save_model(model: EmbeddingModel, path) -> None:
     vocab = model.vocab
     meta = {
         "format": MODEL_FORMAT,
-        "params": model.params.as_dict(),
+        "params": asdict(model.params),
         "min_count": vocab.min_count,
         "corpus_tokens": vocab.corpus_tokens,
         "epoch_losses": list(model.epoch_losses),

@@ -24,10 +24,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional, get_origin, get_type_hints
 
 from . import __version__
 from .analytics import CorrelationReport, build_report
@@ -70,10 +70,6 @@ STAGE_READS = {
                 ("emoji_data", "emoji_categories", "streams/", "models/", "tensors/")),
     "report": ((), ("report/report.json",)),
 }
-# keys of a config's "training" object and their types; the seed is a
-# top-level key
-TRAINING_TYPES = {name: kind for name, kind in get_type_hints(TrainParams).items()
-                  if name != "seed"} | {"min_count": int}
 
 
 class ConfigError(ValueError):
@@ -140,6 +136,10 @@ class PipelineStageError(RuntimeError):
         self.cause = cause
 
 
+# a config file names each dataclass field by the field's name, but for these
+JSON_NAMES = {"corpus_id": "id", "input_path": "input", "lexicon_path": "lexicon"}
+
+
 @dataclass
 class RunConfig:
     corpora: list[CorpusHandle]
@@ -149,9 +149,9 @@ class RunConfig:
     runs: int = 5
     shared_threshold: int = 1000
     top_k: int = 15
-    emoji_data: Path = None
-    emoji_categories: Path = None
-    ekman_words: Path = None
+    emoji_data: Path = field(default_factory=lambda: Path(str(default_data_path())))
+    emoji_categories: Path = field(default_factory=lambda: Path(str(default_category_path())))
+    ekman_words: Path = field(default_factory=lambda: Path(str(default_ekman_path())))
 
     def __post_init__(self):
         if not self.corpora:
@@ -169,12 +169,6 @@ class RunConfig:
             raise ConfigError("runs must be >= 1")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.emoji_data is None:
-            self.emoji_data = Path(str(default_data_path()))
-        if self.emoji_categories is None:
-            self.emoji_categories = Path(str(default_category_path()))
-        if self.ekman_words is None:
-            self.ekman_words = Path(str(default_ekman_path()))
 
     @property
     def culture_of(self) -> dict[str, str]:
@@ -184,102 +178,96 @@ class RunConfig:
         return set(self.culture_of.values())
 
     def snapshot(self) -> dict:
-        return {
-            "corpora": [
-                {
-                    "id": c.corpus_id, "culture": c.culture, "input": str(c.input_path),
-                    "lang": c.lang, "country": c.country, "lexicon": str(c.lexicon_path),
-                    "pre_tokenized": c.pre_tokenized,
-                }
-                for c in self.corpora
-            ],
-            "training": self.training.as_dict(),
-            "min_count": self.min_count,
-            "runs": self.runs,
-            "shared_threshold": self.shared_threshold,
-            "top_k": self.top_k,
-            "emoji_data": str(self.emoji_data),
-            "emoji_categories": str(self.emoji_categories),
-            "ekman_words": str(self.ekman_words),
-        }
+        """The config as the manifest records it and the stage keys read
+        it: every field but `out_dir`, under its JSON key, paths as strings."""
+        snapshot = asdict(self, dict_factory=lambda items: {
+            JSON_NAMES.get(k, k): str(v) if isinstance(v, Path) else v for k, v in items})
+        del snapshot["out_dir"]
+        return snapshot
+
+
+def _keys(cls) -> dict:
+    """JSON key -> (dataclass, field, type, required) of each field of
+    `cls`; a field without a default is required."""
+    hints = get_type_hints(cls)
+    return {JSON_NAMES.get(f.name, f.name):
+            (cls, f.name, hints[f.name], f.default is MISSING is f.default_factory)
+            for f in fields(cls)}
+
+
+# the keys of each JSON object of a config file: the top level, "training"
+# and each "corpora" entry.  Two keys sit apart from their field: the
+# top-level `seed` sets `TrainParams.seed`, `training.min_count` sets
+# `RunConfig.min_count`.
+SCHEMA = {"config": _keys(RunConfig), "training": _keys(TrainParams),
+          "corpora": _keys(CorpusHandle)}
+SCHEMA["config"]["seed"] = SCHEMA["training"].pop("seed")
+SCHEMA["training"]["min_count"] = SCHEMA["config"].pop("min_count")
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a JSON string", dict: "a JSON object", list: "a JSON list"}
+
+
+def _check(label: str, value, kind) -> None:
+    """ConfigError unless `value` has the JSON type a field of type `kind`
+    takes; nothing is coerced, but a float field takes an integer too."""
+    json_type = dict if is_dataclass(kind) else str if kind is Path else get_origin(kind) or kind
+    if (json_type is bool) != isinstance(value, bool) or not isinstance(
+            value, (int, float) if json_type is float else json_type):
+        raise ConfigError(f"{label} must be {_JSON_TYPES[json_type]}, "
+                          f"got {json.dumps(value, ensure_ascii=False)}")
+
+
+def _read(name: str, raw, base: Path, values: dict) -> dict:
+    """Check `raw`, the config object `name` (a `SCHEMA` key, or
+    `corpora[i]`), and set `values[dataclass][field]` from each of its keys,
+    a path resolved against `base`; return `values`."""
+    _check(name, raw, dict)
+    keys = SCHEMA[name.partition("[")[0]]
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(sorted(keys))}")
+    for key, (owner, field_name, kind, required) in keys.items():
+        label = key if name == "config" else f"{name}.{key}"
+        if key in raw:
+            _check(label, raw[key], kind)
+            values[owner][field_name] = base / raw[key] if kind is Path else raw[key]
+        elif required and field_name not in values[owner]:
+            raise ConfigError(f"{label} is missing")
+    return values
 
 
 def load_config(path, out_dir: Optional[str] = None,
                 deterministic: bool = False) -> RunConfig:
-    """Read a JSON config; relative paths resolve against the config file.
-    `deterministic` is ignored: training is always seeded and reproducible."""
+    """Read a JSON config file; a fault in it raises `ConfigError`.
+
+    Its top level, `training` and each `corpora` entry take only the keys
+    of `SCHEMA`, each of its field's JSON type, nothing coerced.  An absent
+    key takes the field's default (`out_dir`: "out"), but a corpus entry
+    needs all keys but `pre_tokenized`.  Paths are strings, relative ones
+    resolved against the config's directory; `out_dir`, when given,
+    overrides the config's.  `deterministic` is ignored: training is always
+    seeded."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    base = path.parent
-
-    def integer(key: str, value) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return value
-
-    def resolve(p) -> Optional[Path]:
-        if p is None:
-            return None
-        p = Path(p)
-        return p if p.is_absolute() else (base / p)
-
-    training_cfg = raw.get("training", {})
-    if not isinstance(training_cfg, dict):
-        raise ConfigError(f"training must be a JSON object, got {training_cfg!r}")
-    training_cfg = dict(training_cfg)
-    unknown = sorted(set(training_cfg) - set(TRAINING_TYPES))
-    if unknown:
-        raise ConfigError(f"unknown training key(s) {', '.join(map(repr, unknown))}; "
-                          f"allowed: {', '.join(sorted(TRAINING_TYPES))}")
-    min_count = integer("min_count", training_cfg.pop("min_count", raw.get("min_count", 5)))
-    for key, value in training_cfg.items():
-        # an int field takes an int, a float field an int or a float; no bools
-        kind = TRAINING_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-            raise ConfigError(f"bad training config: {key} must be of type {kind.__name__}, "
-                              f"got {value!r}")
     try:
-        params = TrainParams(seed=integer("seed", raw.get("seed", 1)), **training_cfg)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    base = path.parent
+    values = {RunConfig: {"corpora": [], "out_dir": base / "out", "training": {}}, TrainParams: {}}
+    run = _read("config", raw, base, values)[RunConfig]
+    _read("training", run["training"], base, values)
+    corpora = [CorpusHandle(**_read(f"corpora[{i}]", c, base, {CorpusHandle: {}})[CorpusHandle])
+               for i, c in enumerate(run["corpora"])]
+    try:
+        params = TrainParams(**values[TrainParams])
     except ValueError as exc:
         raise ConfigError(f"bad training config: {exc}") from exc
-    corpora_cfg = raw.get("corpora", [])
-    if not isinstance(corpora_cfg, list):
-        raise ConfigError(f"corpora must be a JSON list, got {corpora_cfg!r}")
-    corpora = []
-    for c in corpora_cfg:
-        if not isinstance(c, dict):
-            raise ConfigError(f"corpora entries must be JSON objects, got {c!r}")
-        bad = [k for k in ("id", "culture", "input", "lang", "country", "lexicon")
-               if not isinstance(c.get(k), str)]
-        if bad:
-            raise ConfigError(f"corpus entry needs JSON strings for {bad}: {c}")
-        pre_tokenized = c.get("pre_tokenized", False)
-        if not isinstance(pre_tokenized, bool):
-            raise ConfigError(f"corpus {c['id']}: pre_tokenized must be true or false, "
-                              f"got {pre_tokenized!r}")
-        corpora.append(CorpusHandle(
-            corpus_id=c["id"], culture=c["culture"], input_path=resolve(c["input"]),
-            lang=c["lang"], country=c["country"], lexicon_path=resolve(c["lexicon"]),
-            pre_tokenized=pre_tokenized,
-        ))
-    return RunConfig(
-        corpora=corpora,
-        out_dir=Path(out_dir) if out_dir else resolve(raw.get("out_dir", "out")),
-        training=params,
-        min_count=min_count,
-        runs=integer("runs", raw.get("runs", 5)),
-        shared_threshold=integer("shared_threshold", raw.get("shared_threshold", 1000)),
-        top_k=integer("top_k", raw.get("top_k", 15)),
-        emoji_data=resolve(raw.get("emoji_data")),
-        emoji_categories=resolve(raw.get("emoji_categories")),
-        ekman_words=resolve(raw.get("ekman_words")),
-    )
+    if out_dir:
+        run["out_dir"] = Path(out_dir)
+    return RunConfig(**run | {"corpora": corpora, "training": params})
 
 
 @dataclass
@@ -382,8 +370,8 @@ class Pipeline:
 
     def _key(self, stage: str) -> str:
         field_names, file_names = STAGE_READS[stage]
-        # a new model file format must re-train, not fail to read old models
-        config = self.config.snapshot() | {"model_format": MODEL_FORMAT}
+        # the manifest's config; a new model format must re-train, not fail to read old models
+        config = self.manifest.config | {"model_format": MODEL_FORMAT}
         files = self._files()
 
         def value(name: str):

@@ -90,6 +90,18 @@ def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):
     assert err.startswith("error: stage 'ingest' failed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("contents", [None, b"\xff\xfe{}"], ids=["directory", "not-utf-8"])
+def test_config_that_is_a_directory_or_not_utf8_is_exit_2(tmp_path, capsys, contents):
+    cfg = tmp_path / "run.json"
+    if contents is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(contents)
+    assert main(["all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: cannot read the config") and err.count("\n") == 1
+
+
 def test_bad_config_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"corpora": []}))
@@ -121,6 +133,7 @@ def test_stage_without_predecessor_fails_cleanly(small_config, capsys):
     pytest.param("corpora", [5], id="corpora-entry-5"),
     pytest.param(None, '{"seed": 1,', id="unfinished-json"),
     pytest.param(None, '"config"', id="json-string"),
+    ("top-k", 3), ("out_dir", 7), ("emoji_data", 5),
 ])
 def test_bad_training_config_is_exit_2_with_one_line(small_config, capsys, key, value):
     edit_config(small_config, key, value)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from crossmoji import pipeline
 from crossmoji.embedding import TrainParams
 from crossmoji.inventory import EmojiInventory
 from crossmoji.pipeline import (
+    SCHEMA,
     STAGES,
     ConfigError,
     Pipeline,
@@ -545,7 +547,8 @@ WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "cou
 @pytest.mark.parametrize("key, value, match", [
     ("dimm", 50, "unknown training key"),
     ("dim", 0, "dim must be >= 1"),
-    ("dim", "fifty", "bad training config"),
+    pytest.param("dim", "fifty", r"training\.dim must be an integer",
+                 id="dim-fifty-bad training config"),
     ("runs", "three", "runs must be an integer"),
     ("top_k", 2.5, "top_k must be an integer"),
     ("shared_threshold", True, "shared_threshold must be an integer"),
@@ -554,29 +557,63 @@ WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "cou
     pytest.param(None, "[1, 2]", "must be a JSON object", id="json-list"),
     ("training", 5, "training must be a JSON object"),
     ("corpora", 5, "corpora must be a JSON list"),
-    pytest.param("corpora", [5], "corpora entries must be JSON objects", id="corpora-entry-5"),
+    pytest.param("corpora", [5], r"corpora\[0\] must be a JSON object", id="corpora-entry-5"),
     pytest.param(None, '{"seed": 2.7}', "seed must be an integer", id="seed-2.7"),
     pytest.param(None, '{"seed": true}', "seed must be an integer", id="seed-true"),
     ("min_count", 2.9, "min_count must be an integer"),
-    pytest.param(None, '{"min_count": "3"}', "min_count must be an integer",
+    pytest.param(None, '{"min_count": "3"}', r"unknown config key\(s\) 'min_count'",
                  id="top-level-min_count-3"),
-    ("dim", 8.5, "bad training config: dim must be of type int"),
-    ("epochs", True, "bad training config: epochs must be of type int"),
-    ("lr0", False, "bad training config: lr0 must be of type float"),
-    ("subsample", "0", "bad training config: subsample must be of type float"),
+    pytest.param("dim", 8.5, r"training\.dim must be an integer, got 8\.5$",
+                 id="dim-8.5-bad training config: dim must be of type int"),
+    pytest.param("epochs", True, r"training\.epochs must be an integer, got true$",
+                 id="epochs-True-bad training config: epochs must be of type int"),
+    pytest.param("lr0", False, r"training\.lr0 must be a number, got false$",
+                 id="lr0-False-bad training config: lr0 must be of type float"),
+    pytest.param("subsample", "0", r'training\.subsample must be a number, got "0"$',
+                 id="subsample-0-bad training config: subsample must be of type float"),
     pytest.param("corpora", [WEST | {"pre_tokenized": "false"}],
                  "pre_tokenized must be true or false", id="pre_tokenized-false-string"),
-    pytest.param("corpora", [WEST | {"input": 5}], r"JSON strings for \['input'\]",
+    pytest.param("corpora", [WEST | {"input": 5}], r"corpora\[0\]\.input must be a JSON string",
                  id="input-5"),
-    pytest.param("corpora", [WEST | {"lexicon": None}], r"JSON strings for \['lexicon'\]",
-                 id="lexicon-null"),
-    pytest.param("corpora", [WEST | {"id": 5}], r"JSON strings for \['id'\]", id="id-5"),
-    pytest.param("corpora", [WEST | {"lang": 7}], r"JSON strings for \['lang'\]", id="lang-7"),
+    pytest.param("corpora", [WEST | {"lexicon": None}],
+                 r"corpora\[0\]\.lexicon must be a JSON string, got null", id="lexicon-null"),
+    pytest.param("corpora", [WEST | {"id": 5}], r"corpora\[0\]\.id must be a JSON string",
+                 id="id-5"),
+    pytest.param("corpora", [WEST | {"lang": 7}], r"corpora\[0\]\.lang must be a JSON string",
+                 id="lang-7"),
+    pytest.param("top-k", 3, r"unknown config key\(s\) 'top-k'; allowed: .*\btop_k\b",
+                 id="top-k-3"),
+    pytest.param("corpora", [WEST | {"pretokenized": True}],
+                 r"unknown corpora\[0\] key\(s\) 'pretokenized'; allowed: .*\bpre_tokenized\b",
+                 id="pretokenized-true"),
+    pytest.param("out_dir", 7, "out_dir must be a JSON string, got 7", id="out_dir-7"),
+    pytest.param("emoji_data", 5, "emoji_data must be a JSON string, got 5", id="emoji_data-5"),
+    # an absent key takes the default; null is a value of the wrong type
+    pytest.param("emoji_data", None, "emoji_data must be a JSON string, got null",
+                 id="emoji_data-null"),
+    pytest.param(None, '{"min_count": 3}', r"unknown config key\(s\) 'min_count'",
+                 id="top-level-min_count-int"),
+    pytest.param("corpora", [{k: v for k, v in WEST.items() if k != "lang"}],
+                 r"corpora\[0\]\.lang is missing", id="lang-missing"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
     edit_config(cfg_path, key, value)
     with pytest.raises(ConfigError, match=match):
+        load_config(cfg_path)
+
+
+@pytest.mark.parametrize("obj, key", [(obj, key) for obj, keys in SCHEMA.items() for key in keys])
+def test_every_config_key_rejects_a_value_of_the_wrong_json_type(tmp_path, obj, key):
+    # drawn from the schema, so a field added later is checked without a new case
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
+    raw = json.loads(cfg_path.read_text())
+    kind = SCHEMA[obj][key][2]
+    wrong = 7 if kind in (str, Path) else "7"
+    {"config": raw, "training": raw["training"], "corpora": raw["corpora"][0]}[obj][key] = wrong
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)} must be (an integer|a number|"
+                       rf"true or false|a JSON (string|object|list)), got {json.dumps(wrong)}$"):
         load_config(cfg_path)
 
 

@@ -146,7 +146,8 @@ def write_two_culture_setup(
     return cfg_path
 
 
-TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora")
+TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora",
+                  "top-k", "out_dir", "emoji_data")
 
 
 def edit_config(path: Path, key, value) -> None:
