@@ -14,6 +14,7 @@ from .analytics import (
     category_scc,
     country_similarity_matrix,
     culture_triples,
+    emoji_profiles,
     frequency_analysis,
     icon_scc,
     pearson,

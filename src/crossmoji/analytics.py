@@ -136,15 +136,20 @@ class CountryMatrix:
     excluded: tuple[str, ...]
 
 
-def country_similarity_matrix(
-    run_models: Mapping[str, Sequence], shared: SharedEmojiSet | Sequence[str],
-    culture_of: Mapping[str, str],
-) -> CountryMatrix:
-    """Country-pairwise Pearson of emoji-emoji cosine profiles.
+@dataclass
+class EmojiProfiles:
+    """Per corpus, the upper triangle of the emoji x emoji cosine matrix
+    over `emoji_used`, averaged over runs."""
 
-    Per corpus, the profile is the upper triangle of the emoji x emoji
-    cosine matrix, averaged over runs.  Emoji missing from any corpus are
-    excluded from all profiles symmetrically."""
+    emoji_used: tuple[str, ...]
+    excluded: tuple[str, ...]            # shared emoji missing from some corpus
+    by_corpus: dict[str, np.ndarray]     # corpus -> (n * (n - 1) / 2,) profile
+
+
+def emoji_profiles(run_models: Mapping[str, Sequence],
+                   shared: SharedEmojiSet | Sequence[str]) -> EmojiProfiles:
+    """The cosine profiles `country_similarity_matrix` compares.  Emoji
+    missing from any corpus are excluded from all profiles symmetrically."""
     corpora = tuple(run_models)
     emoji_list = list(shared.emoji if isinstance(shared, SharedEmojiSet) else shared)
     usable = [
@@ -152,10 +157,8 @@ def country_similarity_matrix(
         if all(e in run_models[c][0].vocab for c in corpora)
     ]
     excluded = tuple(e for e in emoji_list if e not in usable)
-    if len(usable) < 3:
-        raise UndefinedCorrelationError(
-            f"need at least 3 shared emoji present everywhere, have {len(usable)}"
-        )
+    if not usable:
+        return EmojiProfiles((), excluded, {c: np.empty(0) for c in corpora})
     iu = np.triu_indices(len(usable), k=1)
     profiles: dict[str, np.ndarray] = {}
     for corpus in corpora:
@@ -169,12 +172,23 @@ def country_similarity_matrix(
             sims = np.clip(unit @ unit.T, -1.0, 1.0)[iu]
             acc = sims if acc is None else acc + sims
         profiles[corpus] = acc * (1.0 / len(models))
+    return EmojiProfiles(tuple(usable), excluded, profiles)
 
+
+def country_similarity_matrix(profiles: EmojiProfiles,
+                              culture_of: Mapping[str, str]) -> CountryMatrix:
+    """Country-pairwise Pearson of emoji-emoji cosine profiles."""
+    if len(profiles.emoji_used) < 3:
+        raise UndefinedCorrelationError(
+            f"need at least 3 shared emoji present everywhere, have {len(profiles.emoji_used)}"
+        )
+    corpora = tuple(profiles.by_corpus)
+    vectors = profiles.by_corpus
     n = len(corpora)
     matrix = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            r = pearson(profiles[corpora[i]], profiles[corpora[j]])
+            r = pearson(vectors[corpora[i]], vectors[corpora[j]])
             matrix[i, j] = matrix[j, i] = r
 
     west = [c for c in corpora if culture_of[c] == WEST]
@@ -188,12 +202,13 @@ def country_similarity_matrix(
             total += v
         cross_mean = total * (1.0 / len(cross_vals))
         culture_corr = pearson(
-            culture_average([profiles[c] for c in west]),
-            culture_average([profiles[c] for c in east]),
+            culture_average([vectors[c] for c in west]),
+            culture_average([vectors[c] for c in east]),
         )
     return CountryMatrix(
         corpora=corpora, matrix=matrix, cross_pair_mean=cross_mean,
-        culture_vector_corr=culture_corr, emoji_used=tuple(usable), excluded=excluded,
+        culture_vector_corr=culture_corr, emoji_used=profiles.emoji_used,
+        excluded=profiles.excluded,
     )
 
 
@@ -342,7 +357,7 @@ class CorrelationReport:
 
 def build_report(
     tensor: Optional[SimilarityTensor],
-    run_models: Optional[Mapping[str, Sequence]],
+    profiles: Optional[EmojiProfiles],
     table: FrequencyTable,
     inventory: EmojiInventory,
     shared: SharedEmojiSet,
@@ -371,9 +386,9 @@ def build_report(
     elif tensor is not None:
         warnings.append("missing a culture group; category/icon correlations skipped")
 
-    if run_models is not None and len(run_models) >= 2:
+    if profiles is not None and len(profiles.by_corpus) >= 2:
         try:
-            report.country = country_similarity_matrix(run_models, shared, culture_of)
+            report.country = country_similarity_matrix(profiles, culture_of)
         except UndefinedCorrelationError as exc:
             warnings.append(f"country similarity matrix skipped: {exc}")
 

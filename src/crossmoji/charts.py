@@ -6,14 +6,19 @@ Each function returns a standalone SVG document string.
 
 from __future__ import annotations
 
+import html
 from typing import Mapping, Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 FONT = "font-family='sans-serif'"
 WEST_COLOR = "#4878a8"
 EAST_COLOR = "#c05850"
+
+
+def escape(text: str) -> str:
+    """SVG text content: `&`, `<` and `>` as entities, quotes left as they are."""
+    return html.escape(text, quote=False)
 
 
 def _doc(width: int, height: int, body: list[str], title: str) -> str:

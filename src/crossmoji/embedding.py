@@ -17,16 +17,15 @@ generator drives all sampling, so a fixed seed reproduces a model exactly.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_arrays, write_arrays
 
-MODEL_FORMAT = "crossmoji-model 2"
+MODEL_FORMAT = "crossmoji-model 3"
 
 BATCH = 256  # positions per minibatch step
 CHUNK_TOKENS = 4096  # positions are built for about this many tokens at a time
@@ -119,12 +118,12 @@ class TrainParams:
 
 @dataclass
 class EmbeddingModel:
-    """One training run: input matrix (the token representation used
-    downstream), output matrix, and the exact parameters that produced it."""
+    """One training run: its input matrix (the token representation used
+    downstream) and the exact parameters that produced it.  The output
+    matrix only serves training and is not kept."""
 
     vocab: Vocabulary
     syn0: np.ndarray  # |V| x d input vectors
-    syn1: np.ndarray  # |V| x d output (context) vectors
     params: TrainParams
     epoch_losses: tuple[float, ...] = ()
     train_seconds: float = 0.0  # wall time of the training run; not saved
@@ -356,7 +355,7 @@ def train_cbow(
         _check_finite(syn0, syn1, epoch)
 
     return EmbeddingModel(
-        vocab=vocab, syn0=syn0, syn1=syn1, params=params,
+        vocab=vocab, syn0=syn0, params=params,
         epoch_losses=tuple(epoch_losses), train_seconds=time.perf_counter() - start,
     )
 
@@ -407,10 +406,11 @@ def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, floa
 # --- persistence ----------------------------------------------------------
 
 def save_model(model: EmbeddingModel, path) -> None:
-    """One JSON metadata line (format tag, training parameters, vocabulary),
-    then the input and output matrices stacked as one (2, |V|, d) float64
-    array in .npy format.  The same model always gives the same bytes; the
-    file is renamed into place once complete."""
+    """The `fileio.write_arrays` layout: one JSON metadata line (format tag,
+    training parameters, vocabulary), then the (|V|, d) input matrix.  The
+    output matrix is not saved: no stage reads it, and it would double the
+    bytes written, read and hashed.  The same model always gives the same
+    bytes; the file is renamed into place once complete."""
     vocab = model.vocab
     meta = {
         "format": MODEL_FORMAT,
@@ -422,31 +422,22 @@ def save_model(model: EmbeddingModel, path) -> None:
         "counts": list(vocab.counts),
     }
     with atomic_write(path, "wb") as f:
-        f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
-        np.save(f, np.stack([model.syn0, model.syn1]).astype("<f8", copy=False),
-                allow_pickle=False)
+        write_arrays(f, meta, [model.syn0])
 
 
 def load_model(path) -> EmbeddingModel:
     """Inverse of save_model; load(save(m)) reproduces m exactly.  Anything
-    that does not decode to a consistent model raises ModelFormatError
-    naming `path`."""
+    that does not decode to a consistent model, a file of an older format
+    included, raises ModelFormatError naming `path`."""
     try:
-        with open(path, "rb") as f:
-            meta = json.loads(f.readline())
-            if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
-                raise ModelFormatError(f"not a {MODEL_FORMAT} file")
-            matrices = np.lib.format.read_array(f, allow_pickle=False)
-            if f.read(1):
-                raise ModelFormatError("trailing bytes after the matrices")
+        meta, [syn0] = read_arrays(path, MODEL_FORMAT, 1)
         params = TrainParams(**meta["params"])
         tokens, counts = tuple(meta["tokens"]), tuple(meta["counts"])
         if len(counts) != len(tokens):
             raise ModelFormatError(f"{len(counts)} counts for {len(tokens)} tokens")
-        shape = (2, len(tokens), params.dim)
-        if matrices.shape != shape or matrices.dtype != np.float64:
-            raise ModelFormatError(f"matrices are {matrices.dtype} {matrices.shape}, "
-                                   f"expected float64 {shape}")
+        shape = (len(tokens), params.dim)
+        if syn0.shape != shape:
+            raise ModelFormatError(f"input matrix is {syn0.shape}, expected {shape}")
         vocab = Vocabulary(tokens=tokens, counts=counts, min_count=meta["min_count"],
                            corpus_tokens=meta["corpus_tokens"])
         epoch_losses = tuple(meta["epoch_losses"])
@@ -454,5 +445,4 @@ def load_model(path) -> EmbeddingModel:
         raise ModelFormatError(f"{path}: metadata lacks {exc}") from exc
     except (TypeError, ValueError, EOFError) as exc:  # ModelFormatError is a ValueError
         raise ModelFormatError(f"{path}: {exc}") from exc
-    return EmbeddingModel(vocab=vocab, syn0=matrices[0], syn1=matrices[1], params=params,
-                          epoch_losses=epoch_losses)
+    return EmbeddingModel(vocab=vocab, syn0=syn0, params=params, epoch_losses=epoch_losses)

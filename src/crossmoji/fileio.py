@@ -1,10 +1,14 @@
-"""Artifact files written whole or not at all."""
+"""Artifact files written whole or not at all, and the one binary layout
+that model files and the project hand-off share."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 @contextmanager
@@ -21,3 +25,29 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_arrays(f, meta: dict, arrays) -> None:
+    """Write `meta` as one UTF-8 JSON line into the binary file `f`, then
+    each array as little-endian float64 in .npy format.  The same values
+    always give the same bytes."""
+    f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
+    for array in arrays:
+        np.save(f, np.asarray(array, dtype="<f8"), allow_pickle=False)
+
+
+def read_arrays(path, fmt: str, count: int) -> tuple[dict, list[np.ndarray]]:
+    """What `write_arrays` wrote to `path`: its JSON object and its arrays.
+    ValueError (or EOFError) unless the object's "format" is `fmt` and
+    exactly `count` float64 arrays follow it."""
+    with open(path, "rb") as f:
+        meta = json.loads(f.readline())
+        if not isinstance(meta, dict) or meta.get("format") != fmt:
+            raise ValueError(f"not a {fmt} file")
+        arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in range(count)]
+        if f.read(1):
+            raise ValueError("trailing bytes after the arrays")
+    for array in arrays:
+        if array.dtype != np.float64:
+            raise ValueError(f"an array is {array.dtype}, expected float64")
+    return meta, arrays

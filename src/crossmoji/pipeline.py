@@ -15,6 +15,12 @@ deletes that too.  Ingest runs one job per corpus and train one per
 (corpus, run), on forked worker processes when more than one CPU is usable
 (`fan_out`).  A fixed seed reproduces embedding files and CSV reports byte
 for byte, whatever the number of workers.
+
+The models and streams are read once, by project, which hands analyze all
+it needs in one binary file (`write_handoff`): the per-run orthonormal
+similarity cube, the run-averaged emoji x emoji cosine profiles, the
+frequency table and the shared set.  Analyze reads nothing else that an
+earlier stage wrote.
 """
 
 from __future__ import annotations
@@ -24,13 +30,16 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
 
+import numpy as np
+
 from . import __version__
-from .analytics import CorrelationReport, build_report
+from .analytics import CorrelationReport, EmojiProfiles, build_report, emoji_profiles
 from .charts import emit_charts
 from .corpus import CorpusHandle, ingest_handle, read_streams, write_streams
 from .embedding import (
@@ -41,8 +50,10 @@ from .embedding import (
     save_model,
     train_run_set,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_arrays, write_arrays
 from .inventory import (
+    FrequencyTable,
+    SharedEmojiSet,
     count_frequencies,
     default_category_path,
     default_data_path,
@@ -50,7 +61,9 @@ from .inventory import (
     shared_set,
 )
 from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexicon, shared_schema
-from .projection import build_tensor, read_tensor_csv, write_tensor_csv
+# nothing here calls read_tensor_csv: it stays imported because
+# bench/tracer.py wraps it by this name and fails on a missing one
+from .projection import SimilarityTensor, build_tensor, read_tensor_csv, write_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
 # What each stage reads, and so what its cache key covers: fields of
@@ -66,8 +79,8 @@ STAGE_READS = {
     "project": (("shared_threshold", "corpora.id", "corpora.culture", "corpora.lang"),
                 ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
                  "streams/", "models/")),
-    "analyze": (("top_k", "shared_threshold", "corpora.id", "corpora.culture"),
-                ("emoji_data", "emoji_categories", "streams/", "models/", "tensors/")),
+    "analyze": (("top_k", "corpora.id", "corpora.culture"),
+                ("emoji_data", "emoji_categories", "handoff.bin")),
     "report": ((), ("report/report.json",)),
 }
 
@@ -364,7 +377,7 @@ class Pipeline:
             "streams/": [self.streams_path(s.corpus_id) for s in c.corpora],
             "models/": [self.model_path(s.corpus_id, r)
                         for s in c.corpora for r in range(c.runs)],
-            "tensors/": [self.out / "tensors" / "similarity_orthonormal.csv"],
+            "handoff.bin": [self.out / "handoff.bin"],
             "report/report.json": [self.out / "report" / "report.json"],
         }
 
@@ -433,13 +446,6 @@ class Pipeline:
                 out[spec.corpus_id] = list(read_streams(f))
         return out
 
-    def _load_models(self) -> dict[str, list]:
-        return {
-            spec.corpus_id: [load_model(self.model_path(spec.corpus_id, r))
-                             for r in range(self.config.runs)]
-            for spec in self.config.corpora
-        }
-
     # --- stages ---
 
     def stage_ingest(self) -> dict:
@@ -500,7 +506,9 @@ class Pipeline:
 
     def stage_project(self) -> dict:
         streams = self._load_streams()
-        models = self._load_models()
+        models = {spec.corpus_id: [load_model(self.model_path(spec.corpus_id, r))
+                                   for r in range(self.config.runs)]
+                  for spec in self.config.corpora}
         table = count_frequencies(streams, self.inventory)
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
@@ -550,57 +558,50 @@ class Pipeline:
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
 
         info = {"schema": list(schema), "shared_emoji": len(shared)}
+        orthonormal = None
         if len(shared) == 0:
             with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
                 f.write("no shared emoji\n")
-            return info
-        for flavor, ortho in (("orthonormal", True), ("raw", False)):
-            tensor = build_tensor(
-                models, expansions, schema, shared, self.config.culture_of,
-                ekman_axes=ekman_axes or None, orthonormalize=ortho,
-            )
-            path = self.out / "tensors" / f"similarity_{flavor}.csv"
-            self._declare([path])
-            write_tensor_csv(tensor, path)
-            if ortho:
-                info["axes"] = list(tensor.axes)
-                info["targets"] = len(tensor.targets)
-                if tensor.dropped_categories:
-                    self.manifest.warnings.append(
-                        "dropped degenerate categories: "
-                        + ", ".join(f"{c} ({why})" for c, why in
-                                    sorted(tensor.dropped_categories.items())))
-                if tensor.excluded_targets:
-                    self.manifest.warnings.append(
-                        f"{len(tensor.excluded_targets)} shared emoji missing from some "
-                        f"corpus vocabulary, excluded from projections")
-                if tensor.excluded_axes:
-                    self.manifest.warnings.append(
-                        "Ekman axes excluded (word missing in some corpus): "
-                        + ", ".join(tensor.excluded_axes))
+        else:
+            for flavor, ortho in (("orthonormal", True), ("raw", False)):
+                tensor = build_tensor(
+                    models, expansions, schema, shared, self.config.culture_of,
+                    ekman_axes=ekman_axes or None, orthonormalize=ortho,
+                )
+                path = self.out / "tensors" / f"similarity_{flavor}.csv"
+                self._declare([path])
+                write_tensor_csv(tensor, path)
+                if ortho:
+                    orthonormal = tensor
+                    info["axes"] = list(tensor.axes)
+                    info["targets"] = len(tensor.targets)
+                    if tensor.dropped_categories:
+                        self.manifest.warnings.append(
+                            "dropped degenerate categories: "
+                            + ", ".join(f"{c} ({why})" for c, why in
+                                        sorted(tensor.dropped_categories.items())))
+                    if tensor.excluded_targets:
+                        self.manifest.warnings.append(
+                            f"{len(tensor.excluded_targets)} shared emoji missing from some "
+                            f"corpus vocabulary, excluded from projections")
+                    if tensor.excluded_axes:
+                        self.manifest.warnings.append(
+                            "Ekman axes excluded (word missing in some corpus): "
+                            + ", ".join(tensor.excluded_axes))
+        with self._artifact(self.out / "handoff.bin", "wb") as f:
+            write_handoff(f, orthonormal, emoji_profiles(models, shared), table, shared)
         return info
 
     def stage_analyze(self) -> dict:
-        streams = self._load_streams()
-        models = self._load_models()
-        table = count_frequencies(streams, self.inventory)
-        shared = shared_set(table, self.config.shared_threshold)
-
-        tensor = None
-        # only the tensor project's last run recorded, never a leftover
-        if "tensors/similarity_orthonormal.csv" in self._read_marker("project")["artifacts"]:
-            tensor = read_tensor_csv(self.out / "tensors" / "similarity_orthonormal.csv",
-                                     self.config.culture_of)
-
+        tensor, profiles, table, shared = read_handoff(
+            self.out / "handoff.bin", self.inventory, self.config.culture_of)
         cross = {"West", "East"} <= self.config.cultures_present()
         if not cross:
             self.manifest.warnings.append(
                 "only one culture group configured; cross-culture analytics skipped")
         report = build_report(
-            tensor if cross else None,
-            models if len(models) >= 2 else None,
-            table, self.inventory, shared, self.config.culture_of,
-            top_k=self.config.top_k,
+            tensor if cross else None, profiles, table, self.inventory, shared,
+            self.config.culture_of, top_k=self.config.top_k,
         )
         self.manifest.warnings.extend(report.warnings)
         open_report = self._opener("report")
@@ -667,6 +668,54 @@ class Pipeline:
         return self.manifest
 
 
+# --- project -> analyze hand-off ----------------------------------------------
+
+HANDOFF_FORMAT = "crossmoji-handoff 1"
+
+
+def write_handoff(f, tensor: Optional[SimilarityTensor], profiles: EmojiProfiles,
+                  table: FrequencyTable, shared: SharedEmojiSet) -> None:
+    """Write what analyze reads into the binary file `f`, in the
+    `write_arrays` layout.  The JSON line holds the corpora, the tensor's
+    axes and targets (null when no emoji is shared, so there is no
+    tensor), the emoji the profiles cover and exclude, the shared set and
+    each corpus's emoji counts.  Two arrays follow: the (corpora, runs,
+    axes, targets) orthonormal cube, empty without a tensor, and the
+    (corpora, emoji pairs) cosine profiles."""
+    corpora = list(profiles.by_corpus)
+    meta = {
+        "format": HANDOFF_FORMAT,
+        "corpora": corpora,
+        "axes": None if tensor is None else list(tensor.axes),
+        "targets": None if tensor is None else list(tensor.targets),
+        "emoji_used": list(profiles.emoji_used),
+        "excluded": list(profiles.excluded),
+        "shared": list(shared.emoji),
+        "shared_threshold": shared.threshold,
+        "counts": {corpus: dict(counts) for corpus, counts in table.counts.items()},
+    }
+    cube = (np.empty((len(corpora), 0, 0, 0)) if tensor is None
+            else np.stack([tensor.per_run[c] for c in corpora]))
+    write_arrays(f, meta, [cube, np.stack([profiles.by_corpus[c] for c in corpora])])
+
+
+def read_handoff(path, inventory, culture_of) -> tuple:
+    """Read what `write_handoff` wrote: (tensor or None, profiles, frequency
+    table, shared set), every value exactly as project computed it."""
+    meta, (cube, profile_rows) = read_arrays(path, HANDOFF_FORMAT, 2)
+    corpora = tuple(meta["corpora"])
+    tensor = None
+    if meta["axes"] is not None:
+        tensor = SimilarityTensor(axes=tuple(meta["axes"]), targets=tuple(meta["targets"]),
+                                  corpora=corpora, culture_of=dict(culture_of),
+                                  per_run=dict(zip(corpora, cube)))
+    profiles = EmojiProfiles(tuple(meta["emoji_used"]), tuple(meta["excluded"]),
+                             dict(zip(corpora, profile_rows)))
+    table = FrequencyTable(inventory, {c: Counter(n) for c, n in meta["counts"].items()})
+    shared = SharedEmojiSet(tuple(meta["shared"]), meta["shared_threshold"])
+    return tensor, profiles, table, shared
+
+
 # --- report serialization ----------------------------------------------------
 
 def write_report_csvs(report: CorrelationReport, inventory, open_file) -> None:
@@ -730,8 +779,6 @@ def write_report_json(report: CorrelationReport, f) -> None:
 
 def read_report_json(path) -> CorrelationReport:
     """Read what `write_report_json` wrote; sequences come back as lists."""
-    import numpy as np
-
     from .analytics import CountryMatrix, FrequencyReport, IconReport
 
     with open(path, encoding="utf-8") as f:

@@ -15,6 +15,7 @@ from crossmoji.analytics import (
     category_scc,
     country_similarity_matrix,
     culture_triples,
+    emoji_profiles,
     frequency_analysis,
     icon_scc,
     pearson,
@@ -372,7 +373,7 @@ def test_country_matrix_identical_models_off_diagonal_one():
     tokens = ["😀", "😢", "🍕", "🚗"]
     model = random_model(rng, tokens)
     out = country_similarity_matrix(
-        {"A": [model], "B": [model]}, tokens, {"A": "West", "B": "East"})
+        emoji_profiles({"A": [model], "B": [model]}, tokens), {"A": "West", "B": "East"})
     assert out.matrix[0, 1] == pytest.approx(1.0)
     assert np.allclose(np.diag(out.matrix), 1.0)
 
@@ -382,7 +383,7 @@ def test_country_matrix_matches_brute_force_recompute():
     tokens = ["😀", "😢", "🍕", "🚗", "⚽"]
     models = {c: [random_model(rng, tokens)] for c in ["A", "B", "C"]}
     out = country_similarity_matrix(
-        models, tokens, {"A": "West", "B": "West", "C": "East"})
+        emoji_profiles(models, tokens), {"A": "West", "B": "West", "C": "East"})
 
     def profile(model):
         vals = []
@@ -408,9 +409,9 @@ def test_country_matrix_symmetric_under_permutation():
     tokens = ["😀", "😢", "🍕", "🚗"]
     models = {c: [random_model(rng, tokens)] for c in ["A", "B", "C"]}
     cultures = {"A": "West", "B": "West", "C": "East"}
-    out1 = country_similarity_matrix(models, tokens, cultures)
+    out1 = country_similarity_matrix(emoji_profiles(models, tokens), cultures)
     reordered = {c: models[c] for c in ["C", "A", "B"]}
-    out2 = country_similarity_matrix(reordered, tokens, cultures)
+    out2 = country_similarity_matrix(emoji_profiles(reordered, tokens), cultures)
     for i, ci in enumerate(out1.corpora):
         for j, cj in enumerate(out1.corpora):
             i2, j2 = out2.corpora.index(ci), out2.corpora.index(cj)
@@ -423,6 +424,6 @@ def test_country_matrix_excludes_missing_emoji_symmetrically():
     full = random_model(rng, tokens)
     partial = random_model(rng, tokens[:-1])  # 🚗 missing here
     out = country_similarity_matrix(
-        {"A": [full], "B": [partial]}, tokens, {"A": "West", "B": "East"})
+        emoji_profiles({"A": [full], "B": [partial]}, tokens), {"A": "West", "B": "East"})
     assert out.excluded == ("🚗",)
     assert out.emoji_used == ("😀", "😢", "🍕")

@@ -1,6 +1,9 @@
 """Command-line interface: stage selection, flags, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +144,14 @@ def test_bad_training_config_is_exit_2_with_one_line(small_config, capsys, key, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (key or "JSON") in err
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG writer once escaped text with xml.sax.saxutils, whose import
+    # chain pulls in urllib.request, http.client, email and ssl
+    code = ("import sys, crossmoji.cli; print(sorted({'urllib.request', 'http.client', "
+            "'email.parser', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -204,7 +204,7 @@ def test_deterministic_mode_bit_identical():
     m1 = train_cbow(sents, vocab, params)
     m2 = train_cbow(sents, vocab, params)
     assert np.array_equal(m1.syn0, m2.syn0)
-    assert np.array_equal(m1.syn1, m2.syn1)
+    assert m1.epoch_losses == m2.epoch_losses
 
 
 def test_run_set_shares_vocab_with_distinct_seeds():
@@ -359,8 +359,7 @@ def model_with_rows(rows):
     syn0 = np.array([rows[t] for t in tokens], dtype=float)
     vocab = Vocabulary(tokens=tokens, counts=(1,) * len(tokens), min_count=1,
                        corpus_tokens=len(tokens))
-    return EmbeddingModel(vocab=vocab, syn0=syn0, syn1=np.zeros_like(syn0),
-                          params=TrainParams(dim=syn0.shape[1]))
+    return EmbeddingModel(vocab=vocab, syn0=syn0, params=TrainParams(dim=syn0.shape[1]))
 
 
 def test_neighbors_k_zero_empty():
@@ -406,9 +405,11 @@ def test_round_trip_bit_identical(tmp_path):
     assert back.vocab.min_count == model.vocab.min_count
     assert back.vocab.corpus_tokens == model.vocab.corpus_tokens
     assert np.array_equal(back.syn0, model.syn0)
-    assert np.array_equal(back.syn1, model.syn1)
     assert back.params == model.params
     assert back.epoch_losses == model.epoch_losses
+    # the file holds the (|V|, d) input matrix alone
+    matrix = np.lib.format.read_array(io.BytesIO(path.read_bytes().partition(b"\n")[2]))
+    assert matrix.shape == (len(model.vocab), model.dim)
 
 
 def test_save_then_save_again_identical_bytes(tmp_path):
@@ -438,12 +439,12 @@ def saved_tiny_model(tmp_path):
     model = trained_tiny_model()
     path = tmp_path / "m.vec"
     save_model(model, path)
-    header, _, matrices = path.read_bytes().partition(b"\n")
-    return model, json.loads(header), matrices
+    header, _, matrix = path.read_bytes().partition(b"\n")
+    return model, json.loads(header), matrix
 
 
-def write_model_file(path, meta, matrices):
-    path.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + matrices)
+def write_model_file(path, meta, matrix):
+    path.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + matrix)
     return path
 
 
@@ -481,7 +482,16 @@ def test_future_format_version_rejected(tmp_path):
     _, meta, matrices = saved_tiny_model(tmp_path)
     meta["format"] = "crossmoji-model 9"
     assert_format_error(write_model_file(tmp_path / "v9.vec", meta, matrices),
-                        "not a crossmoji-model 2 file")
+                        "not a crossmoji-model 3 file")
+
+
+def test_format_2_file_with_output_matrix_rejected(tmp_path):
+    # the parent's layout: the input and output matrices stacked as (2, |V|, d)
+    model, meta, _ = saved_tiny_model(tmp_path)
+    meta["format"] = "crossmoji-model 2"
+    stacked = npy_bytes(np.stack([model.syn0, np.zeros_like(model.syn0)]))
+    assert_format_error(write_model_file(tmp_path / "v2.vec", meta, stacked),
+                        "not a crossmoji-model 3 file")
 
 
 def test_parent_text_format_file_rejected(tmp_path):
@@ -496,19 +506,19 @@ def test_dimension_mismatch_fatal(tmp_path):
     _, meta, matrices = saved_tiny_model(tmp_path)
     meta["params"]["dim"] = 7
     assert_format_error(write_model_file(tmp_path / "bad.vec", meta, matrices),
-                        r"expected float64 \(2, 4, 7\)")
+                        r"\(4, 5\), expected \(4, 7\)")
 
 
 def test_wrong_row_width_fatal(tmp_path):
     model, meta, _ = saved_tiny_model(tmp_path)
-    narrow = np.stack([model.syn0, model.syn1])[:, :, :-1]  # drop one column
+    narrow = model.syn0[:, :-1]  # drop one column
     assert_format_error(write_model_file(tmp_path / "narrow.vec", meta, npy_bytes(narrow)),
-                        r"float64 \(2, 4, 4\), expected float64 \(2, 4, 5\)")
+                        r"input matrix is \(4, 4\), expected \(4, 5\)")
 
 
 @pytest.mark.parametrize("edit, match", [
     (lambda meta: (meta["tokens"].append("stranger"), meta["counts"].append(1)),
-     r"\(2, 4, 5\), expected float64 \(2, 5, 5\)"),
+     r"\(4, 5\), expected \(5, 5\)"),
     (lambda meta: meta["counts"].pop(), "3 counts for 4 tokens"),
     (lambda meta: meta.pop("corpus_tokens"), "metadata lacks 'corpus_tokens'"),
     (lambda meta: meta["params"].update(mode="parallel"), "unexpected keyword argument 'mode'"),
@@ -521,11 +531,10 @@ def test_inconsistent_metadata_fatal(tmp_path, edit, match):
 
 def test_garbled_or_foreign_matrices_fatal(tmp_path):
     model, meta, matrices = saved_tiny_model(tmp_path)
-    stacked = np.stack([model.syn0, model.syn1])
     for name, data, match in [
         ("magic", b"XX" + matrices[2:], "magic"),
-        ("float32", npy_bytes(stacked.astype(np.float32)), "float32"),
-        ("big-endian", npy_bytes(stacked.astype(">f8")), "expected float64"),
+        ("float32", npy_bytes(model.syn0.astype(np.float32)), "float32"),
+        ("big-endian", npy_bytes(model.syn0.astype(">f8")), "expected float64"),
         ("pickled", npy_bytes(np.array([None, 1], dtype=object)), "pickle"),
         ("trailing", matrices + b"\0", "trailing bytes"),
     ]:

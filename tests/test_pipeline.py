@@ -283,6 +283,46 @@ def test_no_tensor_outlives_its_project_run(completed_run, tmp_path):
     assert not read_report_json(config.out_dir / "report" / "report.json").category_rho
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("analyze read what project already read")
+
+
+def keep_west(raw):
+    raw["corpora"] = raw["corpora"][:1]
+
+
+def all_west(raw):
+    raw["corpora"][1]["culture"] = "West"
+
+
+def no_shared_emoji(raw):
+    raw["shared_threshold"] = 10**9
+
+
+@pytest.mark.parametrize("edit, sections", [
+    (lambda raw: None, {"category_scc.csv", "country_matrix.csv"}),
+    (keep_west, set()),
+    (all_west, {"country_matrix.csv"}),
+    (no_shared_emoji, set()),
+], ids=["two-cultures", "one-corpus", "one-culture", "no-shared-emoji"])
+def test_analyze_reads_only_the_handoff(tmp_path, monkeypatch, edit, sections):
+    # project hands analyze all it needs: with the readers of streams,
+    # models and tensor CSVs made to raise, analyze writes the same report
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2, dim=8, epochs=1)
+    raw = json.loads(cfg_path.read_text())
+    edit(raw)
+    cfg_path.write_text(json.dumps(raw))
+    config = load_config(cfg_path)
+    Pipeline(config).run("all")
+    report_dir = config.out_dir / "report"
+    report = {p.name: p.read_bytes() for p in report_dir.iterdir()}
+    assert {"category_scc.csv", "country_matrix.csv"} & set(report) == sections
+    for name in ("load_model", "read_streams", "count_frequencies", "read_tensor_csv"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    assert ran(Pipeline(config).run("analyze")) == ["analyze"]
+    assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == report
+
+
 def assert_only_recorded_files(config) -> None:
     # no temp file or earlier run's file stays behind: each file is a marker,
     # the manifest or an artifact a marker records with its digest

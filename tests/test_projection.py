@@ -26,7 +26,7 @@ def model_from(vectors, seed=1, dim=None):
     params = TrainParams(dim=dim, epochs=1, seed=seed, window=1, negatives=1)
     vocab = Vocabulary(tokens=tokens, counts=(5,) * len(tokens), min_count=1,
                        corpus_tokens=5 * len(tokens))
-    return EmbeddingModel(vocab=vocab, syn0=syn0, syn1=np.zeros_like(syn0), params=params)
+    return EmbeddingModel(vocab=vocab, syn0=syn0, params=params)
 
 
 # --- category_vector --------------------------------------------------------
