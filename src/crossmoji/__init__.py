@@ -34,6 +34,7 @@ from .embedding import (
     TrainParams,
     Vocabulary,
     build_vocabulary,
+    encode_streams,
     load_model,
     neighbors,
     save_model,

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .corpus import TypeStreams
 from .fileio import atomic_write, read_arrays, write_arrays
 
 MODEL_FORMAT = "crossmoji-model 3"
@@ -73,27 +74,26 @@ class Vocabulary:
         return self.counts[self.index[token]]
 
 
-def build_vocabulary(streams: Iterable, min_count: int) -> Vocabulary:
-    """Exact token counts; deterministic index order (count desc, then token)."""
-    counter: dict[str, int] = {}
-    total = 0
-    for stream in streams:
-        tokens = stream.tokens if hasattr(stream, "tokens") else stream
-        for tok in tokens:
-            counter[tok] = counter.get(tok, 0) + 1
-            total += 1
-    kept = [(t, c) for t, c in counter.items() if c >= min_count]
+def vocabulary_of(streams: TypeStreams, min_count: int) -> Vocabulary:
+    """The vocabulary of a type table's exact counts; deterministic index
+    order (count desc, then token)."""
+    kept = [(t, c) for t, c in zip(streams.types, streams.counts.tolist()) if c >= min_count]
     if not kept:
         raise EmptyVocabularyError(
-            f"no token reaches min_count={min_count} (saw {len(counter)} distinct tokens)"
+            f"no token reaches min_count={min_count} (saw {len(streams.types)} distinct tokens)"
         )
     kept.sort(key=lambda tc: (-tc[1], tc[0]))
     return Vocabulary(
         tokens=tuple(t for t, _ in kept),
         counts=tuple(c for _, c in kept),
         min_count=min_count,
-        corpus_tokens=total,
+        corpus_tokens=len(streams.ids),
     )
+
+
+def build_vocabulary(streams: Iterable, min_count: int) -> Vocabulary:
+    """`vocabulary_of` token streams (`TokenStream`s or token sequences)."""
+    return vocabulary_of(TypeStreams.of(streams), min_count)
 
 
 @dataclass(frozen=True)
@@ -206,19 +206,21 @@ def _negative_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     return cum / cum[-1]
 
 
-def _encode_streams(streams: Iterable, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """In-vocabulary token ids of all streams back to back, and the length of
-    each stream; streams without an in-vocabulary token are dropped."""
-    index = vocab.index
-    ids: list[int] = []
-    lengths: list[int] = []
-    for stream in streams:
-        tokens = stream.tokens if hasattr(stream, "tokens") else stream
-        sentence = [index[t] for t in tokens if t in index]
-        if sentence:
-            ids.extend(sentence)
-            lengths.append(len(sentence))
-    return np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64)
+def encode_types(streams: TypeStreams, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """What `train_cbow` trains on: the in-vocabulary token ids (int64) of
+    all posts back to back, and the length of each post; posts without an
+    in-vocabulary token are dropped."""
+    lookup = np.array([vocab.index.get(t, -1) for t in streams.types], dtype=np.int64)
+    ids = lookup[streams.ids]
+    kept = ids >= 0
+    post = np.repeat(np.arange(len(streams.lengths)), streams.lengths)
+    lengths = np.bincount(post[kept], minlength=len(streams.lengths))
+    return ids[kept], lengths[lengths > 0]
+
+
+def encode_streams(streams: Iterable, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """`encode_types` of token streams (`TokenStream`s or token sequences)."""
+    return encode_types(TypeStreams.of(streams), vocab)
 
 
 def _chunk_positions(ids: np.ndarray, lengths: np.ndarray, keep_prob: Optional[np.ndarray],
@@ -298,12 +300,13 @@ def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, ctx: np.ndarray, mask: np.n
 
 
 def train_cbow(
-    streams: Iterable,
+    encoded: tuple[np.ndarray, np.ndarray],
     vocab: Vocabulary,
     params: TrainParams,
     alpha_trace: Optional[Callable[[int, float], None]] = None,
 ) -> EmbeddingModel:
-    """Train one CBOW model for exactly `params.epochs` passes.
+    """Train one CBOW model for exactly `params.epochs` passes over
+    `encoded`, the (ids, lengths) pair `encode_types` gives.
 
     The learning rate decays linearly with the number of in-vocabulary tokens
     consumed (pre-subsampling), refreshed once per sentence; `alpha_trace`,
@@ -312,7 +315,7 @@ def train_cbow(
     if len(vocab) < 2:
         raise EmptyVocabularyError(
             "need at least 2 vocabulary tokens to sample negatives")
-    ids, lengths = _encode_streams(streams, vocab)
+    ids, lengths = encoded
     if not len(lengths):
         raise EmptyVocabularyError("no sentence contains an in-vocabulary token")
 
@@ -376,15 +379,14 @@ def train_run_set(
     params: TrainParams,
     n_runs: int,
 ) -> list[EmbeddingModel]:
-    """Train `n_runs` independent models over one shared vocabulary.
+    """Train `n_runs` independent models over one shared vocabulary, on
+    token streams encoded once.
 
     Run r uses seed `params.seed + r`, so runs differ only by their
     random initialization and sampling."""
-    models = []
-    for r in range(n_runs):
-        run_params = replace(params, seed=params.seed + r)
-        models.append(train_cbow(streams, vocab, run_params))
-    return models
+    encoded = encode_streams(streams, vocab)
+    return [train_cbow(encoded, vocab, replace(params, seed=params.seed + r))
+            for r in range(n_runs)]
 
 
 def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, float]]:
@@ -430,7 +432,7 @@ def load_model(path) -> EmbeddingModel:
     that does not decode to a consistent model, a file of an older format
     included, raises ModelFormatError naming `path`."""
     try:
-        meta, [syn0] = read_arrays(path, MODEL_FORMAT, 1)
+        meta, [syn0] = read_arrays(path, MODEL_FORMAT, (np.float64,))
         params = TrainParams(**meta["params"])
         tokens, counts = tuple(meta["tokens"]), tuple(meta["counts"])
         if len(counts) != len(tokens):

@@ -27,27 +27,33 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         raise
 
 
+# the dtypes an array may have, each stored little-endian
+DTYPES = {np.dtype(np.float64): "<f8", np.dtype(np.int32): "<i4"}
+
+
 def write_arrays(f, meta: dict, arrays) -> None:
     """Write `meta` as one UTF-8 JSON line into the binary file `f`, then
-    each array as little-endian float64 in .npy format.  The same values
-    always give the same bytes."""
+    each array in .npy format, little-endian float64 or int32 as it is.
+    The same values always give the same bytes."""
     f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
-    for array in arrays:
-        np.save(f, np.asarray(array, dtype="<f8"), allow_pickle=False)
+    for array in map(np.asarray, arrays):
+        if array.dtype not in DTYPES:
+            raise ValueError(f"cannot write a {array.dtype} array")
+        np.save(f, array.astype(DTYPES[array.dtype], copy=False), allow_pickle=False)
 
 
-def read_arrays(path, fmt: str, count: int) -> tuple[dict, list[np.ndarray]]:
+def read_arrays(path, fmt: str, dtypes) -> tuple[dict, list[np.ndarray]]:
     """What `write_arrays` wrote to `path`: its JSON object and its arrays.
-    ValueError (or EOFError) unless the object's "format" is `fmt` and
-    exactly `count` float64 arrays follow it."""
+    ValueError (or EOFError) unless the object's "format" is `fmt` and one
+    array of each of `dtypes` follows it, in that order."""
     with open(path, "rb") as f:
         meta = json.loads(f.readline())
         if not isinstance(meta, dict) or meta.get("format") != fmt:
             raise ValueError(f"not a {fmt} file")
-        arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in range(count)]
+        arrays = [np.lib.format.read_array(f, allow_pickle=False) for _ in dtypes]
         if f.read(1):
             raise ValueError("trailing bytes after the arrays")
-    for array in arrays:
-        if array.dtype != np.float64:
-            raise ValueError(f"an array is {array.dtype}, expected float64")
+    for array, dtype in zip(arrays, dtypes):
+        if array.dtype != dtype:
+            raise ValueError(f"an array is {array.dtype}, expected {np.dtype(dtype)}")
     return meta, arrays

@@ -18,6 +18,7 @@ VARIATION_SELECTORS = {0xFE0E, 0xFE0F}
 ZWJ = 0x200D
 SKIN_TONE_RANGE = range(0x1F3FB, 0x1F3FF + 1)
 UNCATEGORIZED = "Uncategorized"
+_DROP_SELECTORS = dict.fromkeys(VARIATION_SELECTORS)  # a str.translate table
 
 
 class InventoryFormatError(ValueError):
@@ -37,7 +38,7 @@ def default_category_path():
 
 
 def strip_variation_selectors(sequence: str) -> str:
-    return "".join(ch for ch in sequence if ord(ch) not in VARIATION_SELECTORS)
+    return sequence.translate(_DROP_SELECTORS)
 
 
 def codepoint_str(sequence: str) -> str:
@@ -89,6 +90,10 @@ class EmojiInventory:
         joiners between inventory emoji are consumed silently, decomposing
         unlisted joined sequences into their singleton parts.
         """
+        if self._start_chars.isdisjoint(text):  # most chunks hold no emoji
+            if text:
+                yield text, False
+            return
         n = len(text)
         i = 0
         buf: list[str] = []

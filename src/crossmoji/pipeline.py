@@ -11,16 +11,22 @@ still match, so an edit re-runs the stages that read it and those whose
 inputs then change.  Before a stage runs, the artifacts its last run
 recorded are deleted, so a run that writes fewer files leaves none stale;
 a stage that fails records what it declared under no key, so the next run
-deletes that too.  Ingest runs one job per corpus and train one per
-(corpus, run), on forked worker processes when more than one CPU is usable
-(`fan_out`).  A fixed seed reproduces embedding files and CSV reports byte
-for byte, whatever the number of workers.
+deletes that too.  Ingest cuts each input file into line-aligned byte
+ranges, one per usable CPU, and runs one job per range, which parses each
+line once for every corpus reading the file; train runs one job per
+(corpus, run).  Jobs run on forked worker processes when more than one CPU
+is usable (`fan_out`).  A fixed seed reproduces stream, embedding and CSV
+files byte for byte, whatever the number of workers.
 
-The models and streams are read once, by project, which hands analyze all
-it needs in one binary file (`write_handoff`): the per-run orthonormal
-similarity cube, the run-averaged emoji x emoji cosine profiles, the
-frequency table and the shared set.  Analyze reads nothing else that an
-earlier stage wrote.
+Ingest hands train and project type ids and counts, not text: a stream
+file holds a corpus's type table with each type's count, then the type
+ids of its posts and their lengths (`save_streams`).  Train builds the
+vocabulary from the counts and encodes the ids once per corpus; project
+counts emoji from the type table alone.  The models are read once, by
+project, which hands analyze all it needs in one binary file
+(`write_handoff`): the per-run orthonormal similarity cube, the
+run-averaged emoji x emoji cosine profiles, the frequency table and the
+shared set.  Analyze reads nothing else that an earlier stage wrote.
 """
 
 from __future__ import annotations
@@ -41,38 +47,56 @@ import numpy as np
 from . import __version__
 from .analytics import CorrelationReport, EmojiProfiles, build_report, emoji_profiles
 from .charts import emit_charts
-from .corpus import CorpusHandle, ingest_handle, read_streams, write_streams
+from .corpus import (
+    STREAM_FORMAT,
+    CorpusHandle,
+    FilterConfig,
+    IngestCounts,
+    TypeStreams,
+    ingest_range,
+    line_ranges,
+    load_streams,
+    save_streams,
+)
 from .embedding import (
     MODEL_FORMAT,
     TrainParams,
-    build_vocabulary,
+    encode_types,
     load_model,
     save_model,
-    train_run_set,
+    train_cbow,
+    vocabulary_of,
 )
 from .fileio import atomic_write, read_arrays, write_arrays
 from .inventory import (
     FrequencyTable,
     SharedEmojiSet,
-    count_frequencies,
     default_category_path,
     default_data_path,
     load_inventory,
     shared_set,
 )
 from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexicon, shared_schema
-# nothing here calls read_tensor_csv: it stays imported because
-# bench/tracer.py wraps it by this name and fails on a missing one
-from .projection import SimilarityTensor, build_tensor, read_tensor_csv, write_tensor_csv
+from .projection import SimilarityTensor, build_tensor, write_tensor_csv
+
+# nothing here calls ingest_handle, write_streams, read_streams,
+# build_vocabulary, train_run_set, count_frequencies or read_tensor_csv: each
+# stays imported because bench/tracer.py wraps it by this name and fails on
+# a missing one
+from .corpus import ingest_handle, read_streams, write_streams
+from .embedding import build_vocabulary, train_run_set
+from .inventory import count_frequencies
+from .projection import read_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
 # What each stage reads, and so what its cache key covers: fields of
-# `RunConfig.snapshot()` plus the model format (`corpora.<name>` is that
-# field of every corpus, in corpus order), and files, hashed by content:
+# `RunConfig.snapshot()` plus the stream and model formats (`corpora.<name>`
+# is that field of every corpus, in corpus order), and files, hashed by content:
 # outside inputs and the artifacts of earlier stages.  Train seeds are
 # offset by the corpus index, so train reads the corpus order.
 STAGE_READS = {
-    "ingest": (("corpora.id", "corpora.lang", "corpora.country", "corpora.pre_tokenized"),
+    "ingest": (("corpora.id", "corpora.lang", "corpora.country", "corpora.pre_tokenized",
+                "stream_format"),
                ("inputs", "emoji_data", "emoji_categories")),
     "train": (("training", "min_count", "runs", "corpora.id", "model_format"),
               ("streams/",)),
@@ -173,7 +197,7 @@ class RunConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate corpus ids: {ids}")
         for c in self.corpora:
-            # ids name files under the output directory: streams/<id>.tokens
+            # ids name files under the output directory: streams/<id>.bin
             if c.corpus_id in ("", ".", "..") or any(ch in c.corpus_id for ch in "/\\\0"):
                 raise ConfigError(f"corpus id {c.corpus_id!r} must be a plain file name")
             if c.culture not in ("West", "East"):
@@ -324,7 +348,7 @@ class Pipeline:
         return self._inventory
 
     def streams_path(self, corpus_id: str) -> Path:
-        return self.out / "streams" / f"{corpus_id}.tokens"
+        return self.out / "streams" / f"{corpus_id}.bin"
 
     def model_path(self, corpus_id: str, run: int) -> Path:
         return self.out / "models" / f"{corpus_id}.run{run}.vec"
@@ -383,8 +407,10 @@ class Pipeline:
 
     def _key(self, stage: str) -> str:
         field_names, file_names = STAGE_READS[stage]
-        # the manifest's config; a new model format must re-train, not fail to read old models
-        config = self.manifest.config | {"model_format": MODEL_FORMAT}
+        # the manifest's config; a new stream or model format must re-run
+        # the stage that writes it, not fail to read the old files
+        config = self.manifest.config | {"stream_format": STREAM_FORMAT,
+                                         "model_format": MODEL_FORMAT}
         files = self._files()
 
         def value(name: str):
@@ -439,47 +465,72 @@ class Pipeline:
             (self.out / rel).unlink(missing_ok=True)
             self._digests.pop(self.out / rel, None)
 
-    def _load_streams(self) -> dict[str, list]:
-        out = {}
-        for spec in self.config.corpora:
-            with open(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
-                out[spec.corpus_id] = list(read_streams(f))
-        return out
+    def _load_streams(self) -> dict[str, TypeStreams]:
+        return {spec.corpus_id: load_streams(self.streams_path(spec.corpus_id))
+                for spec in self.config.corpora}
 
     # --- stages ---
 
     def stage_ingest(self) -> dict:
         inventory = self.inventory  # loaded here, so that workers inherit it
-
-        def ingest(spec: CorpusHandle) -> tuple[dict, float]:
-            start = time.perf_counter()
-            streams, counts = ingest_handle(spec, inventory)
-            with self._artifact(self.streams_path(spec.corpus_id), encoding="utf-8") as f:
-                write_streams(streams, f)
-            return counts.as_dict(), time.perf_counter() - start
-
+        groups: dict[Path, list[CorpusHandle]] = {}  # the corpora reading each file
+        for spec in self.config.corpora:
+            groups.setdefault(Path(spec.input_path).resolve(), []).append(spec)
         self._declare(self._files()["streams/"] + [self.out / "counts.json"])
-        results, workers = fan_out([partial(ingest, spec) for spec in self.config.corpora])
+        shards, unreadable = [], None
+        for path in groups:
+            try:
+                shards += [(path, start, end) for start, end in line_ranges(path, usable_cpus())]
+            except OSError as exc:  # the files before it still get their streams
+                unreadable = exc
+                break
+
+        def ingest(path: Path, start: int, end: int) -> tuple:
+            began = time.perf_counter()
+            filters = [(FilterConfig(lang=spec.lang, country=spec.country), spec.pre_tokenized)
+                       for spec in groups[path]]
+            parts, lines = ingest_range(path, start, end, filters, inventory)
+            return parts, lines, time.perf_counter() - began
+
+        results, workers = fan_out([partial(ingest, *shard) for shard in shards])
+        parts = {}
+        shard_rows = []
+        for (path, start, end), (shard_parts, lines, seconds) in zip(shards, results):
+            shard_rows.append({"file": str(path), "start": start, "end": end, "lines": lines,
+                               "seconds": round(seconds, 3)})
+            for spec, part in zip(groups[path], shard_parts):
+                parts.setdefault(spec.corpus_id, []).append(part)
         counts_by_corpus, throughput = {}, {}
-        for spec, (counts, seconds) in zip(self.config.corpora, results):
-            counts_by_corpus[spec.corpus_id] = counts
-            records = counts["posts_read"]
-            throughput[spec.corpus_id] = {"seconds": round(seconds, 3), "records": records,
-                                          "posts_per_s": round(records / max(seconds, 1e-9))}
+        for spec in self.config.corpora:
+            if spec.corpus_id not in parts:
+                continue
+            with self._artifact(self.streams_path(spec.corpus_id), "wb") as f:
+                save_streams(f, TypeStreams.join(types for types, _ in parts[spec.corpus_id]))
+            counts = sum((c for _, c in parts[spec.corpus_id]), IngestCounts())
+            counts_by_corpus[spec.corpus_id] = counts.as_dict()
+            throughput[spec.corpus_id] = {
+                "seconds": round(counts.seconds, 3), "records": counts.read,
+                "posts_per_s": round(counts.read / max(counts.seconds, 1e-9))}
+        if unreadable is not None:
+            raise unreadable
         with self._artifact(self.out / "counts.json", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
-        return {"counts": counts_by_corpus, "throughput": throughput, "workers": workers}
+        return {"counts": counts_by_corpus, "throughput": throughput, "workers": workers,
+                "shards": shard_rows}
 
     def stage_train(self) -> dict:
         c = self.config
         streams = self._load_streams()
-        vocabs = {spec.corpus_id: build_vocabulary(streams[spec.corpus_id], c.min_count)
-                  for spec in c.corpora}
+        vocabs = {corpus_id: vocabulary_of(types, c.min_count)
+                  for corpus_id, types in streams.items()}
+        # encoded once, here: the workers inherit them
+        encoded = {corpus_id: encode_types(types, vocabs[corpus_id])
+                   for corpus_id, types in streams.items()}
 
         def train(corpus_id: str, seed: int, path: Path) -> tuple:
-            [model] = train_run_set(streams[corpus_id], vocabs[corpus_id],
-                                    replace(c.training, seed=seed), 1)
+            model = train_cbow(encoded[corpus_id], vocabs[corpus_id],
+                               replace(c.training, seed=seed))
             save_model(model, path)
             return model.epoch_losses, model.train_seconds
 
@@ -505,11 +556,15 @@ class Pipeline:
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        streams = self._load_streams()
+        emoji = self.inventory.entries
+        # each corpus's emoji counts, in the order its stream first has them
+        table = FrequencyTable(self.inventory, {
+            corpus_id: Counter({t: n for t, n in zip(types.types, types.counts.tolist())
+                                if t in emoji})
+            for corpus_id, types in self._load_streams().items()})
         models = {spec.corpus_id: [load_model(self.model_path(spec.corpus_id, r))
                                    for r in range(self.config.runs)]
                   for spec in self.config.corpora}
-        table = count_frequencies(streams, self.inventory)
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
             self.manifest.warnings.append(
@@ -563,31 +618,26 @@ class Pipeline:
             with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
                 f.write("no shared emoji\n")
         else:
-            for flavor, ortho in (("orthonormal", True), ("raw", False)):
-                tensor = build_tensor(
-                    models, expansions, schema, shared, self.config.culture_of,
-                    ekman_axes=ekman_axes or None, orthonormalize=ortho,
-                )
-                path = self.out / "tensors" / f"similarity_{flavor}.csv"
-                self._declare([path])
-                write_tensor_csv(tensor, path)
-                if ortho:
-                    orthonormal = tensor
-                    info["axes"] = list(tensor.axes)
-                    info["targets"] = len(tensor.targets)
-                    if tensor.dropped_categories:
-                        self.manifest.warnings.append(
-                            "dropped degenerate categories: "
-                            + ", ".join(f"{c} ({why})" for c, why in
-                                        sorted(tensor.dropped_categories.items())))
-                    if tensor.excluded_targets:
-                        self.manifest.warnings.append(
-                            f"{len(tensor.excluded_targets)} shared emoji missing from some "
-                            f"corpus vocabulary, excluded from projections")
-                    if tensor.excluded_axes:
-                        self.manifest.warnings.append(
-                            "Ekman axes excluded (word missing in some corpus): "
-                            + ", ".join(tensor.excluded_axes))
+            orthonormal = build_tensor(models, expansions, schema, shared,
+                                       self.config.culture_of, ekman_axes=ekman_axes or None)
+            path = self.out / "tensors" / "similarity_orthonormal.csv"
+            self._declare([path])
+            write_tensor_csv(orthonormal, path)
+            info["axes"] = list(orthonormal.axes)
+            info["targets"] = len(orthonormal.targets)
+            if orthonormal.dropped_categories:
+                self.manifest.warnings.append(
+                    "dropped degenerate categories: "
+                    + ", ".join(f"{c} ({why})" for c, why in
+                                sorted(orthonormal.dropped_categories.items())))
+            if orthonormal.excluded_targets:
+                self.manifest.warnings.append(
+                    f"{len(orthonormal.excluded_targets)} shared emoji missing from some "
+                    f"corpus vocabulary, excluded from projections")
+            if orthonormal.excluded_axes:
+                self.manifest.warnings.append(
+                    "Ekman axes excluded (word missing in some corpus): "
+                    + ", ".join(orthonormal.excluded_axes))
         with self._artifact(self.out / "handoff.bin", "wb") as f:
             write_handoff(f, orthonormal, emoji_profiles(models, shared), table, shared)
         return info
@@ -702,7 +752,7 @@ def write_handoff(f, tensor: Optional[SimilarityTensor], profiles: EmojiProfiles
 def read_handoff(path, inventory, culture_of) -> tuple:
     """Read what `write_handoff` wrote: (tensor or None, profiles, frequency
     table, shared set), every value exactly as project computed it."""
-    meta, (cube, profile_rows) = read_arrays(path, HANDOFF_FORMAT, 2)
+    meta, (cube, profile_rows) = read_arrays(path, HANDOFF_FORMAT, (np.float64, np.float64))
     corpora = tuple(meta["corpora"])
     tensor = None
     if meta["axes"] is not None:

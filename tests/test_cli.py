@@ -29,7 +29,7 @@ def test_all_stage_via_positional(small_config, capsys):
 
 def test_stage_flag_equivalent(small_config, capsys):
     assert main(["--config", str(small_config), "--stage", "ingest"]) == 0
-    assert (small_config.parent / "out" / "streams" / "US.tokens").exists()
+    assert (small_config.parent / "out" / "streams" / "US.bin").exists()
 
 
 def test_default_stage_is_all(small_config):

@@ -10,19 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from crossmoji.corpus import (
+    STREAM_FORMAT,
     FilterConfig,
+    IngestCounts,
     PostRecord,
     RecordError,
+    TypeStreams,
     filter_reason,
     ingest_corpus,
+    ingest_range,
+    line_ranges,
+    load_streams,
     normalize_text,
     parse_record,
     read_streams,
+    save_streams,
     tokenize,
     write_streams,
 )
 from crossmoji.inventory import load_default_inventory
+
+from util import write_mixed_feed
 
 INV = load_default_inventory()
 US = FilterConfig(lang="en", country="US")
@@ -257,17 +268,15 @@ def test_stream_io_roundtrip():
     assert list(read_streams(buf)) == streams
 
 
-def test_post_id_with_tab_or_line_break_is_a_parse_error(tmp_path):
+def test_post_id_with_tab_or_line_break_is_kept_and_counted():
+    # stream files hold no post ids, so any post id is fine
     lines = [jline("1", "hello \U0001F604"), jline("a\tb", "tab"), jline("c\nd", "newline"),
              jline("e\rf", "return"), jline("g\r\nh", "both"), jline("2", "bye \U0001F62D")]
     streams, counts = ingest_corpus(lines, US, INV)
-    assert counts.parse_errors == 4
-    assert [s.post_id for s in streams] == ["1", "2"]
-    path = tmp_path / "US.tokens"
-    with open(path, "w", encoding="utf-8") as f:
-        write_streams(streams, f)
-    with open(path, encoding="utf-8") as f:
-        assert list(read_streams(f)) == streams
+    assert counts.parse_errors == 0
+    assert counts.read == counts.kept == counts.streams == 6
+    assert [s.post_id for s in streams] == ["1", "a\tb", "c\nd", "e\rf", "g\r\nh", "2"]
+    assert [s.tokens for s in streams][1:5] == [("tab",), ("newline",), ("return",), ("both",)]
 
 
 def test_corpus_level_pre_tokenized_flag():
@@ -293,3 +302,118 @@ def test_ingest_handle_reads_its_input_file(tmp_path):
         "streams_written": 1}
     streams, _ = ingest_handle(dataclasses.replace(handle, pre_tokenized=True), INV)
     assert [s.tokens for s in streams] == [("Hello", "\U0001F604")]  # no lowercasing
+
+
+# --- byte-range shards and stream files ---------------------------------------------
+
+JP = FilterConfig(lang="en", country="JP")
+
+
+def same_streams(a: TypeStreams, b: TypeStreams) -> bool:
+    return (a.types == b.types and a.ids.dtype == b.ids.dtype == np.int32
+            and np.array_equal(a.ids, b.ids) and np.array_equal(a.lengths, b.lengths))
+
+
+def test_line_ranges_cut_only_after_a_line_feed_and_cover_the_file(tmp_path):
+    path = write_mixed_feed(tmp_path / "mixed.jsonl")
+    data = path.read_bytes()
+    for parts in (1, 2, 3, 7, 50, len(data)):
+        ranges = line_ranges(path, parts)
+        assert 1 <= len(ranges) <= parts
+        assert [s for s, _ in ranges] == [0] + [e for _, e in ranges[:-1]]
+        assert ranges[-1][1] == len(data)
+        assert all(data[s - 1:s] == b"\n" for s, _ in ranges[1:])
+    # with a cut after every line feed, some cut lands next to a multi-byte character
+    starts = [s for s, _ in line_ranges(path, len(data))]
+    assert len(starts) == 1 + data.count(b"\n")  # no line feed ends the file
+    assert any(data[s] >= 0x80 for s in starts) and any(data[s - 2] >= 0x80 for s in starts[1:])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert line_ranges(empty, 4) == [(0, 0)]
+
+
+def test_sharded_ingest_equals_one_text_mode_pass(tmp_path):
+    # each line is parsed once for both corpora, whatever the cuts, and the
+    # joined parts equal what one pass over the file in text mode gives
+    path = write_mixed_feed(tmp_path / "mixed.jsonl")
+    corpora = [(US, False), (JP, False)]
+    with open(path, encoding="utf-8") as f:
+        lines = list(f)
+    assert any(line.endswith("\u2713\n") for line in lines)
+    expected = [ingest_corpus(lines, config, INV, pre_tokenized=pre) for config, pre in corpora]
+    assert [c.as_dict()["parse_errors"] for _, c in expected] == [6, 6]
+    for parts in (1, 2, 5, path.stat().st_size):
+        shards = [ingest_range(path, s, e, corpora, INV) for s, e in line_ranges(path, parts)]
+        assert sum(n for _, n in shards) == len(lines)
+        for k, (streams, counts) in enumerate(expected):
+            joined = TypeStreams.join(results[k][0] for results, _ in shards)
+            assert same_streams(joined, TypeStreams.of(streams)), parts
+            total = sum((results[k][1] for results, _ in shards), IngestCounts())
+            assert total.as_dict() == counts.as_dict(), parts
+
+
+def test_ingest_counts_add_field_by_field():
+    a = IngestCounts(read=3, parse_errors=1, kept=2, empty_streams=1, streams=1, seconds=0.5)
+    a.dropped["lang"] = 4
+    b = IngestCounts(read=5, kept=1, streams=1, seconds=0.25)
+    b.dropped["retweet"] = 2
+    total = a + b
+    assert total.as_dict() == {
+        "posts_read": 8, "parse_errors": 1, "dropped_lang": 4, "dropped_country": 0,
+        "dropped_retweet": 2, "posts_after_filter": 3, "empty_streams": 1,
+        "streams_written": 2}
+    assert total.seconds == 0.75
+    assert a.dropped == {"lang": 4, "country": 0, "retweet": 0}  # the parts stay as they were
+
+
+def test_type_streams_of_and_join():
+    posts = [("a", "b", "a"), ("c",), ("b", "d", "a")]
+    types = TypeStreams.of(posts)
+    assert types.types == ("a", "b", "c", "d")
+    assert types.ids.tolist() == [0, 1, 0, 2, 1, 3, 0]
+    assert types.lengths.tolist() == [3, 1, 3]
+    assert types.counts.tolist() == [3, 2, 1, 1]
+    for cut in range(len(posts) + 1):
+        joined = TypeStreams.join([TypeStreams.of(posts[:cut]), TypeStreams.of(posts[cut:])])
+        assert same_streams(joined, types)
+
+
+def saved_streams(tmp_path):
+    lines = [jline("1", "hello \U0001F604 hello"), jline("2", "bye \U0001F62D now")]
+    types = TypeStreams.of(ingest_corpus(lines, US, INV)[0])
+    with open(tmp_path / "US.bin", "wb") as f:
+        save_streams(f, types)
+    return types, tmp_path / "US.bin"
+
+
+def test_stream_file_round_trip(tmp_path):
+    types, path = saved_streams(tmp_path)
+    assert same_streams(load_streams(path), types)
+    meta = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert meta == {"format": STREAM_FORMAT, "types": ["hello", "\U0001F604", "bye",
+                                                       "\U0001F62D", "now"],
+                    "counts": [2, 1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("meta, arrays, match", [
+    ({"format": "crossmoji-streams 0"}, None, "not a crossmoji-streams 1 file"),
+    ({}, [np.array([0, 1, 0, 2], np.int64), np.array([3, 1], np.int32)],
+     "an array is int64, expected int32"),
+    ({}, [np.array([0, 1, 0, 2], np.float64), np.array([3, 1], np.int32)],
+     "an array is float64, expected int32"),
+    ({}, [np.array([0, 1, 0, 2], np.int32)], "EOF|No data"),
+    ({}, [np.array([0, 1, 0, 2], np.int32), np.array([3, 2], np.int32)], "disagree"),
+    ({}, [np.array([0, 1, 0, 3], np.int32), np.array([3, 1], np.int32)], "disagree"),
+    ({"counts": [1, 1, 1]}, None, "disagree"),
+], ids=["old-format", "int64-ids", "float-ids", "no-lengths", "lengths-sum", "id-out-of-range",
+        "wrong-counts"])
+def test_stream_file_of_wrong_format_or_dtype_raises(tmp_path, meta, arrays, match):
+    path = tmp_path / "US.bin"
+    meta = {"format": STREAM_FORMAT, "types": ["a", "b", "c"], "counts": [2, 1, 1]} | meta
+    arrays = arrays or [np.array([0, 1, 0, 2], np.int32), np.array([3, 1], np.int32)]
+    with open(path, "wb") as f:  # as `write_arrays` writes, but any dtype
+        f.write(json.dumps(meta).encode() + b"\n")
+        for array in arrays:
+            np.save(f, array)
+    with pytest.raises((ValueError, EOFError), match=match):
+        load_streams(path)

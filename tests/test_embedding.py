@@ -16,6 +16,7 @@ from crossmoji.embedding import (
     build_vocabulary,
     cbow_gradients,
     cbow_loss,
+    encode_streams,
     load_model,
     neighbors,
     save_model,
@@ -61,6 +62,30 @@ def test_vocabulary_matches_hash_count_oracle():
 def test_empty_vocabulary_fatal():
     with pytest.raises(EmptyVocabularyError):
         build_vocabulary(streams("a b c"), min_count=5)
+
+
+def test_vocabulary_orders_by_count_then_token():
+    vocab = build_vocabulary(streams("c b a", "b a d", "d e e"), min_count=1)
+    assert vocab.tokens == ("a", "b", "d", "e", "c")
+    assert vocab.counts == (2, 2, 2, 2, 1)
+
+
+def test_encoding_drops_out_of_vocabulary_tokens_and_emptied_posts():
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(30)]
+    sents = [" ".join(rng.choice(words, size=rng.integers(1, 6))) for _ in range(300)]
+    sents += ["", "w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0 w0"]
+    vocab = build_vocabulary(streams(*sents), min_count=30)
+    ids, lengths = encode_streams(streams(*sents), vocab)
+    want_ids, want_lengths = [], []
+    for s in sents:
+        sentence = [vocab.index[t] for t in s.split() if t in vocab]
+        if sentence:
+            want_ids += sentence
+            want_lengths.append(len(sentence))
+    assert 0 < len(want_lengths) < len(sents)  # some posts have no token left
+    assert ids.dtype == lengths.dtype == np.int64
+    assert ids.tolist() == want_ids and lengths.tolist() == want_lengths
 
 
 def test_indices_dense():
@@ -146,7 +171,8 @@ def test_same_seed_same_model():
     sents = streams(*(["the cat sat on the mat"] * 30))
     vocab = build_vocabulary(sents, min_count=1)
     p = TrainParams(dim=8, epochs=2, window=2, negatives=2, subsample=0.0, seed=5)
-    m1, m2 = train_cbow(sents, vocab, p), train_cbow(sents, vocab, p)
+    encoded = encode_streams(sents, vocab)
+    m1, m2 = train_cbow(encoded, vocab, p), train_cbow(encoded, vocab, p)
     assert np.array_equal(m1.syn0, m2.syn0)
 
 
@@ -157,7 +183,8 @@ def test_linear_lr_decay_trace():
     vocab = build_vocabulary(sents, min_count=1)
     params = TrainParams(dim=4, epochs=3, window=2, negatives=2, subsample=0.0, seed=1)
     trace = []
-    train_cbow(sents, vocab, params, alpha_trace=lambda done, a: trace.append((done, a)))
+    train_cbow(encode_streams(sents, vocab), vocab, params,
+               alpha_trace=lambda done, a: trace.append((done, a)))
     total = 5 * 40 * 3
     for done, alpha in trace:
         expected = max(params.lr0 + (done / total) * (params.lr_min - params.lr0),
@@ -173,7 +200,7 @@ def test_loss_decreases_between_epochs():
     sents = streams(*(["the quick brown fox jumps over the lazy dog"] * 50))
     vocab = build_vocabulary(sents, min_count=1)
     params = TrainParams(dim=16, epochs=2, window=3, negatives=3, subsample=0.0, seed=3)
-    model = train_cbow(sents, vocab, params)
+    model = train_cbow(encode_streams(sents, vocab), vocab, params)
     assert len(model.epoch_losses) == 2
     assert model.epoch_losses[1] < model.epoch_losses[0]
 
@@ -192,7 +219,7 @@ def test_planted_synonyms_become_neighbors():
     st = streams(*sents)
     vocab = build_vocabulary(st, min_count=1)
     params = TrainParams(dim=20, epochs=3, window=2, negatives=4, subsample=0.0, seed=2)
-    model = train_cbow(st, vocab, params)
+    model = train_cbow(encode_streams(st, vocab), vocab, params)
     top3 = [t for t, _ in neighbors(model, "cat", 3)]
     assert "feline" in top3
 
@@ -201,8 +228,8 @@ def test_deterministic_mode_bit_identical():
     sents = streams(*(["alpha beta gamma delta epsilon"] * 25))
     vocab = build_vocabulary(sents, min_count=1)
     params = TrainParams(dim=12, epochs=2, window=2, negatives=3, seed=9)
-    m1 = train_cbow(sents, vocab, params)
-    m2 = train_cbow(sents, vocab, params)
+    m1 = train_cbow(encode_streams(sents, vocab), vocab, params)
+    m2 = train_cbow(encode_streams(sents, vocab), vocab, params)
     assert np.array_equal(m1.syn0, m2.syn0)
     assert m1.epoch_losses == m2.epoch_losses
 
@@ -228,7 +255,8 @@ def test_single_token_vocabulary_rejected():
     sents = streams("a a a a")
     vocab = build_vocabulary(sents, min_count=2)
     with pytest.raises(EmptyVocabularyError, match="negatives"):
-        train_cbow(sents, vocab, TrainParams(dim=4, epochs=1, window=2, negatives=2))
+        train_cbow(encode_streams(sents, vocab), vocab,
+                   TrainParams(dim=4, epochs=1, window=2, negatives=2))
 
 
 def test_position_update_accumulates_duplicate_indices():
@@ -392,7 +420,7 @@ def trained_tiny_model():
     sents = streams(*(["red green blue yellow"] * 15))
     vocab = build_vocabulary(sents, min_count=1)
     params = TrainParams(dim=5, epochs=2, window=2, negatives=2, seed=42)
-    return train_cbow(sents, vocab, params)
+    return train_cbow(encode_streams(sents, vocab), vocab, params)
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -1,12 +1,14 @@
-"""Atomic artifact writes, and the rule that every write goes through them."""
+"""Atomic artifact writes, the rule that every write goes through them,
+and the binary array layout."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossmoji
-from crossmoji.fileio import atomic_write
+from crossmoji.fileio import atomic_write, read_arrays, write_arrays
 
 
 @pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["over-old-file", "no-old-file"])
@@ -83,3 +85,25 @@ q.open()
 q.open(encoding="utf-8")
 """
     assert sorted(in_place_writes(ast.parse(source))) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_arrays_keep_their_dtype(tmp_path):
+    floats, ints = np.linspace(0, 1, 6).reshape(2, 3), np.array([3, -1, 2**31 - 1], np.int32)
+    with open(tmp_path / "a.bin", "wb") as f:
+        write_arrays(f, {"format": "test 1", "n": 2}, [floats, ints])
+    meta, (f64, i32) = read_arrays(tmp_path / "a.bin", "test 1", (np.float64, np.int32))
+    assert meta == {"format": "test 1", "n": 2}
+    assert f64.dtype == np.float64 and np.array_equal(f64, floats)
+    assert i32.dtype == np.int32 and np.array_equal(i32, ints)
+    with pytest.raises(ValueError, match="an array is int32, expected float64"):
+        read_arrays(tmp_path / "a.bin", "test 1", (np.float64, np.float64))
+    with pytest.raises(ValueError, match="not a test 2 file"):
+        read_arrays(tmp_path / "a.bin", "test 2", (np.float64, np.int32))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_arrays(tmp_path / "a.bin", "test 1", (np.float64,))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.uint8])
+def test_write_arrays_refuses_other_dtypes(tmp_path, dtype):
+    with open(tmp_path / "a.bin", "wb") as f, pytest.raises(ValueError, match="cannot write"):
+        write_arrays(f, {"format": "test 1"}, [np.zeros(2, dtype)])

@@ -1,6 +1,7 @@
 """End-to-end pipeline: staging, resumability, determinism, reporting."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -15,8 +16,15 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.embedding import TrainParams
-from crossmoji.inventory import EmojiInventory
+from crossmoji.corpus import ingest_handle, load_streams, write_streams
+from crossmoji.embedding import (
+    TrainParams,
+    build_vocabulary,
+    encode_streams,
+    encode_types,
+    vocabulary_of,
+)
+from crossmoji.inventory import EmojiInventory, load_default_inventory
 from crossmoji.pipeline import (
     SCHEMA,
     STAGES,
@@ -26,9 +34,8 @@ from crossmoji.pipeline import (
     load_config,
     read_report_json,
 )
-from crossmoji.projection import SimilarityTensor
 
-from util import edit_config, write_two_culture_setup
+from util import edit_config, write_mixed_feed, write_two_culture_setup
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +54,12 @@ def test_all_stages_complete_and_artifacts_exist(completed_run):
     out = Path(config.out_dir)
     assert all(manifest.stages[s]["completed"] for s in
                ("ingest", "train", "project", "analyze", "report"))
-    assert (out / "streams" / "US.tokens").exists()
+    assert (out / "streams" / "US.bin").exists()
     assert (out / "models" / "US.run0.vec").exists()
     assert (out / "models" / "JP.run1.vec").exists()
     assert (out / "tensors" / "similarity_orthonormal.csv").exists()
-    assert (out / "tensors" / "similarity_raw.csv").exists()
+    assert not (out / "tensors" / "similarity_raw.csv").exists()  # no stage read it
+    assert (out / "handoff.bin").exists()
     assert (out / "report" / "report.json").exists()
     assert (out / "report" / "category_scc.csv").exists()
     assert (out / "manifest.json").exists()
@@ -350,7 +358,7 @@ def test_smaller_rerun_leaves_no_stale_artifacts(completed_run, tmp_path):
                  if c["culture"] == "West"])
     config = load_config(tmp_path / "run" / "config.json")
     assert ran(Pipeline(config).run("all")) == list(STAGES)
-    assert not (config.out_dir / "streams" / "JP.tokens").exists()
+    assert not (config.out_dir / "streams" / "JP.bin").exists()
     assert not (config.out_dir / "report" / "category_scc.csv").exists()
     assert_only_recorded_files(config)
 
@@ -437,7 +445,7 @@ def test_stage_failure_names_stage_and_keeps_partial_artifacts(tmp_path):
     with pytest.raises(PipelineStageError, match="ingest"):
         Pipeline(config).run("all")
     # the first corpus's streams were written before the failure
-    assert (Path(config.out_dir) / "streams" / "US.tokens").exists()
+    assert (Path(config.out_dir) / "streams" / "US.bin").exists()
     assert (Path(config.out_dir) / "manifest.json").exists()
 
 
@@ -450,16 +458,16 @@ def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
     with pytest.raises(PipelineStageError, match="ingest"):
         Pipeline(load_config(cfg_path)).run("all")
     out = tmp_path / "out"
-    assert (out / "streams" / "US.tokens").exists()
+    assert (out / "streams" / "US.bin").exists()
     marker = json.loads((out / ".stage_ingest.json").read_text())
     assert marker["key"] is None
-    assert set(marker["artifacts"]) == {"streams/US.tokens", "streams/JP.tokens", "counts.json"}
+    assert set(marker["artifacts"]) == {"streams/US.bin", "streams/JP.bin", "counts.json"}
     edit_config(cfg_path, "corpora", [
         {"id": "JP", "culture": "East", "input": "east-kept.jsonl", "lang": "en",
          "country": "JP", "lexicon": "demo.dic"}])
     config = load_config(cfg_path)
     assert ran(Pipeline(config).run("all")) == list(STAGES)
-    assert not (out / "streams" / "US.tokens").exists()
+    assert not (out / "streams" / "US.bin").exists()
     assert_only_recorded_files(config)
 
 
@@ -467,18 +475,17 @@ def cut_off(*args):
     raise OSError("disk full")
 
 
-def fail_raw_tensor(monkeypatch) -> str:
-    """project: the raw tensor write raises after its per-run rows."""
-    write = pipeline.write_tensor_csv
+def fail_handoff(monkeypatch) -> str:
+    """project: the hand-off write raises after its JSON line, once the
+    tensor CSV is whole."""
+    write = pipeline.write_arrays
 
-    def failing(tensor, path):
-        with monkeypatch.context() as m:
-            if Path(path).name == "similarity_raw.csv":
-                m.setattr(SimilarityTensor, "culture_mean", cut_off)
-            write(tensor, path)
+    def failing(f, meta, arrays):
+        write(f, meta, [])
+        cut_off()
 
-    monkeypatch.setattr(pipeline, "write_tensor_csv", failing)
-    return "tensors/similarity_raw.csv"
+    monkeypatch.setattr(pipeline, "write_arrays", failing)
+    return "handoff.bin"
 
 
 def fail_icon_table(monkeypatch) -> str:
@@ -518,7 +525,7 @@ def fail_second_chart(monkeypatch) -> str:
 
 
 @pytest.mark.parametrize("stage, fail", [
-    ("project", fail_raw_tensor), ("analyze", fail_icon_table), ("report", fail_second_chart),
+    ("project", fail_handoff), ("analyze", fail_icon_table), ("report", fail_second_chart),
 ], ids=["project", "analyze", "report"])
 def test_stage_failing_after_its_first_artifact_leaves_nothing_unrecorded(
         tmp_path, monkeypatch, stage, fail):
@@ -681,8 +688,17 @@ def test_manifest_records_train_throughput_per_run(completed_run):
         assert info["records"] == ingest["counts"][corpus_id]["posts_read"] > 0
         assert info["seconds"] > 0
         assert within_rounding(info["records"], info["seconds"], info["posts_per_s"])
+    # one shard row per byte range: the ranges of each file cover it in order
     cpus = pipeline.usable_cpus()
-    assert ingest["workers"] == min(len(config.corpora), cpus)
+    shards = ingest["shards"]
+    for spec in config.corpora:
+        rows = [r for r in shards if r["file"] == str(spec.input_path.resolve())]
+        assert 1 <= len(rows) <= cpus
+        assert [r["start"] for r in rows] == [0] + [r["end"] for r in rows[:-1]]
+        assert rows[-1]["end"] == spec.input_path.stat().st_size
+        assert sum(r["lines"] for r in rows) == ingest["counts"][spec.corpus_id]["posts_read"]
+        assert all(r["seconds"] >= 0 for r in rows)
+    assert ingest["workers"] == min(len(shards), cpus)
     assert train["workers"] == min(len(config.corpora) * config.runs, cpus)
 
 
@@ -700,6 +716,98 @@ def test_one_and_two_workers_give_identical_outputs(tmp_path, monkeypatch):
         assert manifest.stages["train"]["workers"] == cpus
         results[cpus] = outputs(config.out_dir, also=("models", "streams"))
     assert results[1] == results[2]
+
+
+def test_streams_and_counts_identical_at_any_shard_count(tmp_path, monkeypatch):
+    # two corpora read one file with every kind of line end, blank and
+    # malformed lines; cut into two shards, or after every line feed, it
+    # gives the bytes one shard gives
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=3)
+    write_mixed_feed(tmp_path / "mixed.jsonl")
+    raw = json.loads(cfg_path.read_text())
+    for corpus in raw["corpora"]:
+        corpus["input"] = "mixed.jsonl"
+    cfg_path.write_text(json.dumps(raw))
+    line_ranges = pipeline.line_ranges
+    results = {}
+    for cpus, parts in ((1, None), (2, None), (2, 10**6)):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        if parts:
+            monkeypatch.setattr(pipeline, "line_ranges",
+                                lambda path, _: line_ranges(path, parts))
+        config = load_config(cfg_path, out_dir=str(tmp_path / f"cpus{cpus}-{parts}"))
+        ingest = Pipeline(config).run("ingest").stages["ingest"]
+        assert len(ingest["shards"]) == (cpus if not parts else
+                                         (tmp_path / "mixed.jsonl").read_bytes().count(b"\n") + 1)
+        assert ingest["workers"] == cpus
+        out = config.out_dir
+        results[cpus, parts] = {p.relative_to(out).as_posix(): p.read_bytes()
+                                for p in [out / "counts.json", *(out / "streams").iterdir()]}
+    assert results[1, None] == results[2, None] == results[2, 10**6]
+    assert len(results[1, None]) == 3
+    counts = json.loads(results[1, None]["counts.json"])
+    assert {c: (n["posts_read"], n["parse_errors"], n["streams_written"])
+            for c, n in counts.items()} == {"US": (28, 6, 9), "JP": (28, 6, 7)}
+
+
+def test_directory_ingested_with_text_streams_reingests(completed_run, tmp_path, monkeypatch):
+    # an output directory ingested before stream files had a format: text
+    # streams, and an ingest key without the stream format.  Ingest re-runs
+    # and writes the same stream files, so the later stages stay complete.
+    config = copy_run(completed_run, tmp_path)
+    out = config.out_dir
+    before = outputs(out, also=("models", "streams"))
+    fields, files = pipeline.STAGE_READS["ingest"]
+    with monkeypatch.context() as m:
+        m.setitem(pipeline.STAGE_READS, "ingest",
+                  (tuple(f for f in fields if f != "stream_format"), files))
+        old_key = Pipeline(config)._key("ingest")
+    artifacts = {}
+    for spec in config.corpora:
+        (out / "streams" / f"{spec.corpus_id}.bin").unlink()
+        text = out / "streams" / f"{spec.corpus_id}.tokens"
+        with open(text, "w", encoding="utf-8") as f:
+            write_streams(ingest_handle(spec, load_default_inventory())[0], f)
+        artifacts[f"streams/{spec.corpus_id}.tokens"] = hashlib.sha256(
+            text.read_bytes()).hexdigest()
+    marker = json.loads((out / ".stage_ingest.json").read_text())
+    artifacts["counts.json"] = marker["artifacts"]["counts.json"]
+    (out / ".stage_ingest.json").write_text(json.dumps(marker | {
+        "key": old_key, "artifacts": artifacts}))
+    assert incomplete(config)[0] == "ingest"
+    assert ran(Pipeline(config).run("all")) == ["ingest"]
+    assert not list((out / "streams").glob("*.tokens"))
+    assert outputs(out, also=("models", "streams")) == before
+    assert_only_recorded_files(config)
+
+
+def encode_token_loop(streams, vocab):
+    """What train encoded from text streams before: one id per
+    in-vocabulary token, streams without one dropped."""
+    ids, lengths = [], []
+    for stream in streams:
+        sentence = [vocab.index[t] for t in stream.tokens if t in vocab.index]
+        if sentence:
+            ids.extend(sentence)
+            lengths.append(len(sentence))
+    return np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64)
+
+
+def test_train_input_from_type_counts_equals_token_streams(completed_run):
+    # vocabulary and training ids built from a stream file's type table
+    # equal those built from the corpus's token streams
+    _, config, manifest = completed_run
+    inventory = load_default_inventory()
+    for spec in config.corpora:
+        streams, _ = ingest_handle(spec, inventory)
+        types = load_streams(config.out_dir / "streams" / f"{spec.corpus_id}.bin")
+        vocab = vocabulary_of(types, config.min_count)
+        assert vocab == build_vocabulary(streams, config.min_count)
+        assert len(vocab) == manifest.stages["train"]["training"][spec.corpus_id]["vocabulary"]
+        want = encode_token_loop(streams, vocab)
+        for ids, lengths in (encode_types(types, vocab), encode_streams(streams, vocab)):
+            assert ids.dtype == lengths.dtype == np.int64
+            assert np.array_equal(ids, want[0]) and np.array_equal(lengths, want[1])
 
 
 def test_fan_out_keeps_call_order_and_runs_in_workers(monkeypatch):

@@ -62,6 +62,37 @@ CATEGORY_EMOJI = {
 ALL_EMOJI = [E1, E2] + [e for pair in CATEGORY_EMOJI.values() for e in pair]
 
 
+def write_mixed_feed(path: Path, copies: int = 3) -> Path:
+    """One JSON-lines file of US and JP posts (both `en`) that uses every
+    line end text-mode reading knows ("\\n", "\\r\\n" and a bare "\\r"),
+    with blank lines, malformed lines, a repost, other languages, a
+    pre-tokenized post and no final line end.  A malformed line starts
+    with a multi-byte UTF-8 character and one ends with one, so a cut
+    after any "\\n" lands next to one."""
+    def record(i, text, country="US", **extra):
+        return json.dumps({"post_id": f"{country}-{i}", "text": text, "country": country,
+                           "lang": extra.pop("lang", "en"), **extra}, ensure_ascii=False)
+
+    chunks = []
+    for i in range(copies):
+        chunks += [
+            record(i, "hello \U0001F604 world") + "\r\n",
+            "\u00fcnot json at all\n",
+            "\n",
+            "   \r\n",
+            record(i, "bare return \U0001F4B8") + "\r",
+            record(i, "ramen \U0001F35C tonight", "JP") + "\n",
+            record(i, "RT @x: copy") + "\n",
+            "{broken \u2713\n",
+            record(i, "bonjour \U0001F604", lang="fr") + "\n",
+            record(i, "Tokyo NOW \U0001F35C", "JP", pre_tokenized=True) + "\r\n",
+            record(i, "see http://a.b ok @sam :)") + "\n",
+        ]
+    chunks.append(record(copies, "last \U0001F35C\U0001F604", "JP"))
+    path.write_bytes("".join(chunks).encode("utf-8"))
+    return path
+
+
 def write_demo_lexicon(path: Path) -> Path:
     lines = ["%"]
     for i, cat in enumerate(CATS, start=1):
