@@ -60,7 +60,6 @@ from .lexicon import (
 )
 from .projection import (
     SimilarityTensor,
-    build_category_vectors,
     build_tensor,
     category_vector,
     cosine,

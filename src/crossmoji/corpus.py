@@ -78,10 +78,12 @@ def parse_record(line: str) -> PostRecord:
     missing = [k for k in ("post_id", "text", "country", "lang") if k not in obj]
     if missing:
         raise RecordError(f"missing fields: {', '.join(missing)}")
-    text = str(obj["text"])
+    text, country, lang = obj["text"], obj["country"], obj["lang"]
+    for name, value in (("text", text), ("country", country), ("lang", lang)):
+        if not isinstance(value, str):
+            raise RecordError(f"{name} must be a string, got {json.dumps(value)}")
     if not text.strip():
         raise RecordError("empty text")
-    country, lang = str(obj["country"]), str(obj["lang"])
     if not country or not lang:
         raise RecordError("empty country or lang")
     pre_tokenized = obj.get("pre_tokenized", False)

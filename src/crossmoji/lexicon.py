@@ -30,10 +30,6 @@ class Lexicon:
     id_to_name: Mapping[int, str]
     patterns: Mapping[str, tuple[str, ...]]  # category name -> patterns
 
-    @property
-    def category_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.patterns))
-
     def __contains__(self, name: str) -> bool:
         return name in self.patterns
 
@@ -70,6 +66,8 @@ def parse_lexicon(path, language: str) -> Lexicon:
         cid, name = int(parts[0]), parts[1]
         if name in names_seen:
             raise LexiconFormatError(f"{path}:{line_no + 1}: duplicate category name {name!r}")
+        if cid in id_to_name:
+            raise LexiconFormatError(f"{path}:{line_no + 1}: duplicate category id {cid}")
         names_seen.add(name)
         id_to_name[cid] = name
 
@@ -160,16 +158,13 @@ def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> ExpansionRes
 
 
 def shared_schema(lexicons: Sequence[Lexicon]) -> tuple[str, ...]:
-    """Lexicographically ordered intersection of category names.
+    """Lexicographically ordered intersection of the lexicons' category
+    names (one lexicon's names, sorted, when there is one).
 
     This order is what downstream orthonormalization consumes, so it must
     be deterministic.
     """
-    if len(lexicons) < 2:
-        raise SchemaError("need at least two lexicons to build a shared schema")
-    common = set(lexicons[0].patterns)
-    for lex in lexicons[1:]:
-        common &= set(lex.patterns)
+    common = set.intersection(*(set(lex.patterns) for lex in lexicons))
     if not common:
         raise SchemaError("lexicons share no category names")
     return tuple(sorted(common))
@@ -196,7 +191,7 @@ class EkmanWordList:
     def __post_init__(self):
         for language, emotions in self.words.items():
             for emotion, forms in emotions.items():
-                if len(forms) != 2 or not all(forms):
+                if len(forms) != 2 or not all(isinstance(w, str) and w for w in forms):
                     raise LexiconFormatError(
                         f"ekman list for {language!r}/{emotion!r} must be exactly [noun, adjective]"
                     )
@@ -217,11 +212,18 @@ def load_ekman(path) -> EkmanWordList:
         data = json.load(f)
     if not isinstance(data, dict):
         raise LexiconFormatError(f"{path}: expected a JSON object keyed by language")
-    words = {
-        lang: {emotion: tuple(forms) for emotion, forms in emotions.items()}
-        for lang, emotions in data.items()
-    }
-    return EkmanWordList(words=words)
+    for lang, emotions in data.items():
+        if not (isinstance(emotions, dict)
+                and all(isinstance(forms, list) for forms in emotions.values())):
+            raise LexiconFormatError(
+                f"{path}: {lang!r} must map each emotion to a [noun, adjective] list")
+    try:
+        return EkmanWordList(words={
+            lang: {emotion: tuple(forms) for emotion, forms in emotions.items()}
+            for lang, emotions in data.items()
+        })
+    except LexiconFormatError as exc:
+        raise LexiconFormatError(f"{path}: {exc}") from None
 
 
 def default_ekman_path():

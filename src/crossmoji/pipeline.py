@@ -422,18 +422,19 @@ class Pipeline:
         blob = json.dumps(parts, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    def _holds(self, stage: str, key: str) -> bool:
+        """The stage's marker holds `key`, and every artifact the marker
+        lists is still there with the digest it was written with."""
+        marker = self._read_marker(stage)
+        artifacts = marker.get("artifacts")
+        return (marker.get("key") == key and isinstance(artifacts, dict)
+                and all(self._digest(self.out / rel) == digest
+                        for rel, digest in artifacts.items()))
+
     def _is_complete(self, stage: str) -> bool:
-        """For this stage and every stage before it, the marker holds the
-        stage's current key, and every artifact the marker lists is still
-        there with the digest it was written with."""
-        for name in STAGES[:STAGES.index(stage) + 1]:
-            marker = self._read_marker(name)
-            artifacts = marker.get("artifacts")
-            if not (marker.get("key") == self._key(name) and isinstance(artifacts, dict)
-                    and all(self._digest(self.out / rel) == digest
-                            for rel, digest in artifacts.items())):
-                return False
-        return True
+        """This stage and every stage before it hold their current keys."""
+        return all(self._holds(name, self._key(name))
+                   for name in STAGES[:STAGES.index(stage) + 1])
 
     def _write_marker(self, stage: str, key: Optional[str], extra: dict,
                       warnings: list) -> None:
@@ -570,37 +571,12 @@ class Pipeline:
             self.manifest.warnings.append(
                 f"no emoji passes the shared-set threshold {self.config.shared_threshold}")
 
-        lexicons = {
-            spec.corpus_id: parse_lexicon(spec.lexicon_path, spec.lang)
-            for spec in self.config.corpora
-        }
-        schema = shared_schema(list(lexicons.values())) if len(lexicons) > 1 else \
-            lexicons[self.config.corpora[0].corpus_id].category_names
+        lexicons = [parse_lexicon(spec.lexicon_path, spec.lang) for spec in self.config.corpora]
+        schema = shared_schema(lexicons)
         expansions = {}
-        for spec in self.config.corpora:
-            vocab_tokens = models[spec.corpus_id][0].vocab.tokens
-            exp = expand_patterns(lexicons[spec.corpus_id], vocab_tokens)
+        for spec, lexicon in zip(self.config.corpora, lexicons):
+            exp = expand_patterns(lexicon, models[spec.corpus_id][0].vocab.tokens)
             expansions[spec.corpus_id] = {c: sorted(exp.tokens[c]) for c in schema}
-
-        # two categories expanding to the same token set have identical
-        # category vectors and would make orthonormalization fail; keep the
-        # first and drop the rest, symmetrically across corpora
-        duplicate_of: dict[str, str] = {}
-        for corpus_id, expanded in expansions.items():
-            seen: dict[frozenset, str] = {}
-            for cat in schema:
-                key = frozenset(expanded[cat])
-                if not key or cat in duplicate_of:
-                    continue
-                if key in seen:
-                    duplicate_of[cat] = f"{seen[key]} (identical tokens in {corpus_id})"
-                else:
-                    seen[key] = cat
-        if duplicate_of:
-            schema = tuple(c for c in schema if c not in duplicate_of)
-            self.manifest.warnings.append(
-                "dropped categories duplicating another's token set: "
-                + ", ".join(f"{c} = {why}" for c, why in sorted(duplicate_of.items())))
 
         ekman = load_ekman(self.config.ekman_words)
         ekman_axes = {}
@@ -613,33 +589,31 @@ class Pipeline:
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
 
         info = {"schema": list(schema), "shared_emoji": len(shared)}
-        orthonormal = None
+        tensor = None
         if len(shared) == 0:
             with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
                 f.write("no shared emoji\n")
         else:
-            orthonormal = build_tensor(models, expansions, schema, shared,
-                                       self.config.culture_of, ekman_axes=ekman_axes or None)
+            tensor = build_tensor(models, expansions, schema, shared,
+                                  self.config.culture_of, ekman_axes=ekman_axes or None)
             path = self.out / "tensors" / "similarity_orthonormal.csv"
             self._declare([path])
-            write_tensor_csv(orthonormal, path)
-            info["axes"] = list(orthonormal.axes)
-            info["targets"] = len(orthonormal.targets)
-            if orthonormal.dropped_categories:
+            write_tensor_csv(tensor, path)
+            info["axes"] = list(tensor.axes)
+            info["targets"] = len(tensor.targets)
+            if tensor.dropped_categories:
+                self.manifest.warnings.append("dropped categories: " + ", ".join(
+                    f"{c} ({why})" for c, why in tensor.dropped_categories.items()))
+            if tensor.excluded_targets:
                 self.manifest.warnings.append(
-                    "dropped degenerate categories: "
-                    + ", ".join(f"{c} ({why})" for c, why in
-                                sorted(orthonormal.dropped_categories.items())))
-            if orthonormal.excluded_targets:
-                self.manifest.warnings.append(
-                    f"{len(orthonormal.excluded_targets)} shared emoji missing from some "
+                    f"{len(tensor.excluded_targets)} shared emoji missing from some "
                     f"corpus vocabulary, excluded from projections")
-            if orthonormal.excluded_axes:
+            if tensor.excluded_axes:
                 self.manifest.warnings.append(
                     "Ekman axes excluded (word missing in some corpus): "
-                    + ", ".join(orthonormal.excluded_axes))
+                    + ", ".join(tensor.excluded_axes))
         with self._artifact(self.out / "handoff.bin", "wb") as f:
-            write_handoff(f, orthonormal, emoji_profiles(models, shared), table, shared)
+            write_handoff(f, tensor, emoji_profiles(models, shared), table, shared)
         return info
 
     def stage_analyze(self) -> dict:
@@ -684,7 +658,8 @@ class Pipeline:
         for name in wanted:
             fn = getattr(self, f"stage_{name}")
             key = self._key(name)
-            if stage == "all" and self._is_complete(name):
+            # in `all`, the stages before this one completed in this loop
+            if stage == "all" and self._holds(name, key):
                 # restore the cached run's stage info so the manifest stays whole
                 marker = self._read_marker(name)
                 extra = marker.get("extra", {})
@@ -698,7 +673,7 @@ class Pipeline:
             self._artifacts = []
             try:
                 index = STAGES.index(name)
-                if index and not self._is_complete(STAGES[index - 1]):
+                if stage != "all" and index and not self._is_complete(STAGES[index - 1]):
                     raise PipelineStageError(STAGES[index - 1], RuntimeError(
                         f"artifacts missing or stale; run the {STAGES[index - 1]!r} "
                         "stage first"))

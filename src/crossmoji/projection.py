@@ -2,14 +2,19 @@
 
 A category vector is the mean of the embedding vectors of a lexicon
 category's in-vocabulary tokens.  Per corpus and per run, the category
-vectors are orthonormalized (Gram-Schmidt, in the shared schema's
-lexicographic order) and cosine similarity against every target emoji is
-computed.  Similarities are then averaged across runs per corpus, and
-across corpora per culture group.
+vectors are orthonormalized (Gram-Schmidt, in the schema's lexicographic
+order) and cosine similarity against every target emoji is computed.
+Similarities are then averaged across runs per corpus, and across corpora
+per culture group.
 
-Cross-corpus comparability rules: a category degenerate in any corpus or
-run is dropped everywhere; a target or Ekman word missing from any corpus
-vocabulary is excluded everywhere (and reported).  Culture averages use
+Cross-corpus comparability rules: one Gram-Schmidt pass walks the schema
+over every (corpus, run) at once and drops a category everywhere when it
+has no in-vocabulary tokens in some corpus, or when its residual against
+the categories kept before it is below `GRAM_SCHMIDT_TOL` in some run.
+Zero vectors, categories with identical token sets and a category that is
+the union of others (LIWC's `affect` of `posemo` and `negemo`) are all
+that one case.  A target or Ekman word missing from any corpus vocabulary
+is excluded everywhere (and reported).  Culture averages use
 `sum * (1/n)`, the literal form of the per-culture mean.
 """
 
@@ -26,6 +31,10 @@ from .fileio import atomic_write
 from .inventory import SharedEmojiSet
 
 EKMAN_AXIS_PREFIX = "ekman:"
+# a residual norm below this makes a vector dependent on the ones before it
+GRAM_SCHMIDT_TOL = 1e-10
+# a target vector with a norm below this has no direction to compare
+ZERO_NORM = 1e-12
 
 
 class DegenerateCategoryError(ValueError):
@@ -48,10 +57,20 @@ def category_vector(expanded_tokens: Sequence[str], model: EmbeddingModel) -> np
     return rows.mean(axis=0)
 
 
+def _residual(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """A copy of `v` less its components along the orthonormal rows of
+    `basis`; a second pass removes the components the first reintroduces."""
+    u = np.asarray(v, dtype=np.float64).copy()
+    if len(basis):
+        for _ in range(2):
+            u -= basis.T @ (basis @ u)
+    return u
+
+
 def gram_schmidt(
     vectors: Sequence[np.ndarray],
     labels: Optional[Sequence[str]] = None,
-    tol: float = 1e-10,
+    tol: float = GRAM_SCHMIDT_TOL,
 ) -> np.ndarray:
     """Classical Gram-Schmidt with a re-orthogonalization pass.
 
@@ -66,10 +85,7 @@ def gram_schmidt(
         raise RankDeficiencyError(f"{len(vectors)} vectors cannot be independent in {d} dimensions")
     basis = np.zeros((len(vectors), d))
     for k, v in enumerate(vectors):
-        u = np.asarray(v, dtype=np.float64).copy()
-        for _ in range(2):  # second pass removes reintroduced components
-            if k:
-                u -= basis[:k].T @ (basis[:k] @ u)
+        u = _residual(v, basis[:k])
         norm = np.linalg.norm(u)
         if norm < tol:
             name = labels[k] if labels is not None else f"#{k}"
@@ -109,7 +125,6 @@ class SimilarityTensor:
     corpora: tuple[str, ...]
     culture_of: Mapping[str, str]
     per_run: Mapping[str, np.ndarray]
-    orthonormal: bool = True
     excluded_targets: tuple[str, ...] = ()
     excluded_axes: tuple[str, ...] = ()
     dropped_categories: Mapping[str, str] = field(default_factory=dict)
@@ -140,19 +155,6 @@ class SimilarityTensor:
         return culture_average([self.corpus_mean(c) for c in members])
 
 
-def build_category_vectors(
-    model: EmbeddingModel,
-    schema: Sequence[str],
-    expanded: Mapping[str, Sequence[str]],
-    orthonormalize: bool = True,
-) -> np.ndarray:
-    """Mean-of-token vectors per category, one row per category in schema
-    order, optionally orthonormalized in that order (the order matters:
-    earlier categories keep more of the shared embedding direction)."""
-    raw = np.stack([category_vector(sorted(expanded[c]), model) for c in schema])
-    return gram_schmidt(raw, labels=list(schema)) if orthonormalize else raw
-
-
 def build_tensor(
     run_models: Mapping[str, Sequence[EmbeddingModel]],
     expansions: Mapping[str, Mapping[str, Sequence[str]]],
@@ -160,8 +162,6 @@ def build_tensor(
     targets: SharedEmojiSet | Sequence[str],
     culture_of: Mapping[str, str],
     ekman_axes: Optional[Mapping[str, Sequence[tuple[str, str]]]] = None,
-    orthonormalize: bool = True,
-    zero_tol: float = 1e-12,
 ) -> SimilarityTensor:
     """Build the similarity tensor over every (corpus, run, axis, target).
 
@@ -176,24 +176,35 @@ def build_tensor(
     if len(set(n_runs.values())) != 1:
         raise ValueError(f"corpora have differing run counts: {n_runs}")
 
-    # drop categories that are unusable in any corpus/run, symmetrically
+    # one Gram-Schmidt pass over the schema for every (corpus, run) at once;
+    # a category unusable in one of them is dropped from all.  The order
+    # matters: earlier categories keep more of the shared embedding direction
+    runs = [(corpus, r, model)
+            for corpus in corpora for r, model in enumerate(run_models[corpus])]
+    bases = [np.zeros((len(schema), model.syn0.shape[1])) for _, _, model in runs]
+    kept: list[str] = []
     dropped: dict[str, str] = {}
     for cat in schema:
-        for corpus in corpora:
-            tokens = expansions[corpus].get(cat, ())
-            if not tokens:
-                dropped[cat] = f"no in-vocabulary tokens in {corpus}"
+        empty_in = [corpus for corpus in corpora if not expansions[corpus].get(cat)]
+        if empty_in:
+            dropped[cat] = f"no in-vocabulary tokens in {empty_in[0]}"
+            continue
+        rows = []
+        for (corpus, _, model), basis in zip(runs, bases):
+            u = _residual(category_vector(sorted(expansions[corpus][cat]), model),
+                          basis[:len(kept)])
+            norm = np.linalg.norm(u)
+            if norm < GRAM_SCHMIDT_TOL:
+                dropped[cat] = (f"linearly dependent on the kept categories in {corpus}, "
+                                f"run seed {model.params.seed}, residual {norm:.1e}")
                 break
-            for model in run_models[corpus]:
-                vec = category_vector(sorted(tokens), model)
-                if np.linalg.norm(vec) < zero_tol:
-                    dropped[cat] = f"zero category vector in {corpus} (run seed {model.params.seed})"
-                    break
-            if cat in dropped:
-                break
-    kept_categories = tuple(c for c in schema if c not in dropped)
-    if not kept_categories:
-        raise DegenerateCategoryError("every schema category is degenerate in some corpus")
+            rows.append(u / norm)
+        else:
+            for basis, row in zip(bases, rows):
+                basis[len(kept)] = row
+            kept.append(cat)
+    if not kept:
+        raise DegenerateCategoryError("no schema category is usable in every corpus and run")
 
     # Ekman word axes usable only when the word is in every corpus vocabulary
     ekman_labels: tuple[str, ...] = ()
@@ -222,29 +233,25 @@ def build_tensor(
     for t in target_list:
         ok = all(
             t in run_models[corpus][0].vocab
-            and all(np.linalg.norm(m.vector(t)) >= zero_tol for m in run_models[corpus])
+            and all(np.linalg.norm(m.vector(t)) >= ZERO_NORM for m in run_models[corpus])
             for corpus in corpora
         )
         (usable_targets if ok else excluded_targets).append(t)
     if not usable_targets:
         raise ValueError("no target is present in every corpus vocabulary")
 
-    axes = kept_categories + ekman_labels
-    per_run: dict[str, np.ndarray] = {}
-    for corpus in corpora:
-        models = run_models[corpus]
-        cube = np.empty((len(models), len(axes), len(usable_targets)))
-        for r, model in enumerate(models):
-            rows = [build_category_vectors(model, kept_categories,
-                                           expansions[corpus], orthonormalize)]
-            if ekman_labels:
-                rows.append(np.stack([model.vector(word_of[(corpus, lbl)]) for lbl in ekman_labels]))
-            axis_matrix = np.vstack(rows)
-            target_matrix = np.stack([model.vector(t) for t in usable_targets])
-            a_norm = axis_matrix / np.linalg.norm(axis_matrix, axis=1, keepdims=True)
-            t_norm = target_matrix / np.linalg.norm(target_matrix, axis=1, keepdims=True)
-            cube[r] = np.clip(a_norm @ t_norm.T, -1.0, 1.0)
-        per_run[corpus] = cube
+    axes = tuple(kept) + ekman_labels
+    per_run = {corpus: np.empty((n, len(axes), len(usable_targets)))
+               for corpus, n in n_runs.items()}
+    for (corpus, r, model), basis in zip(runs, bases):
+        rows = [basis[:len(kept)]]
+        if ekman_labels:
+            rows.append(np.stack([model.vector(word_of[(corpus, lbl)]) for lbl in ekman_labels]))
+        axis_matrix = np.vstack(rows)
+        target_matrix = np.stack([model.vector(t) for t in usable_targets])
+        a_norm = axis_matrix / np.linalg.norm(axis_matrix, axis=1, keepdims=True)
+        t_norm = target_matrix / np.linalg.norm(target_matrix, axis=1, keepdims=True)
+        per_run[corpus][r] = np.clip(a_norm @ t_norm.T, -1.0, 1.0)
 
     return SimilarityTensor(
         axes=axes,
@@ -252,7 +259,6 @@ def build_tensor(
         corpora=corpora,
         culture_of=dict(culture_of),
         per_run=per_run,
-        orthonormal=orthonormalize,
         excluded_targets=tuple(excluded_targets),
         excluded_axes=tuple(excluded_axes),
         dropped_categories=dropped,
@@ -285,7 +291,7 @@ def write_tensor_csv(tensor: SimilarityTensor, path) -> None:
                     writer.writerow([culture, "avg", axis, target, repr(float(mean[i, j]))])
 
 
-def read_tensor_csv(path, culture_of: Mapping[str, str], orthonormal: bool = True) -> SimilarityTensor:
+def read_tensor_csv(path, culture_of: Mapping[str, str]) -> SimilarityTensor:
     """Rebuild a tensor from its per-run CSV rows (averages are recomputed)."""
     axes: list[str] = []
     targets: list[str] = []
@@ -323,5 +329,4 @@ def read_tensor_csv(path, culture_of: Mapping[str, str], orthonormal: bool = Tru
         corpora=tuple(corpora),
         culture_of={c: culture_of[c] for c in corpora},
         per_run=per_run,
-        orthonormal=orthonormal,
     )

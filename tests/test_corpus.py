@@ -109,7 +109,11 @@ def test_parse_record_roundtrip_and_errors():
                 '{"post_id":"1","text":"  ","country":"US","lang":"en"}',
                 '{"post_id":"1","text":"x","country":"","lang":"en"}',
                 '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":"false"}',
-                '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":1}']:
+                '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":1}',
+                '{"post_id":"1","text":null,"country":"US","lang":"en"}',
+                '{"post_id":"1","text":["x"],"country":"US","lang":"en"}',
+                '{"post_id":"1","text":"x","country":null,"lang":"en"}',
+                '{"post_id":"1","text":"x","country":"US","lang":5}']:
         with pytest.raises(RecordError):
             parse_record(bad)
 

@@ -65,6 +65,9 @@ def test_duplicate_word_lines_merge_by_union(tmp_path):
 def test_duplicate_category_names_rejected(tmp_path):
     with pytest.raises(LexiconFormatError, match="duplicate"):
         parse_lexicon(write_dic(tmp_path, "%\n1\tposemo\n2\tposemo\n%\nx\t1\n"), "en")
+    # one id given twice would silently lose the first category
+    with pytest.raises(LexiconFormatError, match=":3: duplicate category id 1"):
+        parse_lexicon(write_dic(tmp_path, "%\n1\tposemo\n1\tnegemo\n%\nx\t1\n"), "en")
 
 
 def test_interior_wildcard_rejected(tmp_path):
@@ -167,9 +170,8 @@ def test_schema_disjoint_fatal():
         shared_schema([lex_with(["a"]), lex_with(["b"])])
 
 
-def test_schema_needs_two_lexicons():
-    with pytest.raises(SchemaError):
-        shared_schema([lex_with(["a"])])
+def test_schema_of_one_lexicon_is_its_sorted_names():
+    assert shared_schema([lex_with(["b", "c", "a"])]) == ("a", "b", "c")
 
 
 def test_schema_commutative():
@@ -213,4 +215,19 @@ def test_ekman_file_must_be_object(tmp_path):
     path = tmp_path / "ek.json"
     path.write_text('["anger"]')
     with pytest.raises(LexiconFormatError, match="object"):
+        load_ekman(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"en": 5}',
+    '{"en": {"anger": [1, 2]}}',
+    '{"en": {"anger": "angry"}}',
+    '{"en": {"anger": ["anger"]}}',
+], ids=["language-not-object", "words-not-strings", "pair-not-list", "one-word"])
+def test_ekman_file_of_wrong_shape_names_file(tmp_path, text):
+    from crossmoji.lexicon import load_ekman
+
+    path = tmp_path / "ek.json"
+    path.write_text(text)
+    with pytest.raises(LexiconFormatError, match="ek.json"):
         load_ekman(path)

@@ -561,9 +561,53 @@ def test_duplicate_token_set_categories_dropped_not_fatal(tmp_path):
     dic.write_text("\n".join(lines) + "\n")
     config = load_config(cfg_path, deterministic=True)
     manifest = Pipeline(config).run("all")
-    assert any("duplicating" in w for w in manifest.warnings)
+    assert any(w.startswith("dropped categories: catAclone (") for w in manifest.warnings)
     assert "catAclone" not in manifest.stages["project"]["axes"]
     assert "catA" in manifest.stages["project"]["axes"]
+
+
+def test_union_category_dropped_not_fatal(tmp_path):
+    # a category that is the union of two others (LIWC's `affect` of
+    # `posemo` and `negemo`) makes the later of them dependent in every run
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2,
+                                       dim=8, epochs=1)
+    dic = tmp_path / "demo.dic"
+    lines = dic.read_text().splitlines()
+    lines.insert([i for i, l in enumerate(lines) if l == "%"][1], "7\tcatAB")
+    lines.extend([f"{l.split()[0]}\t7" for l in lines if l.endswith(("\t1", "\t2"))])
+    dic.write_text("\n".join(lines) + "\n")
+    manifest = Pipeline(load_config(cfg_path)).run("all")
+    project = manifest.stages["project"]
+    assert "catAB" in project["schema"] and "catB" in project["schema"]
+    assert project["axes"][:6] == ["catA", "catAB", "catC", "catD", "catE", "catF"]
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    dropped = [w for w in saved["warnings"] if w.startswith("dropped categories: ")]
+    assert len(dropped) == 1 and dropped[0].startswith(
+        "dropped categories: catB (linearly dependent on the kept categories in US, ")
+
+
+def counted_keys(monkeypatch) -> list:
+    calls = []
+    key = Pipeline._key
+    monkeypatch.setattr(Pipeline, "_key", lambda self, stage: calls.append(stage)
+                        or key(self, stage))
+    return calls
+
+
+def test_each_stage_key_computed_once(tmp_path, monkeypatch):
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1,
+                                       dim=8, epochs=1)
+    config = load_config(cfg_path)
+    calls = counted_keys(monkeypatch)
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert calls == list(STAGES)  # cold
+    calls.clear()
+    assert ran(Pipeline(config).run("all")) == []
+    assert calls == list(STAGES)  # warm
+    calls.clear()
+    Pipeline(config).run("analyze")
+    # a single stage checks every earlier stage once
+    assert sorted(calls) == sorted(["analyze", "ingest", "train", "project"])
 
 
 def test_config_validation_errors(tmp_path):

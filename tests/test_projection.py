@@ -191,22 +191,52 @@ def test_tensor_values_bounded_and_axes_orthonormalized():
                      ["😀", "😢", "💰"], {"W1": "West", "E1": "East"})
     for cube in t.per_run.values():
         assert np.all(cube <= 1.0) and np.all(cube >= -1.0)
-    assert t.orthonormal
     assert t.n_categories == 3
 
 
-def test_tensor_raw_mode_matches_direct_cosines():
+def test_tensor_entries_are_cosines_with_gram_schmidt_rows():
     rng = np.random.default_rng(6)
-    models, expansions = two_culture_models(rng, runs=1)
-    t = build_tensor(models, expansions, ["money", "negemo", "posemo"],
-                     ["😀", "😢", "💰"], {"W1": "West", "E1": "East"},
-                     orthonormalize=False)
-    m = models["W1"][0]
-    for i, cat in enumerate(t.axes):
-        cat_vec = category_vector(sorted(expansions["W1"][cat]), m)
-        for j, target in enumerate(t.targets):
-            assert t.per_run["W1"][0, i, j] == pytest.approx(
-                cosine(cat_vec, m.vector(target)), abs=1e-12)
+    models, expansions = two_culture_models(rng, runs=2)
+    schema = ["money", "negemo", "posemo"]
+    t = build_tensor(models, expansions, schema, ["😀", "😢", "💰"],
+                     {"W1": "West", "E1": "East"})
+    assert t.axes == tuple(schema)
+    for corpus, runs in models.items():
+        for r, m in enumerate(runs):
+            basis = gram_schmidt([category_vector(sorted(expansions[corpus][c]), m)
+                                  for c in schema])
+            for i in range(len(schema)):
+                for j, target in enumerate(t.targets):
+                    assert t.per_run[corpus][r, i, j] == pytest.approx(
+                        cosine(basis[i], m.vector(target)), abs=1e-12)
+
+
+def test_tensor_builds_each_category_vector_once(monkeypatch):
+    from crossmoji import projection
+
+    calls = []
+    monkeypatch.setattr(projection, "category_vector",
+                        lambda tokens, model: calls.append(1) or category_vector(tokens, model))
+    rng = np.random.default_rng(13)
+    models, expansions = two_culture_models(rng, runs=2)
+    build_tensor(models, expansions, ["money", "negemo", "posemo"], ["😀"],
+                 {"W1": "West", "E1": "East"})
+    assert len(calls) == 3 * 2 * 2  # categories x corpora x runs
+
+
+def test_tensor_drops_category_dependent_in_one_corpus_everywhere():
+    rng = np.random.default_rng(14)
+    models, expansions = two_culture_models(rng, runs=2)
+    # in W1 the union of posemo and negemo, in E1 an independent token set
+    expansions["W1"] = dict(expansions["W1"], zunion=["happy", "joy", "sad", "tear"])
+    expansions["E1"] = dict(expansions["E1"], zunion=["cash", "joy"])
+    schema = ["money", "negemo", "posemo", "zunion"]
+    t = build_tensor(models, expansions, schema, ["😀", "😢"], {"W1": "West", "E1": "East"})
+    assert t.axes == ("money", "negemo", "posemo")
+    assert t.dropped_categories["zunion"].startswith("linearly dependent on the kept "
+                                                     "categories in W1")
+    for cube in t.per_run.values():
+        assert cube.shape == (2, 3, 2)
 
 
 def test_tensor_drops_degenerate_category_symmetrically():
@@ -242,29 +272,6 @@ def test_tensor_ekman_axes_raw_not_orthonormalized():
     j = t.targets.index("😀")
     expected = cosine(m.vector("joy"), m.vector("😀"))
     assert t.per_run["W1"][0, 2, j] == pytest.approx(expected, abs=1e-12)
-
-
-def test_category_vectors_raw_vs_orthonormal():
-    from crossmoji.projection import build_category_vectors
-
-    rng = np.random.default_rng(21)
-    vocab = {t: rng.normal(size=8) for t in ["a1", "a2", "b1", "b2", "c1"]}
-    m = model_from(vocab)
-    expanded = {"catA": ["a1", "a2"], "catB": ["b1", "b2"], "catC": ["c1"]}
-    schema = ["catA", "catB", "catC"]
-
-    # one row per category, in schema order
-    raw = build_category_vectors(m, schema, expanded, orthonormalize=False)
-    assert raw.shape == (3, 8)
-    assert np.allclose(raw[0], (vocab["a1"] + vocab["a2"]) / 2)
-    assert np.allclose(raw[2], vocab["c1"])
-
-    ortho = build_category_vectors(m, schema, expanded)
-    gram = ortho @ ortho.T
-    assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
-    # raw vectors reconstruct from the basis (span preserved)
-    residual = raw - (raw @ ortho.T) @ ortho
-    assert np.max(np.linalg.norm(residual, axis=1)) <= 1e-8
 
 
 def test_tensor_invariant_under_positive_vector_rescaling():
