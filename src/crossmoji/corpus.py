@@ -65,6 +65,9 @@ class FilterConfig:
 
 # direct-repost prefixes: "RT @user:" and "@user//"
 _RETWEET_RE = re.compile(r"RT @\w+:|@\w+//")
+# what a lone surrogate escape, or an undecodable byte read with
+# errors="surrogateescape", leaves in a string; UTF-8 cannot encode it
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def parse_record(line: str) -> PostRecord:
@@ -82,6 +85,12 @@ def parse_record(line: str) -> PostRecord:
     for name, value in (("text", text), ("country", country), ("lang", lang)):
         if not isinstance(value, str):
             raise RecordError(f"{name} must be a string, got {json.dumps(value)}")
+    post_id = str(obj["post_id"])
+    for name, value in (("post_id", post_id), ("text", text), ("country", country),
+                        ("lang", lang)):
+        if _SURROGATE_RE.search(value):
+            raise RecordError(f"{name} holds a surrogate code point (a byte that is "
+                              "not UTF-8, or a lone surrogate escape)")
     if not text.strip():
         raise RecordError("empty text")
     if not country or not lang:
@@ -90,7 +99,7 @@ def parse_record(line: str) -> PostRecord:
     if not isinstance(pre_tokenized, bool):
         raise RecordError(f"pre_tokenized must be true or false, got {pre_tokenized!r}")
     return PostRecord(
-        post_id=str(obj["post_id"]),
+        post_id=post_id,
         text=text,
         country=country,
         lang=lang,
@@ -98,20 +107,34 @@ def parse_record(line: str) -> PostRecord:
     )
 
 
-def _lang_matches(record_lang: str, wanted: str) -> bool:
-    a, b = record_lang.lower(), wanted.lower()
-    return a == b or a.split("-")[0] == b.split("-")[0]
+def _filter_keys(lang: str, country: str) -> tuple[str, str]:
+    """What a filter compares: the lowercase primary language subtag
+    ("en" for "en-GB") and the uppercase country."""
+    return lang.lower().split("-")[0], country.upper()
+
+
+def _drop_reasons(record: PostRecord, wanted: Sequence[tuple[str, str]]) -> list[Optional[str]]:
+    """`filter_reason` of `record` for each filter, given as its `_filter_keys`;
+    the record's fields are normalized, and the retweet test made, once."""
+    lang, country = _filter_keys(record.lang, record.country)
+    retweet = None
+    reasons: list[Optional[str]] = []
+    for want_lang, want_country in wanted:
+        if lang != want_lang:
+            reasons.append("lang")
+        elif country != want_country:
+            reasons.append("country")
+        else:
+            if retweet is None:
+                retweet = _RETWEET_RE.match(record.text.lstrip()) is not None
+            reasons.append("retweet" if retweet else None)
+    return reasons
 
 
 def filter_reason(record: PostRecord, config: FilterConfig) -> Optional[str]:
     """Why a record would be dropped: 'lang', 'country', 'retweet' or None."""
-    if not _lang_matches(record.lang, config.lang):
-        return "lang"
-    if record.country.upper() != config.country.upper():
-        return "country"
-    if _RETWEET_RE.match(record.text.lstrip()):
-        return "retweet"
-    return None
+    [reason] = _drop_reasons(record, [_filter_keys(config.lang, config.country)])
+    return reason
 
 
 # --- text normalization -------------------------------------------------
@@ -156,17 +179,42 @@ _NORMALIZE_RULES: tuple[tuple[re.Pattern, str], ...] = (
 
 META_TOKENS = frozenset(token for _, token in _NORMALIZE_RULES)
 
+# One search per rule, in rule order, for a character that every match of
+# the rule contains.  `\d` also matches non-ASCII decimal digits, as the
+# rules' own `\d` does.
+_DIGIT = re.compile(r"\d")
+_RULE_TRIGGERS: tuple[re.Pattern, ...] = (
+    re.compile("@"),  # email
+    re.compile("[.:]"),  # url
+    re.compile("@"),  # user
+    re.compile("%"),  # percent
+    re.compile("[$€£¥]"),  # money
+    _DIGIT,  # time
+    _DIGIT,  # date
+    _DIGIT,  # phone
+    re.compile("[<:;=8^_.]"),  # emoticon
+)
+
 
 def normalize_text(text: str) -> str:
     """Replace URLs, emails, mentions, amounts, times, dates, phone numbers
-    and ASCII emoticons with their meta-tokens.  Total and idempotent."""
-    for pattern, token in _NORMALIZE_RULES:
-        text = pattern.sub(token, text)
+    and ASCII emoticons with their meta-tokens.  Total and idempotent.
+
+    A rule runs only when its trigger, in `_RULE_TRIGGERS`, finds a
+    character in the text as the earlier rules left it.  That skips no
+    match as long as every match of a rule contains its trigger: an edit to
+    a rule must keep that invariant or widen the trigger."""
+    for (pattern, token), trigger in zip(_NORMALIZE_RULES, _RULE_TRIGGERS):
+        if trigger.search(text):
+            text = pattern.sub(token, text)
     return text
 
 
 _META_TOKEN_RE = re.compile("|".join(re.escape(t) for t in sorted(META_TOKENS)))
 _EDGE_PUNCT = ".,!?;:\"'()[]{}…“”‘’"
+# a verbal chunk holding none of these, and no edge punctuation, lowercases whole:
+# "<" starts every meta-token, and variation selectors are stripped
+_VERBAL_SPLIT_CHARS = frozenset("<\ufe0e\ufe0f")
 
 
 def _split_verbal(piece: str) -> Iterator[str]:
@@ -209,7 +257,17 @@ def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
     verbatim.
     """
     tokens: list[str] = []
+    starts = inventory.start_chars
     for chunk in record.text.split():
+        # a chunk no splitter can act on is one token, as the general path gives it
+        if starts.isdisjoint(chunk):
+            if record.pre_tokenized:
+                tokens.append(chunk)
+                continue
+            if (_VERBAL_SPLIT_CHARS.isdisjoint(chunk) and chunk[0] not in _EDGE_PUNCT
+                    and chunk[-1] not in _EDGE_PUNCT):
+                tokens.append(chunk.lower())
+                continue
         for piece, is_emoji in inventory.split_text(chunk):
             if is_emoji:
                 tokens.append(piece)
@@ -282,10 +340,12 @@ def ingest_lines(
     """
     parsed = IngestCounts()
     results = [([], IngestCounts()) for _ in corpora]
+    wanted = [_filter_keys(config.lang, config.country) for config, _ in corpora]
     for record in read_records(lines, parsed):
-        for (config, pre_tokenized), (streams, counts) in zip(corpora, results):
-            start = time.perf_counter()
-            reason = filter_reason(record, config)
+        # the first corpus's seconds include the filtering all corpora share
+        start = time.perf_counter()
+        reasons = _drop_reasons(record, wanted)
+        for reason, (_, pre_tokenized), (streams, counts) in zip(reasons, corpora, results):
             if reason:
                 counts.dropped[reason] += 1
             else:
@@ -300,7 +360,9 @@ def ingest_lines(
                     streams.append(stream)
                 else:
                     counts.empty_streams += 1
-            counts.seconds += time.perf_counter() - start
+            now = time.perf_counter()
+            counts.seconds += now - start
+            start = now
     for streams, counts in results:
         counts.read, counts.parse_errors = parsed.read, parsed.parse_errors
         counts.streams = len(streams)
@@ -322,7 +384,7 @@ def ingest_handle(
     handle: CorpusHandle, inventory: EmojiInventory
 ) -> tuple[list[TokenStream], IngestCounts]:
     """Ingest the input file of one corpus."""
-    with open(handle.input_path, encoding="utf-8") as f:
+    with open(handle.input_path, encoding="utf-8", errors="surrogateescape") as f:
         return ingest_corpus(f, FilterConfig(lang=handle.lang, country=handle.country),
                              inventory, pre_tokenized=handle.pre_tokenized)
 
@@ -347,10 +409,12 @@ def line_ranges(path, parts: int) -> list[tuple[int, int]]:
 
 def read_lines(path, start: int, end: int) -> list[str]:
     """The lines of bytes [start, end) of a UTF-8 file, split as text-mode
-    reading splits them (universal newlines), without their line ends."""
+    reading splits them (universal newlines), without their line ends.  A
+    byte that is not UTF-8 becomes a surrogate code point, which
+    `parse_record` rejects: its line is a parse error, not a failed read."""
     with open(path, "rb") as f:
         f.seek(start)
-        text = f.read(end - start).decode("utf-8")
+        text = f.read(end - start).decode("utf-8", errors="surrogateescape")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()

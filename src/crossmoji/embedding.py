@@ -10,9 +10,19 @@ L (the context update is the output-side error divided by the context
 size), so they check out against finite differences.
 
 Training is minibatch SGD (Ji et al., arXiv:1604.04661): positions are taken
-`BATCH` at a time, `cbow_gradients` evaluates every gradient of a batch at
+`BATCH` at a time, `_cbow_factors` evaluates every gradient of a batch at
 the same parameters, and each matrix then gets one scatter-add.  One seeded
 generator drives all sampling, so a fixed seed reproduces a model exactly.
+
+Every gradient is rank 1, so the step applies the factors and builds no
+(B, 2 * window, d) context gradient: every real context slot of row b gets
+the row's (1/context size * grad_h[b]) * -alpha[b], the same products in
+the same order as `cbow_gradients` followed by scaling with -alpha, so the
+same bits.  One workspace per `train_cbow` call holds the gathered
+vectors, which their updates then overwrite, and the scatter-add's
+indices.  An even `dim` is scatter-added as complex128 pairs: a complex
+add is two independent float64 adds in the same order, so again the same
+bits.
 """
 
 from __future__ import annotations
@@ -155,6 +165,24 @@ def cbow_loss(context_vectors: np.ndarray, output_vectors: np.ndarray) -> float:
     return float(loss)
 
 
+def _cbow_factors(context_vectors: np.ndarray, output_vectors: np.ndarray,
+                  mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gradient math of a batch, as factors: the (B,) loss, the (B, C)
+    context weights (1/context size on real slots, 0 on padding), the (B, d)
+    context mean h, the (B, 1 + K) errors g (sigmoid minus label) and the
+    (B, d) gradient w.r.t. h.  Every gradient is rank 1 in them: context slot
+    (b, c) gets weights[b, c] * grad_h[b], output slot (b, k) g[b, k] * h[b]."""
+    weights = mask / mask.sum(axis=1, keepdims=True)  # 1/context size on real slots
+    h = np.einsum("bc,bcd->bd", weights, context_vectors)
+    scores = np.einsum("bkd,bd->bk", output_vectors, h)
+    g = _sigmoid(scores)
+    g[:, 0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
+    grad_h = np.einsum("bk,bkd->bd", g, output_vectors)
+    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
+    loss = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+    return loss, weights, h, g, grad_h
+
+
 def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
                    mask: Optional[np.ndarray] = None, out: Optional[tuple] = None):
     """Loss plus exact gradients w.r.t. the context and output vectors.
@@ -165,24 +193,19 @@ def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
     `mask` of the real context slots of each row (None: all are real);
     returns a (B,) loss array and zero gradients on the padded slots, written
     into the (context, output) gradient arrays `out` when given.  `out` may be
-    the input arrays themselves: they are read before it is written."""
+    the input arrays themselves: they are read before it is written.  The
+    gradients are `_cbow_factors` expanded; training applies the factors
+    without building them."""
     if context_vectors.ndim == 2:
         loss, grad_ctx, grad_out = cbow_gradients(context_vectors[None],
                                                   output_vectors[None])
         return float(loss[0]), grad_ctx[0], grad_out[0]
     if mask is None:
         mask = np.ones(context_vectors.shape[:2], dtype=bool)
-    weights = mask / mask.sum(axis=1, keepdims=True)  # 1/context size on real slots
-    h = np.einsum("bc,bcd->bd", weights, context_vectors)
-    scores = np.einsum("bkd,bd->bk", output_vectors, h)
-    g = _sigmoid(scores)
-    g[:, 0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
-    grad_h = np.einsum("bk,bkd->bd", g, output_vectors)
+    loss, weights, h, g, grad_h = _cbow_factors(context_vectors, output_vectors, mask)
     grad_ctx, grad_out = out if out is not None else (None, None)
     grad_out = np.multiply(g[:, :, None], h[:, None, :], out=grad_out)
     grad_ctx = np.multiply(weights[:, :, None], grad_h[:, None, :], out=grad_ctx)
-    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
-    loss = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
     return loss, grad_ctx, grad_out
 
 
@@ -250,20 +273,27 @@ def _chunk_positions(ids: np.ndarray, lengths: np.ndarray, keep_prob: Optional[n
 
 
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray,
-                 scale: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
-    """matrix[rows[b, j]] += scale[b] * updates[b, j] for every slot (b, j),
-    or every slot `mask` marks; repeated rows accumulate, in slot order.
+                 cells: np.ndarray) -> None:
+    """matrix[rows[i]] += updates[i] for every i of the flattened `rows`,
+    `updates` holding one row of the matrix's width per entry; repeated rows
+    accumulate, in order.  `cells` is an intp buffer of at least
+    `updates.size` entries.
 
     One np.add.at over flat element indices of the (C-contiguous) matrix,
     which numpy >= 1.25 runs as a single indexed loop.  Row-wise np.add.at
     takes a slow generic path, and a sorted np.add.reduceat makes one call
-    per (distinct row, column): on a wide vocabulary both measured 2-3x slower."""
-    picked = np.flatnonzero(mask) if mask is not None else np.arange(rows.size)
-    scaled = updates.reshape(rows.size, -1)[picked]
-    scaled *= scale[picked // rows.shape[1], None]
-    dim = matrix.shape[1]
-    cells = rows.ravel()[picked, None] * dim + np.arange(dim)
-    np.add.at(matrix.reshape(-1), cells.ravel(), scaled.ravel())
+    per (distinct row, column): on a wide vocabulary both measured 2-3x slower.
+    An even width is added as complex128 pairs: a complex add is two
+    independent float64 adds, in the same order, so the bits are the same
+    from half the indices."""
+    if matrix.shape[1] % 2 == 0:
+        matrix, updates = matrix.view(np.complex128), updates.view(np.complex128)
+    width = matrix.shape[1]
+    rows = rows.reshape(-1)
+    cells = cells[: rows.size * width].reshape(rows.size, width)
+    np.multiply(rows[:, None], width, out=cells)
+    cells += np.arange(width)
+    np.add.at(matrix.reshape(-1), cells.reshape(-1), updates.reshape(-1))
 
 
 def _draw_outputs(centers: np.ndarray, neg_cum: np.ndarray, negatives: int,
@@ -280,22 +310,50 @@ def _draw_outputs(centers: np.ndarray, neg_cum: np.ndarray, negatives: int,
     return outs
 
 
+@dataclass(frozen=True)
+class _Workspace:
+    """The arrays one `train_cbow` call reuses on every batch: fresh
+    multi-megabyte temporaries on every batch cost more in page faults than
+    the arithmetic on them."""
+
+    ctx: np.ndarray  # (B, C, d) context vectors, then the context updates
+    out: np.ndarray  # (B, 1 + K, d) output vectors, then their updates
+    cells: np.ndarray  # intp flat cell indices of one `_scatter_add`
+
+    @classmethod
+    def of(cls, batch: int, window: int, negatives: int, dim: int) -> _Workspace:
+        slots = max(2 * window, negatives + 1)
+        return cls(np.empty((batch, 2 * window, dim)), np.empty((batch, negatives + 1, dim)),
+                   np.empty(batch * slots * dim, dtype=np.intp))
+
+
 def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, ctx: np.ndarray, mask: np.ndarray,
-                 outs: np.ndarray, alpha: np.ndarray, work: tuple) -> float:
+                 outs: np.ndarray, alpha: np.ndarray, work: _Workspace) -> float:
     """One SGD step for a batch of positions; row b has learning rate alpha[b].
 
     All gradients are taken at the current parameters, then applied; repeated
     context or output ids, within a row or across rows, accumulate their
-    updates.  `work` holds a full batch's context and output vectors, which
-    their gradients then overwrite.  Returns the summed loss."""
-    ctx_vecs, out_vecs = (a[: len(ctx)] for a in work)
+    updates.  The updates are the `_cbow_factors` products times -alpha[b],
+    multiplied in the order `cbow_gradients` then scaling would give; no
+    (B, C, d) context gradient is built.  Returns the summed loss."""
+    n, d = len(ctx), syn0.shape[1]
+    ctx_vecs, out_vecs = work.ctx[:n], work.out[:n]
     # mode="clip" writes straight into `out` (ids are always in range)
     np.take(syn0, ctx, axis=0, out=ctx_vecs, mode="clip")
     np.take(syn1, outs, axis=0, out=out_vecs, mode="clip")
-    loss, grad_ctx, grad_out = cbow_gradients(ctx_vecs, out_vecs, mask,
-                                              out=(ctx_vecs, out_vecs))
-    _scatter_add(syn0, ctx, grad_ctx, -alpha, mask)
-    _scatter_add(syn1, outs, grad_out, -alpha)
+    loss, weights, h, g, grad_h = _cbow_factors(ctx_vecs, out_vecs, mask)
+    neg_alpha = -alpha
+    grad_out = np.multiply(g[:, :, None], h[:, None, :], out=out_vecs)
+    grad_out *= neg_alpha[:, None, None]
+    _scatter_add(syn1, outs, grad_out, work.cells)
+    # every real slot of row b weighs 1/context size, so all of them get the
+    # row's (weights[b, c] * grad_h[b]) * -alpha[b]
+    step = np.multiply(weights.max(axis=1)[:, None], grad_h, out=grad_h)
+    step *= neg_alpha[:, None]
+    slots = np.flatnonzero(mask)
+    update = work.ctx.reshape(-1, d)[: len(slots)]  # the context vectors are spent
+    np.take(step, slots // mask.shape[1], axis=0, out=update, mode="clip")
+    _scatter_add(syn0, ctx.reshape(-1)[slots], update, work.cells)
     return float(loss.sum())
 
 
@@ -332,9 +390,7 @@ def train_cbow(
     ends = np.cumsum(lengths)
     starts = ends - lengths  # token offset of each sentence
     chunks = np.r_[0, np.flatnonzero(np.diff(starts // CHUNK_TOKENS)) + 1, len(lengths)]
-    # reused by every batch: fresh multi-megabyte temporaries on every batch
-    # cost more in page faults than the arithmetic on them
-    work = (np.empty((BATCH, 2 * params.window, d)), np.empty((BATCH, params.negatives + 1, d)))
+    work = _Workspace.of(BATCH, params.window, params.negatives, d)
     epoch_losses: list[float] = []
     for epoch in range(params.epochs):
         loss_sum, n_positions = 0.0, 0

@@ -48,7 +48,8 @@ def codepoint_str(sequence: str) -> str:
 
 @dataclass(frozen=True)
 class EmojiInventory:
-    """Immutable set of recognized emoji plus their category labels."""
+    """Immutable set of recognized emoji plus their category labels;
+    `start_chars` holds the first character of every entry."""
 
     entries: frozenset[str]
     category_of: Mapping[str, str]
@@ -57,7 +58,7 @@ class EmojiInventory:
     def __post_init__(self):
         object.__setattr__(self, "_max_len", max((len(e) for e in self.entries), default=0))
         starts = frozenset(e[0] for e in self.entries)
-        object.__setattr__(self, "_start_chars", starts)
+        object.__setattr__(self, "start_chars", starts)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,7 +91,7 @@ class EmojiInventory:
         joiners between inventory emoji are consumed silently, decomposing
         unlisted joined sequences into their singleton parts.
         """
-        if self._start_chars.isdisjoint(text):  # most chunks hold no emoji
+        if self.start_chars.isdisjoint(text):  # most chunks hold no emoji
             if text:
                 yield text, False
             return
@@ -99,7 +100,7 @@ class EmojiInventory:
         buf: list[str] = []
         while i < n:
             ch = text[i]
-            if ch in self._start_chars:
+            if ch in self.start_chars:
                 match_end, canonical = self._longest_match(text, i)
                 if match_end > i:
                     if buf:

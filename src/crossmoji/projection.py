@@ -271,24 +271,21 @@ TENSOR_HEADER = ["culture_or_corpus", "run_or_avg", "category", "target", "simil
 
 
 def write_tensor_csv(tensor: SimilarityTensor, path) -> None:
+    """One row per (axis, target) of each corpus's runs and mean, then of
+    each culture's mean; a block's rows are formatted in one `writerows`."""
+    blocks = []
+    for corpus in tensor.corpora:
+        cube = tensor.per_run[corpus]
+        blocks += [(corpus, r, cube[r]) for r in range(cube.shape[0])]
+        blocks.append((corpus, "avg", tensor.corpus_mean(corpus)))
+    blocks += [(culture, "avg", tensor.culture_mean(culture)) for culture in tensor.cultures()]
     with atomic_write(path, newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TENSOR_HEADER)
-        for corpus in tensor.corpora:
-            cube = tensor.per_run[corpus]
-            for r in range(cube.shape[0]):
-                for i, axis in enumerate(tensor.axes):
-                    for j, target in enumerate(tensor.targets):
-                        writer.writerow([corpus, r, axis, target, repr(float(cube[r, i, j]))])
-            mean = tensor.corpus_mean(corpus)
-            for i, axis in enumerate(tensor.axes):
-                for j, target in enumerate(tensor.targets):
-                    writer.writerow([corpus, "avg", axis, target, repr(float(mean[i, j]))])
-        for culture in tensor.cultures():
-            mean = tensor.culture_mean(culture)
-            for i, axis in enumerate(tensor.axes):
-                for j, target in enumerate(tensor.targets):
-                    writer.writerow([culture, "avg", axis, target, repr(float(mean[i, j]))])
+        for name, run, matrix in blocks:
+            for axis, sims in zip(tensor.axes, matrix.tolist()):
+                writer.writerows([name, run, axis, target, sim]
+                                 for target, sim in zip(tensor.targets, sims))
 
 
 def read_tensor_csv(path, culture_of: Mapping[str, str]) -> SimilarityTensor:

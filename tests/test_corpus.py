@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from crossmoji.corpus import (
+    META_TOKENS,
     STREAM_FORMAT,
     FilterConfig,
     IngestCounts,
@@ -21,6 +22,7 @@ from crossmoji.corpus import (
     TypeStreams,
     filter_reason,
     ingest_corpus,
+    ingest_lines,
     ingest_range,
     line_ranges,
     load_streams,
@@ -30,6 +32,9 @@ from crossmoji.corpus import (
     save_streams,
     tokenize,
     write_streams,
+    _NORMALIZE_RULES,
+    _RULE_TRIGGERS,
+    _split_verbal,
 )
 from crossmoji.inventory import load_default_inventory
 
@@ -100,6 +105,31 @@ def test_filter_order_independence():
     assert [filter_reason(r, US) is None for r in records] == baseline
 
 
+def test_records_filtered_once_give_each_corpus_its_own_reasons():
+    # ingest_lines normalizes a record's lang and country once for every
+    # corpus; each corpus's drops are still those of the per-corpus rule
+    def per_corpus_rule(r, config):
+        a, b = r.lang.lower(), config.lang.lower()
+        if not (a == b or a.split("-")[0] == b.split("-")[0]):
+            return "lang"
+        if r.country.upper() != config.country.upper():
+            return "country"
+        return "retweet" if r.text.lstrip().startswith(("RT @", "@b//")) else None
+
+    configs = [US, FilterConfig("EN-gb", "gb"), FilterConfig("ja-JP", "jp"),
+               FilterConfig("en_US", "Us")]
+    records = [rec(text, lang, country) for text in ("hi", "RT @a: x", " @b// y")
+               for lang in ("en", "EN-US", "en_US", "ja", "fr") for country in ("US", "us", "GB", "JP")]
+    lines = [jline(r.post_id, r.text, r.country, r.lang) for r in records]
+    results = ingest_lines(lines, [(config, False) for config in configs], INV)
+    for config, (_, counts) in zip(configs, results):
+        expected = Counter(per_corpus_rule(r, config) for r in records)
+        assert counts.dropped == {k: expected[k] for k in ("lang", "country", "retweet")}
+        assert counts.kept == expected[None]
+        assert [filter_reason(r, config) for r in records] == [
+            per_corpus_rule(r, config) for r in records]
+
+
 def test_parse_record_roundtrip_and_errors():
     line = json.dumps({"post_id": "42", "text": "hi", "country": "US", "lang": "en"})
     r = parse_record(line)
@@ -113,9 +143,19 @@ def test_parse_record_roundtrip_and_errors():
                 '{"post_id":"1","text":null,"country":"US","lang":"en"}',
                 '{"post_id":"1","text":["x"],"country":"US","lang":"en"}',
                 '{"post_id":"1","text":"x","country":null,"lang":"en"}',
-                '{"post_id":"1","text":"x","country":"US","lang":5}']:
+                '{"post_id":"1","text":"x","country":"US","lang":5}',
+                # a lone surrogate escape, and what a byte that is not UTF-8
+                # becomes when read with errors="surrogateescape"
+                '{"post_id":"1","text":"moneyish \\ud800 cashish","country":"US","lang":"en"}',
+                '{"post_id":"\\udfff","text":"x","country":"US","lang":"en"}',
+                '{"post_id":"1","text":"caf\udcff","country":"US","lang":"en"}',
+                '{"post_id":"1","text":"x","country":"U\udcffS","lang":"en"}',
+                '{"post_id":"1","text":"x","country":"US","lang":"e\\udc00n"}']:
         with pytest.raises(RecordError):
             parse_record(bad)
+    # an escaped surrogate pair is one character, not a surrogate
+    pair = '{"post_id":"1","text":"hi \\ud83d\\ude00","country":"US","lang":"en"}'
+    assert parse_record(pair).text == "hi \U0001F600"
 
 
 # --- normalize_text -----------------------------------------------------------
@@ -167,6 +207,33 @@ def test_normalize_idempotent_on_fixtures(text):
 def test_normalize_idempotent_property(text):
     once = normalize_text(text)
     assert normalize_text(once) == once
+
+
+def normalize_every_rule(text):
+    """normalize_text without its triggers: every rule, unconditionally."""
+    for pattern, token in _NORMALIZE_RULES:
+        text = pattern.sub(token, text)
+    return text
+
+
+def test_normalize_rule_triggers_one_per_rule():
+    assert len(_RULE_TRIGGERS) == len(_NORMALIZE_RULES)
+
+
+# every trigger character, non-ASCII decimal digits ("٣", "１") and pieces
+# that each rule matches
+NORMALIZE_ALPHABET = (
+    list("@.:%$€£¥<>;=8^_-/+,()[]|*'oOtTapm13 \t٣１")
+    + ["http://", "www.", "x.io", "me@x.org", "@bob", "25%", "5 %", "$5", "9€", "12:30",
+       "１２:３０", "٣ pm", "2014-12-05", "jan 5", "555-123-4567", "(555) 123", ":)",
+       ";-(", "=D", "8)", "(8", "<3", "^_^", "T_T", "o.O", "\U0001F604", "\u2764\ufe0f"]
+    + sorted(META_TOKENS))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(NORMALIZE_ALPHABET), max_size=12).map("".join))
+def test_normalize_text_equals_every_rule_applied(text):
+    assert normalize_text(text) == normalize_every_rule(text)
 
 
 # --- tokenize -------------------------------------------------------------------
@@ -229,6 +296,36 @@ def test_tokenize_emoji_multiset_matches_raw_scan():
         toks = tokenize(rec(text), INV).tokens
         got = Counter(t for t in toks if t in INV.entries)
         assert got == scan_count_oracle(text, INV)
+
+
+def tokenize_chunk_by_chunk(record, inventory):
+    """tokenize without its fast path: every chunk through the splitters."""
+    tokens = []
+    for chunk in record.text.split():
+        for piece, is_emoji in inventory.split_text(chunk):
+            if is_emoji:
+                tokens.append(piece)
+            elif record.pre_tokenized:
+                if piece:
+                    tokens.append(piece)
+            else:
+                tokens.extend(t for t in _split_verbal(piece) if t)
+    return tuple(tokens)
+
+
+# edge punctuation, meta-token and selector characters, letters whose case
+# mapping changes their length, and emoji with their joiners
+TOKENIZE_ALPHABET = (
+    list(".,!?;:\"'()[]{}…“”‘’<>@#-") + list("aBİß") + [" ", "\t", "word", "Don't", "<url>",
+    "\ufe0e", "\ufe0f", "\u200d", "\u20e3", "\U0001F604", "\u2764", "\U0001F1FA",
+    "\U0001F1F8"])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(TOKENIZE_ALPHABET), max_size=12).map("".join), st.booleans())
+def test_tokenize_equals_chunk_by_chunk_general_path(text, pre_tokenized):
+    record = rec(text, pre_tokenized=pre_tokenized)
+    assert tokenize(record, INV).tokens == tokenize_chunk_by_chunk(record, INV)
 
 
 # --- ingest + stream io -----------------------------------------------------------

@@ -264,7 +264,7 @@ def test_position_update_accumulates_duplicate_indices():
     # does a twice-sampled negative, within one row and across the rows of
     # one batch.  Oracle: an explicit loop over every occurrence, with all
     # gradients taken at the parameters before the step.
-    from crossmoji.embedding import _apply_batch, _sigmoid
+    from crossmoji.embedding import _apply_batch, _sigmoid, _Workspace
 
     rng = np.random.default_rng(8)
     syn0 = rng.normal(size=(5, 6))
@@ -293,7 +293,7 @@ def test_position_update_accumulates_duplicate_indices():
         expected_loss += np.logaddexp(0, -scores[0]) + np.logaddexp(0, scores[1:]).sum()
 
     loss = _apply_batch(syn0, syn1, ctx, mask, outs, alpha,
-                        (np.empty((2, 4, 6)), np.empty((2, 3, 6))))
+                        _Workspace.of(batch=2, window=2, negatives=2, dim=6))
     assert loss == pytest.approx(expected_loss, rel=1e-12)
     assert np.allclose(syn0, exp0, rtol=0, atol=1e-14)
     assert np.allclose(syn1, exp1, rtol=0, atol=1e-14)
@@ -321,6 +321,66 @@ def test_ragged_batch_gradients_equal_stacked_single_positions():
         assert np.allclose(g_ctx[b][mask[b]], row_ctx, rtol=1e-12, atol=1e-15)
         assert not g_ctx[b][~mask[b]].any()
         assert np.allclose(g_out[b], row_out, rtol=1e-12, atol=1e-15)
+
+
+def flat_float64_add_at(matrix, rows, updates):
+    """matrix[rows[i]] += updates[i] as one float64 np.add.at over flat
+    element indices, in slot order: the reference bits."""
+    dim = matrix.shape[1]
+    cells = rows.reshape(-1, 1) * dim + np.arange(dim)
+    np.add.at(matrix.reshape(-1), cells.reshape(-1), updates.reshape(-1))
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_scatter_add_has_the_bits_of_a_flat_float64_add_at(dim):
+    # an even width goes through complex128 pairs, an odd one stays float64
+    from crossmoji.embedding import _scatter_add
+
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(6, dim))
+    rows = np.array([[0, 2, 0, 5],   # 0 twice within a row
+                     [2, 0, 3, 3],   # 3 twice, 0 and 2 again across rows
+                     [5, 5, 1, 0]])
+    # magnitudes far apart, so that any other accumulation order rounds differently
+    updates = (rng.normal(size=rows.shape + (dim,))
+               * 10.0 ** rng.integers(-8, 9, size=rows.shape + (dim,)))
+    expected = matrix.copy()
+    flat_float64_add_at(expected, rows, updates)
+    _scatter_add(matrix, rows, updates, np.empty(updates.size, dtype=np.intp))
+    assert np.array_equal(bits(matrix), bits(expected))
+
+
+@pytest.mark.parametrize("dim", [6, 5])
+def test_batch_step_has_the_bits_of_expanded_gradients(dim):
+    # the step from the rank-1 factors equals building every gradient with
+    # cbow_gradients, scaling it by -alpha and adding it as flat float64
+    from crossmoji.embedding import _apply_batch, _Workspace
+
+    rng = np.random.default_rng(9)
+    V, B, window, negatives = 9, 16, 3, 3  # context sizes 1 to 6: weights 1/3, 1/5
+    syn0, syn1 = rng.normal(size=(V, dim)), rng.normal(size=(V, dim))
+    ctx = rng.integers(0, V, size=(B, 2 * window))
+    mask = rng.random((B, 2 * window)) < 0.6
+    mask[:, 0] = True
+    outs = rng.integers(0, V, size=(B, negatives + 1))
+    alpha = rng.uniform(0.01, 0.05, size=B)
+
+    exp0, exp1 = syn0.copy(), syn1.copy()
+    loss, grad_ctx, grad_out = cbow_gradients(syn0[ctx], syn1[outs], mask)
+    picked = np.flatnonzero(mask)
+    update = grad_ctx.reshape(ctx.size, dim)[picked]
+    update *= -alpha[picked // ctx.shape[1], None]
+    flat_float64_add_at(exp0, ctx.reshape(-1)[picked], update)
+    flat_float64_add_at(exp1, outs, grad_out * -alpha[:, None, None])
+
+    work = _Workspace.of(batch=20, window=window, negatives=negatives, dim=dim)
+    got = _apply_batch(syn0, syn1, ctx, mask, outs, alpha, work)
+    assert got == float(loss.sum())
+    assert np.array_equal(bits(syn0), bits(exp0)) and np.array_equal(bits(syn1), bits(exp1))
 
 
 def test_chunk_positions_match_per_position_window_oracle():

@@ -794,6 +794,30 @@ def test_streams_and_counts_identical_at_any_shard_count(tmp_path, monkeypatch):
             for c, n in counts.items()} == {"US": (28, 6, 9), "JP": (28, 6, 7)}
 
 
+def test_undecodable_lines_are_parse_errors_not_a_failed_ingest(tmp_path):
+    # a byte that is not UTF-8 and a lone surrogate escape each cost their
+    # line, counted as a parse error; they used to fail the stage (the
+    # first on decoding the shard, the second on writing the stream file)
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1, dim=8)
+    clean = Pipeline(load_config(cfg_path, out_dir=str(tmp_path / "clean"))).run("ingest")
+    west = tmp_path / "west.jsonl"
+    west.write_bytes(west.read_bytes()
+                     + b'{"post_id": "b1", "text": "caf\xff ok", "country": "US", "lang": "en"}\n'
+                     + b'{"post_id": "b2", "text": "moneyish \\ud800 cashish", '
+                       b'"country": "US", "lang": "en"}\n')
+    config = load_config(cfg_path, out_dir=str(tmp_path / "dirty"))
+    dirty = Pipeline(config).run("ingest")
+    assert dirty.stages["ingest"]["completed"]
+    before, after = (m.stages["ingest"]["counts"]["US"] for m in (clean, dirty))
+    assert after["parse_errors"] == before["parse_errors"] + 2
+    assert after["posts_read"] == before["posts_read"] + 2
+    for key in set(before) - {"parse_errors", "posts_read"}:
+        assert after[key] == before[key], key
+    assert dirty.stages["ingest"]["counts"]["JP"] == clean.stages["ingest"]["counts"]["JP"]
+    assert ((tmp_path / "dirty/streams/US.bin").read_bytes()
+            == (tmp_path / "clean/streams/US.bin").read_bytes())
+
+
 def test_directory_ingested_with_text_streams_reingests(completed_run, tmp_path, monkeypatch):
     # an output directory ingested before stream files had a format: text
     # streams, and an ingest key without the stream format.  Ingest re-runs
