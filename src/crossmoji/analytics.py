@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .inventory import EmojiInventory, FrequencyTable, SharedEmojiSet
-from .projection import EKMAN_AXIS_PREFIX, SimilarityTensor, culture_average
+from .projection import SimilarityTensor, culture_average
 
 
 class UndefinedCorrelationError(ValueError):
@@ -146,17 +146,15 @@ class EmojiProfiles:
     by_corpus: dict[str, np.ndarray]     # corpus -> (n * (n - 1) / 2,) profile
 
 
-def emoji_profiles(run_models: Mapping[str, Sequence],
-                   shared: SharedEmojiSet | Sequence[str]) -> EmojiProfiles:
+def emoji_profiles(run_models: Mapping[str, Sequence], shared: Sequence[str]) -> EmojiProfiles:
     """The cosine profiles `country_similarity_matrix` compares.  Emoji
     missing from any corpus are excluded from all profiles symmetrically."""
     corpora = tuple(run_models)
-    emoji_list = list(shared.emoji if isinstance(shared, SharedEmojiSet) else shared)
     usable = [
-        e for e in emoji_list
+        e for e in shared
         if all(e in run_models[c][0].vocab for c in corpora)
     ]
-    excluded = tuple(e for e in emoji_list if e not in usable)
+    excluded = tuple(e for e in shared if e not in usable)
     if not usable:
         return EmojiProfiles((), excluded, {c: np.empty(0) for c in corpora})
     iu = np.triu_indices(len(usable), k=1)

@@ -107,10 +107,14 @@ def parse_record(line: str) -> PostRecord:
     )
 
 
+def primary_language(lang: str) -> str:
+    """The lowercase primary language subtag: "en" for "en-GB"."""
+    return lang.lower().split("-")[0]
+
+
 def _filter_keys(lang: str, country: str) -> tuple[str, str]:
-    """What a filter compares: the lowercase primary language subtag
-    ("en" for "en-GB") and the uppercase country."""
-    return lang.lower().split("-")[0], country.upper()
+    """What a filter compares: the primary language and the uppercase country."""
+    return primary_language(lang), country.upper()
 
 
 def _drop_reasons(record: PostRecord, wanted: Sequence[tuple[str, str]]) -> list[Optional[str]]:
@@ -259,15 +263,17 @@ def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
     tokens: list[str] = []
     starts = inventory.start_chars
     for chunk in record.text.split():
-        # a chunk no splitter can act on is one token, as the general path gives it
+        # a chunk without an inventory start character holds no emoji, so it
+        # skips `split_text`; one no verbal splitter acts on is one token
         if starts.isdisjoint(chunk):
             if record.pre_tokenized:
                 tokens.append(chunk)
-                continue
-            if (_VERBAL_SPLIT_CHARS.isdisjoint(chunk) and chunk[0] not in _EDGE_PUNCT
+            elif (_VERBAL_SPLIT_CHARS.isdisjoint(chunk) and chunk[0] not in _EDGE_PUNCT
                     and chunk[-1] not in _EDGE_PUNCT):
                 tokens.append(chunk.lower())
-                continue
+            else:
+                tokens.extend(t for t in _split_verbal(chunk) if t)
+            continue
         for piece, is_emoji in inventory.split_text(chunk):
             if is_emoji:
                 tokens.append(piece)

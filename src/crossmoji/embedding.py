@@ -184,16 +184,14 @@ def _cbow_factors(context_vectors: np.ndarray, output_vectors: np.ndarray,
 
 
 def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
-                   mask: Optional[np.ndarray] = None, out: Optional[tuple] = None):
+                   mask: Optional[np.ndarray] = None):
     """Loss plus exact gradients w.r.t. the context and output vectors.
 
     One position: context_vectors (C, d) and output_vectors (1 + K, d), the
     center's output vector first; returns a float loss.  A batch: the same
     with a leading batch axis, (B, C, d) and (B, 1 + K, d), plus a (B, C)
     `mask` of the real context slots of each row (None: all are real);
-    returns a (B,) loss array and zero gradients on the padded slots, written
-    into the (context, output) gradient arrays `out` when given.  `out` may be
-    the input arrays themselves: they are read before it is written.  The
+    returns a (B,) loss array and zero gradients on the padded slots.  The
     gradients are `_cbow_factors` expanded; training applies the factors
     without building them."""
     if context_vectors.ndim == 2:
@@ -203,9 +201,8 @@ def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
     if mask is None:
         mask = np.ones(context_vectors.shape[:2], dtype=bool)
     loss, weights, h, g, grad_h = _cbow_factors(context_vectors, output_vectors, mask)
-    grad_ctx, grad_out = out if out is not None else (None, None)
-    grad_out = np.multiply(g[:, :, None], h[:, None, :], out=grad_out)
-    grad_ctx = np.multiply(weights[:, :, None], grad_h[:, None, :], out=grad_ctx)
+    grad_out = g[:, :, None] * h[:, None, :]
+    grad_ctx = weights[:, :, None] * grad_h[:, None, :]
     return loss, grad_ctx, grad_out
 
 

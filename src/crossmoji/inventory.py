@@ -1,4 +1,4 @@
-"""Emoji inventory: codepoint list loading, normalization, frequency counting.
+"""Emoji inventory: codepoint list loading, emoji splitting, frequency counting.
 
 The inventory is the closed set of emoji the toolkit recognizes.  Entries are
 stored as strings of codepoints in canonical form (variation selectors
@@ -69,21 +69,6 @@ class EmojiInventory:
     def category(self, sequence: str) -> str:
         return self.category_of.get(sequence, UNCATEGORIZED)
 
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.category_of.values())))
-
-    def normalize(self, sequence: str) -> tuple[str, bool]:
-        """Strip variation selectors and match against the inventory.
-
-        Returns (canonical, True) on a match; otherwise the input sequence
-        unchanged and False (not an inventory emoji).
-        """
-        canonical = strip_variation_selectors(sequence)
-        if canonical in self.entries:
-            return canonical, True
-        return sequence, False
-
     def split_text(self, text: str) -> Iterator[tuple[str, bool]]:
         """Yield (piece, is_emoji) segments, longest-match at each position.
 
@@ -91,10 +76,6 @@ class EmojiInventory:
         joiners between inventory emoji are consumed silently, decomposing
         unlisted joined sequences into their singleton parts.
         """
-        if self.start_chars.isdisjoint(text):  # most chunks hold no emoji
-            if text:
-                yield text, False
-            return
         n = len(text)
         i = 0
         buf: list[str] = []
@@ -239,10 +220,6 @@ class FrequencyTable:
     def total_count(self, emoji: str) -> int:
         return sum(c.get(emoji, 0) for c in self.counts.values())
 
-    @property
-    def empty_corpora(self) -> tuple[str, ...]:
-        return tuple(c for c in self.counts if self.total(c) == 0)
-
     def normalized(self, corpus_id: str) -> dict[str, float]:
         total = self.total(corpus_id)
         if total == 0:
@@ -277,20 +254,24 @@ class FrequencyTable:
                 )
 
 
+def count_emoji(pairs: Iterable[tuple[str, int]], inventory: EmojiInventory) -> Counter:
+    """The counts of the inventory emoji among (token, count) pairs, summed
+    per emoji, in the order each is first seen."""
+    counter: Counter = Counter()
+    for token, n in pairs:
+        if token in inventory.entries:
+            counter[token] += n
+    return counter
+
+
 def count_frequencies(
     streams_by_corpus: Mapping[str, Iterable], inventory: EmojiInventory
 ) -> FrequencyTable:
     """Count inventory emoji tokens per corpus from token streams."""
-    table = FrequencyTable(inventory=inventory)
-    for corpus_id, streams in streams_by_corpus.items():
-        table.add_corpus(corpus_id)
-        counter = table.counts[corpus_id]
-        for stream in streams:
-            tokens = stream.tokens if hasattr(stream, "tokens") else stream
-            for tok in tokens:
-                if tok in inventory.entries:
-                    counter[tok] += 1
-    return table
+    return FrequencyTable(inventory, {
+        corpus_id: count_emoji(((token, 1) for stream in streams
+                                for token in getattr(stream, "tokens", stream)), inventory)
+        for corpus_id, streams in streams_by_corpus.items()})
 
 
 @dataclass(frozen=True)
@@ -302,9 +283,6 @@ class SharedEmojiSet:
 
     def __len__(self) -> int:
         return len(self.emoji)
-
-    def __iter__(self):
-        return iter(self.emoji)
 
     def __contains__(self, e: str) -> bool:
         return e in self.emoji

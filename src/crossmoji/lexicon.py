@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -27,11 +27,7 @@ class Lexicon:
     """Many-to-many mapping of word patterns to named categories."""
 
     language: str
-    id_to_name: Mapping[int, str]
     patterns: Mapping[str, tuple[str, ...]]  # category name -> patterns
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.patterns
 
 
 def _validate_pattern(pattern: str, path: str, line_no: int) -> None:
@@ -90,39 +86,14 @@ def parse_lexicon(path, language: str) -> Lexicon:
 
     return Lexicon(
         language=language,
-        id_to_name=dict(sorted(id_to_name.items())),
         patterns={name: tuple(sorted(pats)) for name, pats in patterns.items()},
     )
 
 
-def serialize_lexicon(lexicon: Lexicon) -> str:
-    """Write a lexicon back to .dic text (parse -> serialize round-trips)."""
-    lines = ["%"]
-    for cid, name in lexicon.id_to_name.items():
-        lines.append(f"{cid}\t{name}")
-    lines.append("%")
-    name_to_id = {name: cid for cid, name in lexicon.id_to_name.items()}
-    by_word: dict[str, list[int]] = {}
-    for name, pats in lexicon.patterns.items():
-        for pat in pats:
-            by_word.setdefault(pat, []).append(name_to_id[name])
-    for word in sorted(by_word):
-        ids = "\t".join(str(i) for i in sorted(by_word[word]))
-        lines.append(f"{word}\t{ids}")
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    """Concrete in-vocabulary tokens per category, plus drop accounting."""
-
-    tokens: Mapping[str, frozenset[str]]
-    dropped_patterns: Mapping[str, int]   # patterns with zero vocab matches
-    degenerate: tuple[str, ...]           # categories with zero tokens overall
-
-
-def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> ExpansionResult:
-    """Expand stems against a vocabulary; `happ*` matches prefix 'happ'."""
+def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> dict[str, frozenset[str]]:
+    """Each category's in-vocabulary tokens (none, for a category no token
+    matches: `build_tensor` decides what an empty category means); the stem
+    `happ*` matches the prefix 'happ'."""
     vocab_sorted = sorted(set(vocabulary))
     vocab_set = set(vocab_sorted)
 
@@ -136,25 +107,15 @@ def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> ExpansionRes
         return out
 
     tokens: dict[str, frozenset[str]] = {}
-    dropped: dict[str, int] = {}
-    degenerate: list[str] = []
     for name in sorted(lexicon.patterns):
         found: set[str] = set()
-        misses = 0
         for pat in lexicon.patterns[name]:
             if pat.endswith("*"):
-                hits = prefix_matches(pat[:-1])
-            else:
-                hits = [pat] if pat in vocab_set else []
-            if hits:
-                found.update(hits)
-            else:
-                misses += 1
+                found.update(prefix_matches(pat[:-1]))
+            elif pat in vocab_set:
+                found.add(pat)
         tokens[name] = frozenset(found)
-        dropped[name] = misses
-        if not found:
-            degenerate.append(name)
-    return ExpansionResult(tokens=tokens, dropped_patterns=dropped, degenerate=tuple(degenerate))
+    return tokens
 
 
 def shared_schema(lexicons: Sequence[Lexicon]) -> tuple[str, ...]:
@@ -172,15 +133,7 @@ def shared_schema(lexicons: Sequence[Lexicon]) -> tuple[str, ...]:
 
 # --- Ekman emotion words --------------------------------------------------
 
-DEFAULT_EKMAN_EN = {
-    "anger": ("anger", "angry"),
-    "disgust": ("disgust", "disgusted"),
-    "fear": ("fear", "terrified"),
-    "happiness": ("happiness", "happy"),
-    "sadness": ("sadness", "sad"),
-    "surprise": ("surprise", "surprised"),
-}
-
+EKMAN_AXIS_PREFIX = "ekman:"  # every Ekman axis label starts with it
 
 @dataclass(frozen=True)
 class EkmanWordList:
@@ -201,8 +154,8 @@ class EkmanWordList:
         out = []
         for emotion in sorted(self.words[language]):
             noun, adj = self.words[language][emotion]
-            out.append((f"ekman:{emotion}:noun", noun))
-            out.append((f"ekman:{emotion}:adjective", adj))
+            out.append((f"{EKMAN_AXIS_PREFIX}{emotion}:noun", noun))
+            out.append((f"{EKMAN_AXIS_PREFIX}{emotion}:adjective", adj))
         return out
 
 

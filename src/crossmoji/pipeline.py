@@ -56,6 +56,7 @@ from .corpus import (
     ingest_range,
     line_ranges,
     load_streams,
+    primary_language,
     save_streams,
 )
 from .embedding import (
@@ -71,6 +72,7 @@ from .fileio import atomic_write, read_arrays, write_arrays
 from .inventory import (
     FrequencyTable,
     SharedEmojiSet,
+    count_emoji,
     default_category_path,
     default_data_path,
     load_inventory,
@@ -344,7 +346,6 @@ class Pipeline:
         if self._inventory is None:
             self._inventory = load_inventory(self.config.emoji_data,
                                              self.config.emoji_categories)
-            self.manifest.warnings.extend(self._inventory.warnings)
         return self._inventory
 
     def streams_path(self, corpus_id: str) -> Path:
@@ -474,6 +475,9 @@ class Pipeline:
 
     def stage_ingest(self) -> dict:
         inventory = self.inventory  # loaded here, so that workers inherit it
+        # recorded here alone: ingest's key covers the emoji data, and a
+        # skipped ingest restores them from its marker
+        self.manifest.warnings.extend(inventory.warnings)
         groups: dict[Path, list[CorpusHandle]] = {}  # the corpora reading each file
         for spec in self.config.corpora:
             groups.setdefault(Path(spec.input_path).resolve(), []).append(spec)
@@ -557,11 +561,9 @@ class Pipeline:
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        emoji = self.inventory.entries
         # each corpus's emoji counts, in the order its stream first has them
         table = FrequencyTable(self.inventory, {
-            corpus_id: Counter({t: n for t, n in zip(types.types, types.counts.tolist())
-                                if t in emoji})
+            corpus_id: count_emoji(zip(types.types, types.counts.tolist()), self.inventory)
             for corpus_id, types in self._load_streams().items()})
         models = {spec.corpus_id: [load_model(self.model_path(spec.corpus_id, r))
                                    for r in range(self.config.runs)]
@@ -576,12 +578,12 @@ class Pipeline:
         expansions = {}
         for spec, lexicon in zip(self.config.corpora, lexicons):
             exp = expand_patterns(lexicon, models[spec.corpus_id][0].vocab.tokens)
-            expansions[spec.corpus_id] = {c: sorted(exp.tokens[c]) for c in schema}
+            expansions[spec.corpus_id] = {c: sorted(exp[c]) for c in schema}
 
         ekman = load_ekman(self.config.ekman_words)
         ekman_axes = {}
         for spec in self.config.corpora:
-            lang = spec.lang.split("-")[0].lower()
+            lang = primary_language(spec.lang)
             if lang in ekman.words:
                 ekman_axes[spec.corpus_id] = ekman.axes(lang)
             else:
@@ -594,7 +596,7 @@ class Pipeline:
             with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
                 f.write("no shared emoji\n")
         else:
-            tensor = build_tensor(models, expansions, schema, shared,
+            tensor = build_tensor(models, expansions, schema, shared.emoji,
                                   self.config.culture_of, ekman_axes=ekman_axes or None)
             path = self.out / "tensors" / "similarity_orthonormal.csv"
             self._declare([path])
@@ -613,7 +615,7 @@ class Pipeline:
                     "Ekman axes excluded (word missing in some corpus): "
                     + ", ".join(tensor.excluded_axes))
         with self._artifact(self.out / "handoff.bin", "wb") as f:
-            write_handoff(f, tensor, emoji_profiles(models, shared), table, shared)
+            write_handoff(f, tensor, emoji_profiles(models, shared.emoji), table, shared)
         return info
 
     def stage_analyze(self) -> dict:

@@ -28,9 +28,8 @@ import numpy as np
 
 from .embedding import EmbeddingModel
 from .fileio import atomic_write
-from .inventory import SharedEmojiSet
+from .lexicon import EKMAN_AXIS_PREFIX
 
-EKMAN_AXIS_PREFIX = "ekman:"
 # a residual norm below this makes a vector dependent on the ones before it
 GRAM_SCHMIDT_TOL = 1e-10
 # a target vector with a norm below this has no direction to compare
@@ -159,7 +158,7 @@ def build_tensor(
     run_models: Mapping[str, Sequence[EmbeddingModel]],
     expansions: Mapping[str, Mapping[str, Sequence[str]]],
     schema: Sequence[str],
-    targets: SharedEmojiSet | Sequence[str],
+    targets: Sequence[str],
     culture_of: Mapping[str, str],
     ekman_axes: Optional[Mapping[str, Sequence[tuple[str, str]]]] = None,
 ) -> SimilarityTensor:
@@ -227,10 +226,9 @@ def build_tensor(
         ekman_labels = tuple(usable)
 
     # targets usable only when present (nonzero) in every corpus vocabulary
-    target_list = list(targets.emoji if isinstance(targets, SharedEmojiSet) else targets)
     excluded_targets: list[str] = []
     usable_targets: list[str] = []
-    for t in target_list:
+    for t in targets:
         ok = all(
             t in run_models[corpus][0].vocab
             and all(np.linalg.norm(m.vector(t)) >= ZERO_NORM for m in run_models[corpus])

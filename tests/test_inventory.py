@@ -1,4 +1,4 @@
-"""Inventory loading, emoji normalization, frequency counting, shared set."""
+"""Inventory loading, emoji splitting, frequency counting, shared set."""
 
 from collections import Counter
 
@@ -86,34 +86,35 @@ def test_skin_tone_entries_dropped_with_warning(tmp_path):
     assert any("skin-tone" in w for w in inv.warnings)
 
 
-# --- EmojiInventory.normalize ---------------------------------------------------
+# --- split_text: canonical emoji ------------------------------------------------
+
+def split(inventory, text):
+    return list(inventory.split_text(text))
+
 
 def test_variation_selector_stripped(full_inventory):
-    canonical, is_emoji = full_inventory.normalize("❤️")
-    assert canonical == "❤"
-    assert is_emoji
+    assert split(full_inventory, "❤️") == [("❤", True)]
 
 
 def test_plain_emoji_identity(full_inventory):
-    assert full_inventory.normalize("\U0001F600") == ("\U0001F600", True)
+    assert split(full_inventory, "\U0001F600") == [("\U0001F600", True)]
 
 
 def test_plain_letter_flagged_non_emoji(full_inventory):
-    assert full_inventory.normalize("A") == ("A", False)
+    assert split(full_inventory, "A") == [("A", False)]
 
 
 def test_normalize_emoji_idempotent(full_inventory):
+    # splitting a piece again gives that piece back
     for seq in ["❤️", "\U0001F600", "A", "A️"]:
-        once = full_inventory.normalize(seq)
-        twice = full_inventory.normalize(once[0])
-        assert once[0] == twice[0]
-        assert once[1] == twice[1]
+        once = split(full_inventory, seq)
+        assert [split(full_inventory, piece) for piece, _ in once] == [[p] for p in once]
 
 
 def test_flag_pair_and_keycap_match(full_inventory):
-    assert full_inventory.normalize("\U0001F1FA\U0001F1F8")[1]  # US flag
-    assert full_inventory.normalize("#⃣")[1]
-    assert full_inventory.normalize("#️⃣") == ("#⃣", True)
+    assert split(full_inventory, "\U0001F1FA\U0001F1F8") == [("\U0001F1FA\U0001F1F8", True)]
+    assert split(full_inventory, "#⃣") == [("#⃣", True)]
+    assert split(full_inventory, "#️⃣") == [("#⃣", True)]
 
 
 # --- split_text -------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_direct_count_example(full_inventory):
 
 def test_empty_corpus_flagged(full_inventory):
     table = count_frequencies({"X": [("plain", "words")]}, full_inventory)
-    assert table.empty_corpora == ("X",)
+    assert table.corpora == ("X",) and table.total("X") == 0
     with pytest.raises(EmptyCorpusError):
         table.normalized("X")
 

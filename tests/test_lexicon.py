@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossmoji.lexicon import (
-    DEFAULT_EKMAN_EN,
     EkmanWordList,
     Lexicon,
     LexiconFormatError,
@@ -15,7 +14,6 @@ from crossmoji.lexicon import (
     default_ekman,
     expand_patterns,
     parse_lexicon,
-    serialize_lexicon,
     shared_schema,
 )
 
@@ -80,15 +78,6 @@ def test_bare_star_rejected(tmp_path):
         parse_lexicon(write_dic(tmp_path, "%\n1\tposemo\n%\n*\t1\n"), "en")
 
 
-def test_round_trip_parse_serialize_parse(tmp_path):
-    text = ("%\n1\tposemo\n2\tnegemo\n5\tmoney\n%\n"
-            "happy\t1\nhapp*\t1\nsad\t2\nmixed\t1\t2\ncash\t5\nbank\t5\n")
-    lex1 = parse_lexicon(write_dic(tmp_path, text), "en")
-    lex2 = parse_lexicon(write_dic(tmp_path, serialize_lexicon(lex1), "b.dic"), "en")
-    assert lex1.patterns == lex2.patterns
-    assert lex1.id_to_name == lex2.id_to_name
-
-
 def test_demo_lexicon_ships_and_parses():
     from crossmoji.lexicon import resources
 
@@ -100,25 +89,24 @@ def test_demo_lexicon_ships_and_parses():
 # --- expansion ------------------------------------------------------------------
 
 def test_prefix_semantics():
-    lex = Lexicon(language="en", id_to_name={1: "posemo"},
-                  patterns={"posemo": ("happ*",)})
+    lex = Lexicon(language="en", patterns={"posemo": ("happ*",)})
     got = expand_patterns(lex, ["happy", "happiness", "hat"])
-    assert got.tokens["posemo"] == frozenset({"happy", "happiness"})
+    assert got["posemo"] == frozenset({"happy", "happiness"})
 
 
 def test_out_of_vocab_literal_reported():
-    lex = Lexicon(language="en", id_to_name={1: "posemo"},
-                  patterns={"posemo": ("joy", "glee")})
+    # the literal "joy" is not in the vocabulary and adds no token
+    lex = Lexicon(language="en", patterns={"posemo": ("joy", "glee")})
     got = expand_patterns(lex, ["happy", "glee"])
-    assert got.tokens["posemo"] == frozenset({"glee"})
-    assert got.dropped_patterns["posemo"] == 1
+    assert got["posemo"] == frozenset({"glee"})
 
 
 def test_zero_token_category_flagged_degenerate():
-    lex = Lexicon(language="en", id_to_name={1: "a", 2: "b"},
-                  patterns={"a": ("xyzzy*",), "b": ("hat",)})
+    # the category stays, empty: build_tensor decides what that means
+    lex = Lexicon(language="en", patterns={"a": ("xyzzy*",), "b": ("hat",)})
     got = expand_patterns(lex, ["hat", "cap"])
-    assert got.degenerate == ("a",)
+    assert got["a"] == frozenset()
+    assert got["b"] == frozenset({"hat"})
 
 
 def brute_force_expand(patterns, vocab):
@@ -136,23 +124,22 @@ def brute_force_expand(patterns, vocab):
        st.lists(st.text(alphabet="abcf", min_size=1, max_size=4), min_size=1, max_size=8))
 def test_expansion_matches_brute_force_oracle(vocab, stems):
     patterns = tuple(dict.fromkeys(s + "*" for s in stems)) + ("abc", "f")
-    lex = Lexicon(language="en", id_to_name={1: "cat"}, patterns={"cat": patterns})
+    lex = Lexicon(language="en", patterns={"cat": patterns})
     got = expand_patterns(lex, vocab)
-    assert got.tokens["cat"] == frozenset(brute_force_expand(patterns, set(vocab)))
+    assert got["cat"] == frozenset(brute_force_expand(patterns, set(vocab)))
 
 
 def test_expansion_subset_of_vocabulary():
-    lex = Lexicon(language="en", id_to_name={1: "c"}, patterns={"c": ("a*", "b", "qq*")})
+    lex = Lexicon(language="en", patterns={"c": ("a*", "b", "qq*")})
     vocab = ["aa", "ab", "b", "c"]
     got = expand_patterns(lex, vocab)
-    assert got.tokens["c"] <= set(vocab)
+    assert got["c"] <= set(vocab)
 
 
 # --- shared schema ---------------------------------------------------------------
 
 def lex_with(names):
-    return Lexicon(language="xx", id_to_name={i: n for i, n in enumerate(names, 1)},
-                   patterns={n: ("w",) for n in names})
+    return Lexicon(language="xx", patterns={n: ("w",) for n in names})
 
 
 def test_schema_intersection_sorted():
@@ -184,7 +171,14 @@ def test_schema_commutative():
 
 def test_default_ekman_words():
     ek = default_ekman()
-    assert ek.words["en"] == DEFAULT_EKMAN_EN
+    assert ek.words["en"] == {
+        "anger": ("anger", "angry"),
+        "disgust": ("disgust", "disgusted"),
+        "fear": ("fear", "terrified"),
+        "happiness": ("happiness", "happy"),
+        "sadness": ("sadness", "sad"),
+        "surprise": ("surprise", "surprised"),
+    }
 
 
 def test_ekman_axes_are_twelve_labelled_pairs():

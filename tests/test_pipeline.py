@@ -24,7 +24,7 @@ from crossmoji.embedding import (
     encode_types,
     vocabulary_of,
 )
-from crossmoji.inventory import EmojiInventory, load_default_inventory
+from crossmoji.inventory import EmojiInventory, count_frequencies, load_default_inventory
 from crossmoji.pipeline import (
     SCHEMA,
     STAGES,
@@ -172,6 +172,30 @@ def test_lexicon_edit_reruns_project_and_later(completed_run, tmp_path):
     config = copy_run(completed_run, tmp_path)
     drop_last_line(config.corpora[0].lexicon_path)
     assert ran(Pipeline(config).run("all")) == ["project", "analyze", "report"]
+
+
+def test_inventory_warnings_listed_once_on_cached_reruns(completed_run, tmp_path):
+    # ingest alone records the inventory's warnings; a later stage that
+    # loaded the inventory first used to record them again, and a skipped
+    # one to restore that copy from its marker
+    config = copy_run(completed_run, tmp_path)
+    cfg_path = tmp_path / "run" / "config.json"
+    data = tmp_path / "run" / "emoji_data.txt"
+    data.write_text(config.emoji_data.read_text(encoding="utf-8") + "1F3FB ; emoji\n",
+                    encoding="utf-8")
+    edit_config(cfg_path, "emoji_data", data.name)
+    warning = "dropped 1 skin-tone modifier entries"
+    for key, value, stages in ((None, None, ["ingest", "project", "analyze"]),
+                               ("top_k", 3, ["analyze", "report"]),
+                               ("shared_threshold", 2, ["project", "analyze", "report"]),
+                               ("top_k", 4, ["analyze", "report"])):
+        if key:
+            edit_config(cfg_path, key, value)
+        config = load_config(cfg_path)
+        manifest = Pipeline(config).run("all")
+        assert set(ran(manifest)) <= set(stages), key
+        saved = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest.warnings.count(warning) == saved["warnings"].count(warning) == 1, key
 
 
 def test_top_k_edit_reruns_analyze_and_report_equal_to_cold_run(completed_run, tmp_path):
@@ -792,6 +816,34 @@ def test_streams_and_counts_identical_at_any_shard_count(tmp_path, monkeypatch):
     counts = json.loads(results[1, None]["counts.json"])
     assert {c: (n["posts_read"], n["parse_errors"], n["streams_written"])
             for c, n in counts.items()} == {"US": (28, 6, 9), "JP": (28, 6, 7)}
+
+
+@pytest.mark.parametrize("feed", [False, True], ids=["two-culture", "mixed-feed"])
+def test_project_emoji_counts_equal_count_frequencies_of_token_streams(tmp_path, feed):
+    # project counts emoji from the stream files' type tables; the same
+    # posts as token streams give the same table, key order included
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=1, dim=8, epochs=1)
+    if feed:
+        # the fixture's posts first, so that the lexicon categories have
+        # tokens, and then the mixed feed, which has no final line end
+        mixed = write_mixed_feed(tmp_path / "mixed.jsonl")
+        mixed.write_bytes(b"".join((tmp_path / name).read_bytes()
+                                   for name in ("west.jsonl", "east.jsonl", "mixed.jsonl")))
+        raw = json.loads(cfg_path.read_text())
+        for corpus in raw["corpora"]:
+            corpus["input"] = "mixed.jsonl"
+        cfg_path.write_text(json.dumps(raw))
+    config = load_config(cfg_path)
+    Pipeline(config).run("all")
+    inventory = load_default_inventory()
+    _, _, table, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", inventory,
+                                           config.culture_of)
+    want = count_frequencies({spec.corpus_id: ingest_handle(spec, inventory)[0]
+                              for spec in config.corpora}, inventory)
+    assert all(want.total(c) for c in want.corpora)
+    assert ({c: list(n.items()) for c, n in table.counts.items()}
+            == {c: list(n.items()) for c, n in want.counts.items()})
+    assert list(table.counts) == list(want.counts)
 
 
 def test_undecodable_lines_are_parse_errors_not_a_failed_ingest(tmp_path):
