@@ -45,7 +45,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name, info in manifest.stages.items():
-        status = "skipped (cached)" if info.get("skipped") else f"{info['seconds']}s"
+        status = ("not complete" if not info["completed"] else
+                  "skipped (cached)" if info["skipped"] else f"{info['seconds']}s")
         print(f"  {name:8s} {status}")
     if manifest.warnings:
         print(f"{len(manifest.warnings)} warning(s); see manifest.json")

@@ -7,22 +7,29 @@ The mean of the context input vectors predicts the center token against
 
 where h is the context mean.  Gradients are the exact analytic gradients of
 L (the context update is the output-side error divided by the context
-size), so they check out against finite differences.
+size), so they check out against finite differences (`cbow_gradients`).
 
-Training is minibatch SGD (Ji et al., arXiv:1604.04661): positions are taken
-`BATCH` at a time, `_cbow_factors` evaluates every gradient of a batch at
-the same parameters, and each matrix then gets one scatter-add.  One seeded
-generator drives all sampling, so a fixed seed reproduces a model exactly.
+Training is minibatch SGD with block-shared negatives (Ji et al.,
+arXiv:1604.04661): positions are taken `BATCH` at a time, every gradient of
+a batch is evaluated at the same parameters, and each matrix then gets one
+scatter-add.  Each block of `GROUP` consecutive positions shares its K
+negatives, so a batch gathers and updates B + (B / GROUP) * K output rows,
+not B * (1 + K).  A shared negative equal to a row's center is masked for
+that row: it adds no loss and no gradient there.  The negatives' scores,
+their part of the gradient w.r.t. h and their updates are block einsums,
+never a matmul, so no BLAS library, and none of its threads, decides the
+bits.  What is the same for every batch of a chunk is computed once per
+chunk (`_Chunk`): the negatives, drawn at once, the clash mask, and the
+1/context-size weights.  One seeded generator drives all sampling, so a
+fixed seed reproduces a model exactly.
 
 Every gradient is rank 1, so the step applies the factors and builds no
 (B, 2 * window, d) context gradient: every real context slot of row b gets
-the row's (1/context size * grad_h[b]) * -alpha[b], the same products in
-the same order as `cbow_gradients` followed by scaling with -alpha, so the
-same bits.  One workspace per `train_cbow` call holds the gathered
-vectors, which their updates then overwrite, and the scatter-add's
-indices.  An even `dim` is scatter-added as complex128 pairs: a complex
-add is two independent float64 adds in the same order, so again the same
-bits.
+the row's grad_h[b] * -alpha[b] / context size.  One workspace per
+`train_cbow` call holds the gathered vectors, which their updates then
+overwrite, and the scatter-add's indices.  An even `dim` is scatter-added
+as complex128 pairs: a complex add is two independent float64 adds in the
+same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .fileio import atomic_write, read_arrays, write_arrays
 MODEL_FORMAT = "crossmoji-model 3"
 
 BATCH = 256  # positions per minibatch step
+GROUP = 16  # consecutive positions sharing their negatives; divides BATCH
 CHUNK_TOKENS = 4096  # positions are built for about this many tokens at a time
 
 
@@ -165,24 +173,6 @@ def cbow_loss(context_vectors: np.ndarray, output_vectors: np.ndarray) -> float:
     return float(loss)
 
 
-def _cbow_factors(context_vectors: np.ndarray, output_vectors: np.ndarray,
-                  mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gradient math of a batch, as factors: the (B,) loss, the (B, C)
-    context weights (1/context size on real slots, 0 on padding), the (B, d)
-    context mean h, the (B, 1 + K) errors g (sigmoid minus label) and the
-    (B, d) gradient w.r.t. h.  Every gradient is rank 1 in them: context slot
-    (b, c) gets weights[b, c] * grad_h[b], output slot (b, k) g[b, k] * h[b]."""
-    weights = mask / mask.sum(axis=1, keepdims=True)  # 1/context size on real slots
-    h = np.einsum("bc,bcd->bd", weights, context_vectors)
-    scores = np.einsum("bkd,bd->bk", output_vectors, h)
-    g = _sigmoid(scores)
-    g[:, 0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
-    grad_h = np.einsum("bk,bkd->bd", g, output_vectors)
-    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
-    loss = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
-    return loss, weights, h, g, grad_h
-
-
 def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
                    mask: Optional[np.ndarray] = None):
     """Loss plus exact gradients w.r.t. the context and output vectors.
@@ -191,19 +181,25 @@ def cbow_gradients(context_vectors: np.ndarray, output_vectors: np.ndarray,
     center's output vector first; returns a float loss.  A batch: the same
     with a leading batch axis, (B, C, d) and (B, 1 + K, d), plus a (B, C)
     `mask` of the real context slots of each row (None: all are real);
-    returns a (B,) loss array and zero gradients on the padded slots.  The
-    gradients are `_cbow_factors` expanded; training applies the factors
-    without building them."""
+    returns a (B,) loss array and zero gradients on the padded slots.
+    Every gradient is rank 1: context slot (b, c) gets weights[b, c] *
+    grad_h[b], output slot (b, k) g[b, k] * h[b]; training applies these
+    factors without building the gradients."""
     if context_vectors.ndim == 2:
         loss, grad_ctx, grad_out = cbow_gradients(context_vectors[None],
                                                   output_vectors[None])
         return float(loss[0]), grad_ctx[0], grad_out[0]
     if mask is None:
         mask = np.ones(context_vectors.shape[:2], dtype=bool)
-    loss, weights, h, g, grad_h = _cbow_factors(context_vectors, output_vectors, mask)
-    grad_out = g[:, :, None] * h[:, None, :]
-    grad_ctx = weights[:, :, None] * grad_h[:, None, :]
-    return loss, grad_ctx, grad_out
+    weights = mask / mask.sum(axis=1, keepdims=True)  # 1/context size on real slots
+    h = np.einsum("bc,bcd->bd", weights, context_vectors)
+    scores = np.einsum("bkd,bd->bk", output_vectors, h)
+    g = _sigmoid(scores)
+    g[:, 0] -= 1.0  # (sigmoid - label); label 1 for the center, 0 for negatives
+    grad_h = np.einsum("bk,bkd->bd", g, output_vectors)
+    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
+    loss = np.logaddexp(0.0, -scores[:, 0]) + np.logaddexp(0.0, scores[:, 1:]).sum(axis=1)
+    return loss, weights[:, :, None] * grad_h[:, None, :], g[:, :, None] * h[:, None, :]
 
 
 def subsample_keep_probabilities(
@@ -293,18 +289,42 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray,
     np.add.at(matrix.reshape(-1), cells.reshape(-1), updates.reshape(-1))
 
 
-def _draw_outputs(centers: np.ndarray, neg_cum: np.ndarray, negatives: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """(B, 1 + negatives) output ids: each row's center, then negatives drawn
-    from the unigram^0.75 table and redrawn wherever one hits its row's center."""
-    outs = np.empty((len(centers), negatives + 1), dtype=np.int64)
-    outs[:, 0] = centers
-    outs[:, 1:] = np.searchsorted(neg_cum, rng.random((len(centers), negatives)))
-    clash = outs[:, 1:] == centers[:, None]
-    while clash.any():
-        outs[:, 1:][clash] = np.searchsorted(neg_cum, rng.random(np.count_nonzero(clash)))
-        clash = outs[:, 1:] == centers[:, None]
-    return outs
+@dataclass(frozen=True)
+class _Chunk:
+    """The positions of one chunk, and all that every batch of them reads
+    that is the same for every batch, computed once per chunk.  Block j is
+    positions GROUP * j to GROUP * j + GROUP - 1; `BATCH` is a multiple of
+    `GROUP`, so no block spans two batches.  The block arrays have one row
+    per position of whole blocks; the rows past the last position are
+    padding, with `keep` and `neg_alpha` 0."""
+
+    centers: np.ndarray  # (P,) center ids
+    ctx: np.ndarray  # (P, C) context ids
+    weights: np.ndarray  # (P, C) 1/context size on real slots, 0 on padding
+    ctx_scale: np.ndarray  # (P,) -alpha / context size: a real slot's update over grad_h
+    negs: np.ndarray  # (blocks, K) the negatives each block shares
+    keep: np.ndarray  # (GROUP * blocks, K) 0.0 where a negative is its row's center, else 1.0
+    neg_alpha: np.ndarray  # (GROUP * blocks,) -alpha of each row
+    slot_ids: np.ndarray  # the context id of every real slot, row by row
+    slot_rows: np.ndarray  # the row of every real slot within its batch
+    slot_bounds: np.ndarray  # the first real slot of each batch, then their count
+
+    @classmethod
+    def of(cls, centers: np.ndarray, ctx: np.ndarray, mask: np.ndarray, alpha: np.ndarray,
+           negs: np.ndarray) -> _Chunk:
+        """Row p has learning rate alpha[p] and the negatives negs[p // GROUP]."""
+        n = len(centers)
+        padded = GROUP * len(negs)
+        inv_size = 1.0 / mask.sum(axis=1)
+        keep = np.zeros((padded, negs.shape[1]))
+        keep[:n] = negs[np.arange(n) // GROUP] != centers[:, None]
+        neg_alpha = np.zeros(padded)
+        np.negative(alpha, out=neg_alpha[:n])
+        slots = np.flatnonzero(mask)
+        rows = slots // mask.shape[1]
+        return cls(centers, ctx, mask * inv_size[:, None], neg_alpha[:n] * inv_size, negs,
+                   keep, neg_alpha, ctx.reshape(-1)[slots], rows % BATCH,
+                   np.searchsorted(rows, np.arange(0, n + BATCH, BATCH)))
 
 
 @dataclass(frozen=True)
@@ -314,44 +334,78 @@ class _Workspace:
     the arithmetic on them."""
 
     ctx: np.ndarray  # (B, C, d) context vectors, then the context updates
-    out: np.ndarray  # (B, 1 + K, d) output vectors, then their updates
+    out: np.ndarray  # (B + B / GROUP * K, d) center and negative vectors, then their updates
+    out_ids: np.ndarray  # the rows of `out`: the centers, then each block's negatives
+    # B rounded up to whole blocks rows each:
+    h: np.ndarray  # (B, d) context means, 0 on the rows past a ragged batch
+    grad_h: np.ndarray  # (B, d) gradient w.r.t. h, then the row's context update
+    scaled: np.ndarray  # (B * K,) the negatives' errors times -alpha
     cells: np.ndarray  # intp flat cell indices of one `_scatter_add`
 
     @classmethod
     def of(cls, batch: int, window: int, negatives: int, dim: int) -> _Workspace:
-        slots = max(2 * window, negatives + 1)
-        return cls(np.empty((batch, 2 * window, dim)), np.empty((batch, negatives + 1, dim)),
-                   np.empty(batch * slots * dim, dtype=np.intp))
+        outs = batch + -(-batch // GROUP) * negatives
+        padded = -(-batch // GROUP) * GROUP
+        return cls(np.empty((batch, 2 * window, dim)), np.empty((outs, dim)),
+                   np.empty(outs, dtype=np.int64), np.empty((padded, dim)),
+                   np.empty((padded, dim)), np.empty(padded * negatives),
+                   np.empty(max(batch * 2 * window, outs) * dim, dtype=np.intp))
 
 
-def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, ctx: np.ndarray, mask: np.ndarray,
-                 outs: np.ndarray, alpha: np.ndarray, work: _Workspace) -> float:
-    """One SGD step for a batch of positions; row b has learning rate alpha[b].
+def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, chunk: _Chunk, start: int,
+                 work: _Workspace) -> float:
+    """One SGD step for the positions of `chunk` from `start` (a multiple of
+    `BATCH`) on, at most `BATCH` of them.
 
     All gradients are taken at the current parameters, then applied; repeated
     context or output ids, within a row or across rows, accumulate their
-    updates.  The updates are the `_cbow_factors` products times -alpha[b],
-    multiplied in the order `cbow_gradients` then scaling would give; no
-    (B, C, d) context gradient is built.  Returns the summed loss."""
-    n, d = len(ctx), syn0.shape[1]
-    ctx_vecs, out_vecs = work.ctx[:n], work.out[:n]
+    updates.  A block's negative that equals a row's center adds nothing to
+    that row's loss or gradients.  Returns the summed loss."""
+    n = min(BATCH, len(chunk.centers) - start)
+    blocks = -(-n // GROUP)
+    m, k, d = blocks * GROUP, chunk.negs.shape[1], syn0.shape[1]
+    rows, padded = slice(start, start + n), slice(start, start + m)
+    ctx_vecs, out_vecs = work.ctx[:n], work.out[: n + blocks * k]
+    out_ids = work.out_ids[: n + blocks * k]
+    out_ids[:n] = chunk.centers[rows]
+    out_ids[n:] = chunk.negs[start // GROUP : start // GROUP + blocks].reshape(-1)
     # mode="clip" writes straight into `out` (ids are always in range)
-    np.take(syn0, ctx, axis=0, out=ctx_vecs, mode="clip")
-    np.take(syn1, outs, axis=0, out=out_vecs, mode="clip")
-    loss, weights, h, g, grad_h = _cbow_factors(ctx_vecs, out_vecs, mask)
-    neg_alpha = -alpha
-    grad_out = np.multiply(g[:, :, None], h[:, None, :], out=out_vecs)
-    grad_out *= neg_alpha[:, None, None]
-    _scatter_add(syn1, outs, grad_out, work.cells)
-    # every real slot of row b weighs 1/context size, so all of them get the
-    # row's (weights[b, c] * grad_h[b]) * -alpha[b]
-    step = np.multiply(weights.max(axis=1)[:, None], grad_h, out=grad_h)
-    step *= neg_alpha[:, None]
-    slots = np.flatnonzero(mask)
-    update = work.ctx.reshape(-1, d)[: len(slots)]  # the context vectors are spent
-    np.take(step, slots // mask.shape[1], axis=0, out=update, mode="clip")
-    _scatter_add(syn0, ctx.reshape(-1)[slots], update, work.cells)
-    return float(loss.sum())
+    np.take(syn0, chunk.ctx[rows], axis=0, out=ctx_vecs, mode="clip")
+    np.take(syn1, out_ids, axis=0, out=out_vecs, mode="clip")
+    center_vecs, neg_vecs = out_vecs[:n], out_vecs[n:].reshape(blocks, k, d)
+    h, grad_h = work.h[:m], work.grad_h[:m]
+    np.einsum("bc,bcd->bd", chunk.weights[rows], ctx_vecs, out=h[:n])
+    h[n:] = 0.0
+    h_blocks = h.reshape(blocks, GROUP, d)
+    pos = np.einsum("bd,bd->b", h[:n], center_vecs)
+    neg = np.einsum("ngd,nkd->ngk", h_blocks, neg_vecs).reshape(m, k)
+    keep = chunk.keep[padded]
+    # -log sigmoid(x) = log(1 + exp(-x)), computed stably
+    loss = np.logaddexp(0.0, -pos).sum() + (np.logaddexp(0.0, neg) * keep).sum()
+    g_pos = _sigmoid(pos) - 1.0  # sigmoid - label: 1 for the center, 0 for negatives
+    g_neg = _sigmoid(neg)
+    g_neg *= keep
+    np.einsum("ngk,nkd->ngd", g_neg.reshape(blocks, GROUP, k), neg_vecs,
+              out=grad_h.reshape(blocks, GROUP, d))
+    grad_h[:n] += g_pos[:, None] * center_vecs
+    # the output vectors are spent: their updates overwrite them
+    neg_alpha = chunk.neg_alpha[padded]
+    np.multiply((g_pos * neg_alpha[:n])[:, None], h[:n], out=center_vecs)
+    # scaled into (block, k, g) order: the update einsum then runs about
+    # twice as fast as on (block, g, k)
+    scaled = work.scaled[: m * k].reshape(blocks, k, GROUP)
+    np.multiply(g_neg.reshape(blocks, GROUP, k).transpose(0, 2, 1),
+                neg_alpha.reshape(blocks, 1, GROUP), out=scaled)
+    np.einsum("ngk,ngd->nkd", scaled.transpose(0, 2, 1), h_blocks, out=neg_vecs)
+    _scatter_add(syn1, out_ids, out_vecs, work.cells)
+    # every real slot of row b gets the row's grad_h[b] * -alpha[b] / context size
+    step = grad_h[:n]
+    step *= chunk.ctx_scale[rows, None]
+    lo, hi = chunk.slot_bounds[start // BATCH : start // BATCH + 2]
+    update = work.ctx.reshape(-1, d)[: hi - lo]  # the context vectors are spent
+    np.take(step, chunk.slot_rows[lo:hi], axis=0, out=update, mode="clip")
+    _scatter_add(syn0, chunk.slot_ids[lo:hi], update, work.cells)
+    return float(loss)
 
 
 def train_cbow(
@@ -400,12 +454,11 @@ def train_cbow(
             centers, ctx, mask, sentence = _chunk_positions(
                 ids[starts[s0] : ends[s1 - 1]], lengths[s0:s1], keep_prob,
                 params.window, rng)
-            row_alpha = alpha[sentence]
+            blocks = -(-len(centers) // GROUP)  # each shares its negatives
+            negs = np.searchsorted(neg_cum, rng.random((blocks, params.negatives)))
+            chunk = _Chunk.of(centers, ctx, mask, alpha[sentence], negs)
             for b in range(0, len(centers), BATCH):
-                batch = slice(b, b + BATCH)
-                outs = _draw_outputs(centers[batch], neg_cum, params.negatives, rng)
-                loss_sum += _apply_batch(syn0, syn1, ctx[batch], mask[batch], outs,
-                                         row_alpha[batch], work)
+                loss_sum += _apply_batch(syn0, syn1, chunk, b, work)
             n_positions += len(centers)
         epoch_losses.append(loss_sum / max(n_positions, 1))
         _check_finite(syn0, syn1, epoch)

@@ -432,11 +432,6 @@ class Pipeline:
                 and all(self._digest(self.out / rel) == digest
                         for rel, digest in artifacts.items()))
 
-    def _is_complete(self, stage: str) -> bool:
-        """This stage and every stage before it hold their current keys."""
-        return all(self._holds(name, self._key(name))
-                   for name in STAGES[:STAGES.index(stage) + 1])
-
     def _write_marker(self, stage: str, key: Optional[str], extra: dict,
                       warnings: list) -> None:
         """Record a stage's run: the key of a completed run, or None for a
@@ -649,38 +644,49 @@ class Pipeline:
 
     # --- driver ---
 
+    def _restore(self, stage: str, key: str, complete: bool) -> None:
+        """Record a stage this call does not run: when `complete`, as its
+        marker recorded it, with its warnings and charts; otherwise as not
+        complete."""
+        if not complete:
+            self.manifest.stages[stage] = {"completed": False, "skipped": True, "key": None}
+            return
+        marker = self._read_marker(stage)
+        extra = marker.get("extra", {})
+        self.manifest.record(stage, key, 0.0, skipped=True, **extra)
+        self.manifest.warnings.extend(marker.get("warnings", []))
+        if stage == "report" and "charts" in extra:
+            self.manifest.charts = extra["charts"]
+
     def run(self, stage: str = "all") -> RunManifest:
+        """Run `stage`, or with "all" every stage whose marker does not hold
+        its key.  The manifest records every stage: one this call did not
+        run comes from its marker when the marker holds and the stages
+        before it are complete, and is recorded as not complete otherwise."""
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {self.out} not writable: {exc}") from exc
-        wanted = list(STAGES) if stage == "all" else [stage]
         if stage not in list(STAGES) + ["all"]:
             raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
-        for name in wanted:
-            fn = getattr(self, f"stage_{name}")
+        complete = True  # every stage before this one is
+        for index, name in enumerate(STAGES):
             key = self._key(name)
-            # in `all`, the stages before this one completed in this loop
-            if stage == "all" and self._holds(name, key):
-                # restore the cached run's stage info so the manifest stays whole
-                marker = self._read_marker(name)
-                extra = marker.get("extra", {})
-                self.manifest.record(name, key, 0.0, skipped=True, **extra)
-                self.manifest.warnings.extend(marker.get("warnings", []))
-                if name == "report" and "charts" in extra:
-                    self.manifest.charts = extra["charts"]
+            if stage != name and (stage != "all" or self._holds(name, key)):
+                # in `all`, the stages before this one completed in this loop
+                complete = complete and (stage == "all" or self._holds(name, key))
+                self._restore(name, key, complete)
                 continue
             start = time.perf_counter()
             warnings_before = len(self.manifest.warnings)
             self._artifacts = []
             try:
-                index = STAGES.index(name)
-                if stage != "all" and index and not self._is_complete(STAGES[index - 1]):
+                if not complete:
                     raise PipelineStageError(STAGES[index - 1], RuntimeError(
                         f"artifacts missing or stale; run the {STAGES[index - 1]!r} "
                         "stage first"))
                 self._clear(name)
-                extra = fn() or {}
+                extra = getattr(self, f"stage_{name}")() or {}
             except PipelineStageError:
                 self.manifest.save(self.out / "manifest.json")
                 raise

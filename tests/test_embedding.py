@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +179,53 @@ def test_same_seed_same_model():
     assert np.array_equal(m1.syn0, m2.syn0)
 
 
+TRAIN_AND_SAVE = """
+import sys
+import numpy as np
+from crossmoji.embedding import TrainParams, build_vocabulary, encode_streams, save_model, train_cbow
+rng = np.random.default_rng(3)
+words = [f"w{i}" for i in range(40)]
+posts = [[words[i] for i in rng.zipf(1.5, size=12) % 40] for _ in range(300)]
+vocab = build_vocabulary(posts, min_count=1)
+params = TrainParams(dim=32, epochs=2, window=3, negatives=4, subsample=0.0, seed=2)
+save_model(train_cbow(encode_streams(posts, vocab), vocab, params), sys.argv[1])
+"""
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS call in the training step (matmul, @, dot) would make the bits
+    # depend on the library's thread count
+    paths = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        paths.append(tmp_path / f"threads{threads}.vec")
+        subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(paths[-1])], env=env,
+                       check=True)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_training_step_makes_no_blas_call():
+    # at the sizes above no BLAS library threads, so the test before cannot
+    # see a matmul; this one reads the training code for one
+    import ast
+    import inspect
+
+    import crossmoji.embedding as embedding
+
+    blas = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum_path"}
+    for fn in (embedding.train_cbow, embedding._Chunk, embedding._apply_batch,
+               embedding._scatter_add, embedding._chunk_positions):
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            assert not isinstance(node, ast.MatMult), fn.__name__
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            assert name not in blas, (fn.__name__, name)
+            if isinstance(node, ast.Call):  # optimize= may hand an einsum to BLAS
+                assert all(kw.arg != "optimize" for kw in node.keywords), fn.__name__
+
+
 # --- learning rate schedule -------------------------------------------------------
 
 def test_linear_lr_decay_trace():
@@ -261,42 +311,48 @@ def test_single_token_vocabulary_rejected():
 
 def test_position_update_accumulates_duplicate_indices():
     # a token occurring twice in one window gets twice the update, and so
-    # does a twice-sampled negative, within one row and across the rows of
-    # one batch.  Oracle: an explicit loop over every occurrence, with all
-    # gradients taken at the parameters before the step.
-    from crossmoji.embedding import _apply_batch, _sigmoid, _Workspace
+    # does a negative sampled twice for one block, or by two blocks, and a
+    # row's context or center id repeated by other rows.  Oracle: an explicit
+    # loop over every occurrence, with all gradients taken at the parameters
+    # before the step.
+    from crossmoji.embedding import GROUP, _apply_batch, _Chunk, _sigmoid, _Workspace
 
     rng = np.random.default_rng(8)
-    syn0 = rng.normal(size=(5, 6))
-    syn1 = rng.normal(size=(5, 6))
-    ctx = np.array([[0, 2, 0, 4],     # token 0 twice in row 0
-                    [2, 0, 3, 3]])    # token 3 twice, 0 and 2 again across rows
-    mask = np.array([[True, True, True, False],
-                     [True, True, True, True]])
-    outs = np.array([[1, 3, 3],       # negative 3 sampled twice in row 0
-                     [4, 3, 1]])      # 3 and 1 again across rows
-    alpha = np.array([0.1, 0.05])
+    syn0 = rng.normal(size=(6, 6))
+    syn1 = rng.normal(size=(6, 6))
+    n = GROUP + 2  # two blocks, the second ragged
+    ctx = rng.integers(0, 6, size=(n, 4))
+    ctx[0] = [0, 2, 0, 4]     # token 0 twice in row 0
+    ctx[GROUP] = [2, 0, 3, 3]  # token 3 twice; 0 and 2 again across rows and blocks
+    mask = rng.random((n, 4)) < 0.7
+    mask[:, 0] = True
+    centers = np.full(n, 5)  # no negative is a center
+    centers[1] = 1           # but this one: the row masks both 1s of its block
+    negs = np.array([[1, 3, 3],   # negative 3 twice within block 0
+                     [4, 3, 1]])  # 3 and 1 again in block 1
+    alpha = rng.uniform(0.01, 0.1, size=n)
 
     exp0, exp1 = syn0.copy(), syn1.copy()
     expected_loss = 0.0
-    for b in range(len(ctx)):
+    for b in range(n):
         real = ctx[b][mask[b]]
+        outs = [centers[b]] + [i for i in negs[b // GROUP] if i != centers[b]]
         h = syn0[real].mean(axis=0)
-        scores = syn1[outs[b]] @ h
+        scores = syn1[outs] @ h
         g = _sigmoid(scores)
         g[0] -= 1.0
-        grad_h = g @ syn1[outs[b]]
-        for k, idx in enumerate(outs[b]):
+        grad_h = g @ syn1[outs]
+        for k, idx in enumerate(outs):
             exp1[idx] -= alpha[b] * g[k] * h
         for idx in real:
             exp0[idx] -= (alpha[b] / len(real)) * grad_h
         expected_loss += np.logaddexp(0, -scores[0]) + np.logaddexp(0, scores[1:]).sum()
 
-    loss = _apply_batch(syn0, syn1, ctx, mask, outs, alpha,
-                        _Workspace.of(batch=2, window=2, negatives=2, dim=6))
+    chunk = _Chunk.of(centers, ctx, mask, alpha, negs)
+    loss = _apply_batch(syn0, syn1, chunk, 0, _Workspace.of(n, window=2, negatives=3, dim=6))
     assert loss == pytest.approx(expected_loss, rel=1e-12)
-    assert np.allclose(syn0, exp0, rtol=0, atol=1e-14)
-    assert np.allclose(syn1, exp1, rtol=0, atol=1e-14)
+    assert np.allclose(syn0, exp0, rtol=0, atol=1e-13)
+    assert np.allclose(syn1, exp1, rtol=0, atol=1e-13)
 
 
 def test_ragged_batch_gradients_equal_stacked_single_positions():
@@ -349,32 +405,40 @@ def test_scatter_add_has_the_bits_of_a_flat_float64_add_at(dim):
 
 
 @pytest.mark.parametrize("dim", [6, 5])
-def test_batch_step_has_the_bits_of_expanded_gradients(dim):
-    # the step from the rank-1 factors equals building every gradient with
-    # cbow_gradients, scaling it by -alpha and adding it as flat float64
-    from crossmoji.embedding import _apply_batch, _Workspace
+def test_shared_negative_step_equals_per_row_gradients(dim):
+    # oracle: each row's own gradients from the 2-D cbow_gradients, with
+    # outputs [center] + the negatives of its block that are not its
+    # center, scaled by -alpha and accumulated
+    from crossmoji.embedding import GROUP, _apply_batch, _Chunk, _Workspace
 
     rng = np.random.default_rng(9)
-    V, B, window, negatives = 9, 16, 3, 3  # context sizes 1 to 6: weights 1/3, 1/5
+    V, n, window, negatives = 7, 2 * GROUP + 5, 3, 3  # a ragged last block
     syn0, syn1 = rng.normal(size=(V, dim)), rng.normal(size=(V, dim))
-    ctx = rng.integers(0, V, size=(B, 2 * window))
-    mask = rng.random((B, 2 * window)) < 0.6
+    centers = rng.integers(0, V, size=n)
+    ctx = rng.integers(0, V, size=(n, 2 * window))
+    mask = rng.random((n, 2 * window)) < 0.6
     mask[:, 0] = True
-    outs = rng.integers(0, V, size=(B, negatives + 1))
-    alpha = rng.uniform(0.01, 0.05, size=B)
+    negs = rng.integers(0, V, size=(3, negatives))
+    alpha = rng.uniform(0.01, 0.05, size=n)
+    clashes = sum(int((negs[b // GROUP] == centers[b]).sum()) for b in range(n))
+    assert clashes > 0
 
     exp0, exp1 = syn0.copy(), syn1.copy()
-    loss, grad_ctx, grad_out = cbow_gradients(syn0[ctx], syn1[outs], mask)
-    picked = np.flatnonzero(mask)
-    update = grad_ctx.reshape(ctx.size, dim)[picked]
-    update *= -alpha[picked // ctx.shape[1], None]
-    flat_float64_add_at(exp0, ctx.reshape(-1)[picked], update)
-    flat_float64_add_at(exp1, outs, grad_out * -alpha[:, None, None])
+    expected_loss = 0.0
+    for b in range(n):
+        real = ctx[b][mask[b]]
+        outs = np.r_[centers[b], [i for i in negs[b // GROUP] if i != centers[b]]]
+        loss, grad_ctx, grad_out = cbow_gradients(syn0[real], syn1[outs])
+        expected_loss += loss
+        np.add.at(exp0, real, -alpha[b] * grad_ctx)
+        np.add.at(exp1, outs, -alpha[b] * grad_out)
 
-    work = _Workspace.of(batch=20, window=window, negatives=negatives, dim=dim)
-    got = _apply_batch(syn0, syn1, ctx, mask, outs, alpha, work)
-    assert got == float(loss.sum())
-    assert np.array_equal(bits(syn0), bits(exp0)) and np.array_equal(bits(syn1), bits(exp1))
+    chunk = _Chunk.of(centers, ctx, mask, alpha, negs)
+    work = _Workspace.of(n, window=window, negatives=negatives, dim=dim)
+    got = _apply_batch(syn0, syn1, chunk, 0, work)
+    assert got == pytest.approx(expected_loss, rel=1e-12)
+    assert np.allclose(syn0, exp0, rtol=1e-12, atol=1e-12)
+    assert np.allclose(syn1, exp1, rtol=1e-12, atol=1e-12)
 
 
 def test_chunk_positions_match_per_position_window_oracle():
@@ -408,17 +472,55 @@ def test_chunk_positions_match_per_position_window_oracle():
     assert len(got) > 5
 
 
-def test_drawn_negatives_never_hit_their_center():
-    from crossmoji.embedding import _draw_outputs
+def test_every_batch_of_a_chunk_steps_as_a_chunk_of_its_own():
+    # the per-chunk arrays are sliced right for every batch: the batches of
+    # one chunk give the bits of one chunk per batch
+    from crossmoji.embedding import BATCH, GROUP, _apply_batch, _Chunk, _Workspace
 
-    # token 0 holds almost all the sampling mass, so clashes are frequent
-    neg_cum = np.cumsum([0.9, 0.05, 0.05])
-    centers = np.array([0, 1, 2, 0] * 64)
-    outs = _draw_outputs(centers, neg_cum, 5, np.random.default_rng(3))
-    assert outs.shape == (256, 6)
-    assert np.array_equal(outs[:, 0], centers)
-    assert not (outs[:, 1:] == centers[:, None]).any()
-    assert outs.min() >= 0 and outs.max() <= 2
+    rng = np.random.default_rng(12)
+    n, window, negatives, dim = 2 * BATCH + 21, 2, 3, 6
+    syn0, syn1 = rng.normal(size=(30, dim)), rng.normal(size=(30, dim))
+    centers = rng.integers(0, 30, size=n)
+    ctx = rng.integers(0, 30, size=(n, 2 * window))
+    mask = rng.random((n, 2 * window)) < 0.5
+    mask[:, 1] = True
+    negs = rng.integers(0, 30, size=(-(-n // GROUP), negatives))
+    alpha = rng.uniform(0.01, 0.05, size=n)
+    work = _Workspace.of(BATCH, window, negatives, dim)
+    whole = (syn0.copy(), syn1.copy())
+    chunk = _Chunk.of(centers, ctx, mask, alpha, negs)
+    losses = [_apply_batch(*whole, chunk, b, work) for b in range(0, n, BATCH)]
+    for b, loss in zip(range(0, n, BATCH), losses):
+        rows, blocks = slice(b, b + BATCH), slice(b // GROUP, (b + BATCH) // GROUP)
+        own = _Chunk.of(centers[rows], ctx[rows], mask[rows], alpha[rows], negs[blocks])
+        assert _apply_batch(syn0, syn1, own, 0, work) == loss
+    assert np.array_equal(bits(syn0), bits(whole[0]))
+    assert np.array_equal(bits(syn1), bits(whole[1]))
+
+
+def test_masked_clash_adds_no_loss_and_no_negative_update():
+    # both rows have center 0 and share the block's negatives [0, 0, 2]: the
+    # two 0s add nothing, so syn1[0] moves by the positive updates alone
+    from crossmoji.embedding import _apply_batch, _Chunk, _sigmoid, _Workspace
+
+    rng = np.random.default_rng(4)
+    syn0, syn1 = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    centers, ctx = np.array([0, 0]), np.array([[1, 3], [3, 2]])
+    mask = np.ones((2, 2), dtype=bool)
+    alpha = np.array([0.05, 0.02])
+    h = syn0[ctx].mean(axis=1)
+    pos, neg = h @ syn1[0], h @ syn1[2]
+    expected_loss = (np.logaddexp(0, -pos) + np.logaddexp(0, neg)).sum()
+    expected0 = syn1[0] - ((alpha * (_sigmoid(pos) - 1.0))[:, None] * h).sum(axis=0)
+    expected2 = syn1[2] - ((alpha * _sigmoid(neg))[:, None] * h).sum(axis=0)
+    untouched = syn1[[1, 3]].copy()
+
+    chunk = _Chunk.of(centers, ctx, mask, alpha, np.array([[0, 0, 2]]))
+    loss = _apply_batch(syn0, syn1, chunk, 0, _Workspace.of(2, window=1, negatives=3, dim=6))
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    assert np.allclose(syn1[0], expected0, rtol=0, atol=1e-14)
+    assert np.allclose(syn1[2], expected2, rtol=0, atol=1e-14)
+    assert np.array_equal(syn1[[1, 3]], untouched)
 
 
 def test_non_finite_parameters_fatal_with_diagnostics():

@@ -103,8 +103,10 @@ def test_stage_requires_predecessor(tmp_path):
 
 
 def incomplete(config) -> list[str]:
+    """The stages not complete: from the first whose marker does not hold on."""
     pipeline = Pipeline(config)
-    return [stage for stage in STAGES if not pipeline._is_complete(stage)]
+    holds = [pipeline._holds(stage, pipeline._key(stage)) for stage in STAGES]
+    return list(STAGES[holds.index(False):]) if False in holds else []
 
 
 def test_config_change_invalidates_markers(completed_run):
@@ -117,12 +119,40 @@ def test_model_format_change_invalidates_markers(completed_run, monkeypatch):
     # a directory trained under another model format re-trains instead of
     # failing to read its models
     _, config, _ = completed_run
-    pipeline = Pipeline(config)
-    assert pipeline._is_complete("train")
+    assert incomplete(config) == []
     monkeypatch.setattr("crossmoji.pipeline.MODEL_FORMAT", "crossmoji-model 0")
-    pipeline = Pipeline(config)
-    assert pipeline._is_complete("ingest")
-    assert not pipeline._is_complete("train")
+    assert incomplete(config) == ["train", "project", "analyze", "report"]
+
+
+def test_version_change_reruns_train(completed_run, tmp_path, monkeypatch):
+    # every stage key covers the package version, so models trained by an
+    # older release are not served from the cache
+    config = copy_run(completed_run, tmp_path)
+    monkeypatch.setattr("crossmoji.pipeline.__version__", "0.0.0-older")
+    assert "train" in ran(Pipeline(config).run("all"))
+
+
+def test_one_stage_run_keeps_the_whole_manifest(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    cold = Pipeline(config).run("all")
+    single = Pipeline(config).run("analyze")
+    saved = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert list(single.stages) == list(saved["stages"]) == list(STAGES)
+    assert ran(single) == ["analyze"]
+    assert all(info["completed"] for info in single.stages.values())
+    assert single.stages["ingest"]["counts"] == cold.stages["ingest"]["counts"]
+    assert single.stages["train"]["training"] == cold.stages["train"]["training"]
+    assert single.warnings == saved["warnings"] == cold.warnings
+    assert single.charts == saved["charts"] == cold.charts != {}
+
+
+def test_one_stage_run_records_later_stale_stages_as_not_complete(completed_run, tmp_path):
+    config = copy_run(completed_run, tmp_path)
+    (config.out_dir / "report" / "report.json").unlink()
+    manifest = Pipeline(config).run("train")
+    assert [s for s, info in manifest.stages.items() if not info["completed"]] == [
+        "analyze", "report"]
+    assert manifest.charts == {}
 
 
 # --- per-stage cache keys ------------------------------------------------------
@@ -630,8 +660,8 @@ def test_each_stage_key_computed_once(tmp_path, monkeypatch):
     assert calls == list(STAGES)  # warm
     calls.clear()
     Pipeline(config).run("analyze")
-    # a single stage checks every earlier stage once
-    assert sorted(calls) == sorted(["analyze", "ingest", "train", "project"])
+    # a single stage checks every other stage once, for its manifest record
+    assert calls == list(STAGES)
 
 
 def test_config_validation_errors(tmp_path):
