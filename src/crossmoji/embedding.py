@@ -27,9 +27,13 @@ Every gradient is rank 1, so the step applies the factors and builds no
 (B, 2 * window, d) context gradient: every real context slot of row b gets
 the row's grad_h[b] * -alpha[b] / context size.  One workspace per
 `train_cbow` call holds the gathered vectors, which their updates then
-overwrite, and the scatter-add's indices.  An even `dim` is scatter-added
-as complex128 pairs: a complex add is two independent float64 adds in the
-same order, so the same bits.
+overwrite, and the scatter-add's indices.
+
+Every parameter is float32, as in the reference word2vec (Mikolov et al.,
+NeurIPS 2013): `syn0` is drawn in float64 and cast once, and the workspace
+and the per-chunk float arrays are float32, so the step works in one
+dtype.  An even `dim` is scatter-added as complex64 pairs: a complex add is
+two independent float32 adds in the same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from .corpus import TypeStreams
 from .fileio import atomic_write, read_arrays, write_arrays
 
-MODEL_FORMAT = "crossmoji-model 3"
+MODEL_FORMAT = "crossmoji-model 4"
 
 BATCH = 256  # positions per minibatch step
 GROUP = 16  # consecutive positions sharing their negatives; divides BATCH
@@ -141,7 +145,7 @@ class EmbeddingModel:
     matrix only serves training and is not kept."""
 
     vocab: Vocabulary
-    syn0: np.ndarray  # |V| x d input vectors
+    syn0: np.ndarray  # |V| x d input vectors, float32
     params: TrainParams
     epoch_losses: tuple[float, ...] = ()
     train_seconds: float = 0.0  # wall time of the training run; not saved
@@ -151,8 +155,10 @@ class EmbeddingModel:
         return int(self.syn0.shape[1])
 
     def vector(self, token: str) -> np.ndarray:
+        """The token's input vector as a float64 copy: what every comparison
+        downstream stacks, so its arithmetic stays float64."""
         try:
-            return self.syn0[self.vocab.index[token]]
+            return self.syn0[self.vocab.index[token]].astype(np.float64)
         except KeyError:
             raise TokenNotFoundError(token) from None
 
@@ -276,11 +282,11 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray,
     which numpy >= 1.25 runs as a single indexed loop.  Row-wise np.add.at
     takes a slow generic path, and a sorted np.add.reduceat makes one call
     per (distinct row, column): on a wide vocabulary both measured 2-3x slower.
-    An even width is added as complex128 pairs: a complex add is two
-    independent float64 adds, in the same order, so the bits are the same
+    An even width is added as complex64 pairs: a complex add is two
+    independent float32 adds, in the same order, so the bits are the same
     from half the indices."""
     if matrix.shape[1] % 2 == 0:
-        matrix, updates = matrix.view(np.complex128), updates.view(np.complex128)
+        matrix, updates = matrix.view(np.complex64), updates.view(np.complex64)
     width = matrix.shape[1]
     rows = rows.reshape(-1)
     cells = cells[: rows.size * width].reshape(rows.size, width)
@@ -296,7 +302,7 @@ class _Chunk:
     positions GROUP * j to GROUP * j + GROUP - 1; `BATCH` is a multiple of
     `GROUP`, so no block spans two batches.  The block arrays have one row
     per position of whole blocks; the rows past the last position are
-    padding, with `keep` and `neg_alpha` 0."""
+    padding, with `keep` and `neg_alpha` 0.  The float arrays are float32."""
 
     centers: np.ndarray  # (P,) center ids
     ctx: np.ndarray  # (P, C) context ids
@@ -316,14 +322,15 @@ class _Chunk:
         n = len(centers)
         padded = GROUP * len(negs)
         inv_size = 1.0 / mask.sum(axis=1)
-        keep = np.zeros((padded, negs.shape[1]))
+        keep = np.zeros((padded, negs.shape[1]), np.float32)
         keep[:n] = negs[np.arange(n) // GROUP] != centers[:, None]
-        neg_alpha = np.zeros(padded)
+        neg_alpha = np.zeros(padded, np.float32)
         np.negative(alpha, out=neg_alpha[:n])
         slots = np.flatnonzero(mask)
         rows = slots // mask.shape[1]
-        return cls(centers, ctx, mask * inv_size[:, None], neg_alpha[:n] * inv_size, negs,
-                   keep, neg_alpha, ctx.reshape(-1)[slots], rows % BATCH,
+        return cls(centers, ctx, (mask * inv_size[:, None]).astype(np.float32),
+                   (-alpha * inv_size).astype(np.float32), negs, keep, neg_alpha,
+                   ctx.reshape(-1)[slots], rows % BATCH,
                    np.searchsorted(rows, np.arange(0, n + BATCH, BATCH)))
 
 
@@ -331,7 +338,7 @@ class _Chunk:
 class _Workspace:
     """The arrays one `train_cbow` call reuses on every batch: fresh
     multi-megabyte temporaries on every batch cost more in page faults than
-    the arithmetic on them."""
+    the arithmetic on them.  The float buffers are float32."""
 
     ctx: np.ndarray  # (B, C, d) context vectors, then the context updates
     out: np.ndarray  # (B + B / GROUP * K, d) center and negative vectors, then their updates
@@ -346,9 +353,10 @@ class _Workspace:
     def of(cls, batch: int, window: int, negatives: int, dim: int) -> _Workspace:
         outs = batch + -(-batch // GROUP) * negatives
         padded = -(-batch // GROUP) * GROUP
-        return cls(np.empty((batch, 2 * window, dim)), np.empty((outs, dim)),
-                   np.empty(outs, dtype=np.int64), np.empty((padded, dim)),
-                   np.empty((padded, dim)), np.empty(padded * negatives),
+        return cls(np.empty((batch, 2 * window, dim), np.float32),
+                   np.empty((outs, dim), np.float32), np.empty(outs, dtype=np.int64),
+                   np.empty((padded, dim), np.float32), np.empty((padded, dim), np.float32),
+                   np.empty(padded * negatives, np.float32),
                    np.empty(max(batch * 2 * window, outs) * dim, dtype=np.intp))
 
 
@@ -430,8 +438,8 @@ def train_cbow(
 
     rng = np.random.default_rng(params.seed)
     V, d = len(vocab), params.dim
-    syn0 = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d))
-    syn1 = np.zeros((V, d))
+    syn0 = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d)).astype(np.float32)
+    syn1 = np.zeros((V, d), np.float32)
     neg_cum = _negative_table(vocab)
     keep_prob = subsample_keep_probabilities(np.bincount(ids, minlength=V),
                                              params.subsample, len(ids))
@@ -496,15 +504,17 @@ def train_run_set(
 
 
 def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, float]]:
-    """k nearest vocabulary tokens by cosine on input vectors, self excluded."""
+    """k nearest vocabulary tokens by cosine on input vectors, self excluded;
+    the cosines are float64."""
     if token not in model.vocab.index:
         raise TokenNotFoundError(token)
     if k <= 0:
         return []
     idx = model.vocab.index[token]
-    norms = np.linalg.norm(model.syn0, axis=1)
+    syn0 = model.syn0.astype(np.float64)
+    norms = np.linalg.norm(syn0, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    sims = (model.syn0 @ model.syn0[idx]) / (safe * max(norms[idx], 1e-300))
+    sims = (syn0 @ syn0[idx]) / (safe * max(norms[idx], 1e-300))
     sims[norms == 0] = -np.inf
     sims[idx] = -np.inf
     order = np.argsort(-sims, kind="stable")[:k]
@@ -515,10 +525,10 @@ def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, floa
 
 def save_model(model: EmbeddingModel, path) -> None:
     """The `fileio.write_arrays` layout: one JSON metadata line (format tag,
-    training parameters, vocabulary), then the (|V|, d) input matrix.  The
-    output matrix is not saved: no stage reads it, and it would double the
-    bytes written, read and hashed.  The same model always gives the same
-    bytes; the file is renamed into place once complete."""
+    training parameters, vocabulary), then the (|V|, d) float32 input
+    matrix.  The output matrix is not saved: no stage reads it, and it
+    would double the bytes written, read and hashed.  The same model always
+    gives the same bytes; the file is renamed into place once complete."""
     vocab = model.vocab
     meta = {
         "format": MODEL_FORMAT,
@@ -538,7 +548,7 @@ def load_model(path) -> EmbeddingModel:
     that does not decode to a consistent model, a file of an older format
     included, raises ModelFormatError naming `path`."""
     try:
-        meta, [syn0] = read_arrays(path, MODEL_FORMAT, (np.float64,))
+        meta, [syn0] = read_arrays(path, MODEL_FORMAT, (np.float32,))
         params = TrainParams(**meta["params"])
         tokens, counts = tuple(meta["tokens"]), tuple(meta["counts"])
         if len(counts) != len(tokens):

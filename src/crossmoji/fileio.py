@@ -28,13 +28,14 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 
 # the dtypes an array may have, each stored little-endian
-DTYPES = {np.dtype(np.float64): "<f8", np.dtype(np.int32): "<i4"}
+DTYPES = {np.dtype(np.float64): "<f8", np.dtype(np.float32): "<f4",
+          np.dtype(np.int32): "<i4"}
 
 
 def write_arrays(f, meta: dict, arrays) -> None:
     """Write `meta` as one UTF-8 JSON line into the binary file `f`, then
-    each array in .npy format, little-endian float64 or int32 as it is.
-    The same values always give the same bytes."""
+    each array in .npy format, little-endian float64, float32 or int32 as it
+    is.  The same values always give the same bytes."""
     f.write(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n")
     for array in map(np.asarray, arrays):
         if array.dtype not in DTYPES:

@@ -532,7 +532,7 @@ class Pipeline:
             model = train_cbow(encoded[corpus_id], vocabs[corpus_id],
                                replace(c.training, seed=seed))
             save_model(model, path)
-            return model.epoch_losses, model.train_seconds
+            return model.epoch_losses, model.train_seconds, path.stat().st_size
 
         # every (corpus, run) pair gets its own seed; same-sized vocabularies
         # must not share initializations across corpora
@@ -543,7 +543,7 @@ class Pipeline:
                                             self.model_path(corpus_id, r))
                                     for corpus_id, r, seed in jobs])
         info = {}
-        for (corpus_id, r, _), (losses, seconds) in zip(jobs, results):
+        for (corpus_id, r, _), (losses, seconds, size) in zip(jobs, results):
             vocab = vocabs[corpus_id]
             entry = info.setdefault(corpus_id, {
                 "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
@@ -552,7 +552,8 @@ class Pipeline:
             # the tokens one run trains on: in-vocabulary tokens times epochs
             run_tokens = vocab.kept_tokens * c.training.epochs
             entry["runs"].append({"seconds": round(seconds, 3),
-                                  "tokens_per_s": round(run_tokens / max(seconds, 1e-9))})
+                                  "tokens_per_s": round(run_tokens / max(seconds, 1e-9)),
+                                  "bytes": size})
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:

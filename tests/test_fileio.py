@@ -103,7 +103,20 @@ def test_arrays_keep_their_dtype(tmp_path):
         read_arrays(tmp_path / "a.bin", "test 1", (np.float64,))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.uint8])
+def test_float32_arrays_round_trip_bit_for_bit(tmp_path):
+    # a subnormal, a negative zero and the largest finite value among them
+    values = np.array([[1 / 3, -0.0, 1e-45], [3.4028235e38, -1.17549435e-38, 7.0]], np.float32)
+    with open(tmp_path / "a.bin", "wb") as f:
+        write_arrays(f, {"format": "test 1"}, [values])
+    assert (tmp_path / "a.bin").read_bytes().count(b"'descr': '<f4'") == 1
+    _, (f32,) = read_arrays(tmp_path / "a.bin", "test 1", (np.float32,))
+    assert f32.dtype == np.float32
+    assert np.array_equal(f32.view(np.uint32), values.view(np.uint32))
+    with pytest.raises(ValueError, match="an array is float32, expected float64"):
+        read_arrays(tmp_path / "a.bin", "test 1", (np.float64,))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float16, np.uint8])
 def test_write_arrays_refuses_other_dtypes(tmp_path, dtype):
     with open(tmp_path / "a.bin", "wb") as f, pytest.raises(ValueError, match="cannot write"):
         write_arrays(f, {"format": "test 1"}, [np.zeros(2, dtype)])

@@ -768,8 +768,9 @@ def within_rounding(items: int, seconds: float, per_s: int) -> bool:
 
 
 def test_manifest_records_train_throughput_per_run(completed_run):
-    # tokens per run are the in-vocabulary tokens times epochs; ingest
-    # records posts per second per corpus, and both stages their workers
+    # tokens per run are the in-vocabulary tokens times epochs, and bytes the
+    # size of the run's model file; ingest records posts per second per
+    # corpus, and both stages their workers
     from crossmoji.embedding import load_model
 
     _, config, manifest = completed_run
@@ -778,9 +779,11 @@ def test_manifest_records_train_throughput_per_run(completed_run):
         vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
         tokens = vocab.kept_tokens * config.training.epochs
         assert len(info["runs"]) == config.runs
-        for run in info["runs"]:
+        for r, run in enumerate(info["runs"]):
             assert run["seconds"] > 0
             assert within_rounding(tokens, run["seconds"], run["tokens_per_s"])
+            path = Path(config.out_dir) / "models" / f"{corpus_id}.run{r}.vec"
+            assert run["bytes"] == path.stat().st_size
     assert list(ingest["throughput"]) == [c.corpus_id for c in config.corpora]
     for corpus_id, info in ingest["throughput"].items():
         assert info["records"] == ingest["counts"][corpus_id]["posts_read"] > 0

@@ -1,5 +1,7 @@
 """Category vectors, Gram-Schmidt, cosine, and tensor construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,29 @@ def test_tensor_invariant_under_positive_vector_rescaling():
                       kwargs["culture_of"])
     for corpus in t1.corpora:
         assert np.allclose(t1.per_run[corpus], t2.per_run[corpus], atol=1e-12)
+
+
+def test_float32_models_give_the_bits_of_their_float64_copies():
+    # models hold float32 parameters; the rows compared downstream are
+    # upcast, so the tensor and the profiles are those of float64 models
+    from crossmoji.analytics import emoji_profiles
+
+    rng = np.random.default_rng(13)
+    models, expansions = two_culture_models(rng, runs=2)
+    narrow = {corpus: [replace(m, syn0=m.syn0.astype(np.float32)) for m in ms]
+              for corpus, ms in models.items()}
+    wide = {corpus: [replace(m, syn0=m.syn0.astype(np.float64)) for m in ms]
+            for corpus, ms in narrow.items()}
+    args = (["money", "negemo", "posemo"], ["😀", "😢", "💰"], {"W1": "West", "E1": "East"})
+    t32, t64 = build_tensor(narrow, expansions, *args), build_tensor(wide, expansions, *args)
+    p32, p64 = emoji_profiles(narrow, ["😀", "😢", "💰"]), emoji_profiles(wide, ["😀", "😢", "💰"])
+    for corpus in ("W1", "E1"):
+        assert t32.per_run[corpus].dtype == np.float64
+        assert np.array_equal(t32.per_run[corpus].view(np.uint64),
+                              t64.per_run[corpus].view(np.uint64))
+        assert p32.by_corpus[corpus].dtype == np.float64
+        assert np.array_equal(p32.by_corpus[corpus].view(np.uint64),
+                              p64.by_corpus[corpus].view(np.uint64))
 
 
 def test_tensor_csv_round_trip(tmp_path):
