@@ -16,12 +16,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-import numpy as np
-
-from .fileio import read_arrays, write_arrays
+from .fileio import TypeStreams
 from .inventory import EmojiInventory, strip_variation_selectors
-
-STREAM_FORMAT = "crossmoji-streams 1"
 
 
 class RecordError(ValueError):
@@ -118,8 +114,9 @@ def _filter_keys(lang: str, country: str) -> tuple[str, str]:
 
 
 def _drop_reasons(record: PostRecord, wanted: Sequence[tuple[str, str]]) -> list[Optional[str]]:
-    """`filter_reason` of `record` for each filter, given as its `_filter_keys`;
-    the record's fields are normalized, and the retweet test made, once."""
+    """Why `record` is dropped by each filter, given as its `_filter_keys`:
+    "lang", "country", "retweet" or None (kept).  The record's fields are
+    normalized, and the retweet test made, once."""
     lang, country = _filter_keys(record.lang, record.country)
     retweet = None
     reasons: list[Optional[str]] = []
@@ -133,12 +130,6 @@ def _drop_reasons(record: PostRecord, wanted: Sequence[tuple[str, str]]) -> list
                 retweet = _RETWEET_RE.match(record.text.lstrip()) is not None
             reasons.append("retweet" if retweet else None)
     return reasons
-
-
-def filter_reason(record: PostRecord, config: FilterConfig) -> Optional[str]:
-    """Why a record would be dropped: 'lang', 'country', 'retweet' or None."""
-    [reason] = _drop_reasons(record, [_filter_keys(config.lang, config.country)])
-    return reason
 
 
 # --- text normalization -------------------------------------------------
@@ -436,71 +427,6 @@ def ingest_range(
     lines = read_lines(path, start, end)
     return [(TypeStreams.of(streams), counts)
             for streams, counts in ingest_lines(lines, corpora, inventory)], len(lines)
-
-
-# --- stream files -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class TypeStreams:
-    """A corpus's posts as type ids: its type table (each distinct token,
-    in the order first seen), the int32 type ids of all posts back to
-    back, and the int32 length of each post."""
-
-    types: tuple[str, ...]
-    ids: np.ndarray
-    lengths: np.ndarray
-
-    @property
-    def counts(self) -> np.ndarray:
-        """How often each type occurs, in type-table order."""
-        return np.bincount(self.ids, minlength=len(self.types))
-
-    @classmethod
-    def of(cls, streams: Iterable) -> TypeStreams:
-        """Token streams (`TokenStream`s or token sequences) as type ids."""
-        table: dict[str, int] = {}
-        ids: list[int] = []
-        lengths: list[int] = []
-        for stream in streams:
-            tokens = stream.tokens if hasattr(stream, "tokens") else stream
-            ids.extend([table.setdefault(t, len(table)) for t in tokens])
-            lengths.append(len(tokens))
-        return cls(tuple(table), np.array(ids, dtype=np.int32),
-                   np.array(lengths, dtype=np.int32))
-
-    @classmethod
-    def join(cls, parts: Iterable[TypeStreams]) -> TypeStreams:
-        """The posts of `parts` in order, under one type table: the same
-        as `of` gives for all their streams at once."""
-        table: dict[str, int] = {}
-        ids, lengths = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-        for part in parts:
-            remap = np.array([table.setdefault(t, len(table)) for t in part.types],
-                             dtype=np.int32)
-            ids.append(remap[part.ids])
-            lengths.append(part.lengths)
-        return cls(tuple(table), np.concatenate(ids), np.concatenate(lengths))
-
-
-def save_streams(f, streams: TypeStreams) -> None:
-    """Write `streams` into the binary file `f` in the `write_arrays`
-    layout: a JSON line with the format tag, the `types` and their
-    `counts`, then the type ids and the post lengths as int32 arrays."""
-    meta = {"format": STREAM_FORMAT, "types": list(streams.types),
-            "counts": streams.counts.tolist()}
-    write_arrays(f, meta, [streams.ids, streams.lengths])
-
-
-def load_streams(path) -> TypeStreams:
-    """What `save_streams` wrote to `path`; ValueError (or EOFError) if it
-    is not a consistent stream file of this format."""
-    meta, (ids, lengths) = read_arrays(path, STREAM_FORMAT, (np.int32, np.int32))
-    streams = TypeStreams(tuple(meta["types"]), ids, lengths)
-    if (ids.ndim != 1 or lengths.ndim != 1 or int(lengths.sum()) != len(ids)
-            or not ((ids >= 0) & (ids < len(streams.types))).all()
-            or streams.counts.tolist() != meta["counts"]):
-        raise ValueError(f"{path}: type ids, post lengths and counts disagree")
-    return streams
 
 
 def write_streams(streams: Iterable[TokenStream], f: TextIO) -> None:

@@ -44,8 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import TypeStreams
-from .fileio import atomic_write, read_arrays, write_arrays
+from .fileio import TypeStreams, atomic_write, read_arrays, write_arrays
 
 MODEL_FORMAT = "crossmoji-model 4"
 

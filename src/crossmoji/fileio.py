@@ -1,14 +1,19 @@
-"""Artifact files written whole or not at all, and the one binary layout
-that model files and the project hand-off share."""
+"""Artifact files written whole or not at all, the one binary layout that
+stream files, model files and the project hand-off share, and the stream
+files themselves: what ingest writes and train and project read."""
 
 from __future__ import annotations
 
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
+
+STREAM_FORMAT = "crossmoji-streams 1"
 
 
 @contextmanager
@@ -58,3 +63,68 @@ def read_arrays(path, fmt: str, dtypes) -> tuple[dict, list[np.ndarray]]:
         if array.dtype != dtype:
             raise ValueError(f"an array is {array.dtype}, expected {np.dtype(dtype)}")
     return meta, arrays
+
+
+# --- stream files ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TypeStreams:
+    """A corpus's posts as type ids: its type table (each distinct token,
+    in the order first seen), the int32 type ids of all posts back to
+    back, and the int32 length of each post."""
+
+    types: tuple[str, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """How often each type occurs, in type-table order."""
+        return np.bincount(self.ids, minlength=len(self.types))
+
+    @classmethod
+    def of(cls, streams: Iterable) -> TypeStreams:
+        """Token streams (`TokenStream`s or token sequences) as type ids."""
+        table: dict[str, int] = {}
+        ids: list[int] = []
+        lengths: list[int] = []
+        for stream in streams:
+            tokens = stream.tokens if hasattr(stream, "tokens") else stream
+            ids.extend([table.setdefault(t, len(table)) for t in tokens])
+            lengths.append(len(tokens))
+        return cls(tuple(table), np.array(ids, dtype=np.int32),
+                   np.array(lengths, dtype=np.int32))
+
+    @classmethod
+    def join(cls, parts: Iterable[TypeStreams]) -> TypeStreams:
+        """The posts of `parts` in order, under one type table: the same
+        as `of` gives for all their streams at once."""
+        table: dict[str, int] = {}
+        ids, lengths = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for part in parts:
+            remap = np.array([table.setdefault(t, len(table)) for t in part.types],
+                             dtype=np.int32)
+            ids.append(remap[part.ids])
+            lengths.append(part.lengths)
+        return cls(tuple(table), np.concatenate(ids), np.concatenate(lengths))
+
+
+def save_streams(f, streams: TypeStreams) -> None:
+    """Write `streams` into the binary file `f` in the `write_arrays`
+    layout: a JSON line with the format tag, the `types` and their
+    `counts`, then the type ids and the post lengths as int32 arrays."""
+    meta = {"format": STREAM_FORMAT, "types": list(streams.types),
+            "counts": streams.counts.tolist()}
+    write_arrays(f, meta, [streams.ids, streams.lengths])
+
+
+def load_streams(path) -> TypeStreams:
+    """What `save_streams` wrote to `path`; ValueError (or EOFError) if it
+    is not a consistent stream file of this format."""
+    meta, (ids, lengths) = read_arrays(path, STREAM_FORMAT, (np.int32, np.int32))
+    streams = TypeStreams(tuple(meta["types"]), ids, lengths)
+    if (ids.ndim != 1 or lengths.ndim != 1 or int(lengths.sum()) != len(ids)
+            or not ((ids >= 0) & (ids < len(streams.types))).all()
+            or streams.counts.tolist() != meta["counts"]):
+        raise ValueError(f"{path}: type ids, post lengths and counts disagree")
+    return streams

@@ -63,9 +63,6 @@ class EmojiInventory:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, sequence: str) -> bool:
-        return sequence in self.entries
-
     def category(self, sequence: str) -> str:
         return self.category_of.get(sequence, UNCATEGORIZED)
 
@@ -283,9 +280,6 @@ class SharedEmojiSet:
 
     def __len__(self) -> int:
         return len(self.emoji)
-
-    def __contains__(self, e: str) -> bool:
-        return e in self.emoji
 
 
 def shared_set(table: FrequencyTable, threshold: int) -> SharedEmojiSet:

@@ -5,10 +5,11 @@ completion marker with its cache key and the digest of every artifact it
 declared.  An artifact is declared before it is written and is written to
 a temporary file renamed into place (`Pipeline._artifact`), so none is
 torn or unlisted.  The key covers only what the stage reads (`STAGE_READS`):
-its config fields, and the content of its outside files and of the earlier
-stages' artifacts.  Re-running `all` skips a stage whose key and artifacts
-still match, so an edit re-runs the stages that read it and those whose
-inputs then change.  Before a stage runs, the artifacts its last run
+its config fields, and the content of its outside files, of the earlier
+stages' artifacts and of the package modules whose code it runs.  Re-running
+`all` skips a stage whose key and artifacts still match, so an edit, to the
+config, an input or the code, re-runs the stages that read it and those
+whose inputs then change.  Before a stage runs, the artifacts its last run
 recorded are deleted, so a run that writes fewer files leaves none stale;
 a stage that fails records what it declared under no key, so the next run
 deletes that too.  Ingest cuts each input file into line-aligned byte
@@ -20,7 +21,7 @@ files byte for byte, whatever the number of workers.
 
 Ingest hands train and project type ids and counts, not text: a stream
 file holds a corpus's type table with each type's count, then the type
-ids of its posts and their lengths (`save_streams`).  Train builds the
+ids of its posts and their lengths (`fileio.save_streams`).  Train builds the
 vocabulary from the counts and encodes the ids once per corpus; project
 counts emoji from the type table alone.  The models are read once, by
 project, which hands analyze all it needs in one binary file
@@ -48,27 +49,22 @@ from . import __version__
 from .analytics import CorrelationReport, EmojiProfiles, build_report, emoji_profiles
 from .charts import emit_charts
 from .corpus import (
-    STREAM_FORMAT,
     CorpusHandle,
     FilterConfig,
     IngestCounts,
-    TypeStreams,
     ingest_range,
     line_ranges,
-    load_streams,
     primary_language,
+)
+from .embedding import TrainParams, encode_types, load_model, save_model, train_cbow, vocabulary_of
+from .fileio import (
+    TypeStreams,
+    atomic_write,
+    load_streams,
+    read_arrays,
     save_streams,
+    write_arrays,
 )
-from .embedding import (
-    MODEL_FORMAT,
-    TrainParams,
-    encode_types,
-    load_model,
-    save_model,
-    train_cbow,
-    vocabulary_of,
-)
-from .fileio import atomic_write, read_arrays, write_arrays
 from .inventory import (
     FrequencyTable,
     SharedEmojiSet,
@@ -92,23 +88,33 @@ from .projection import read_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
 # What each stage reads, and so what its cache key covers: fields of
-# `RunConfig.snapshot()` plus the stream and model formats (`corpora.<name>`
-# is that field of every corpus, in corpus order), and files, hashed by content:
-# outside inputs and the artifacts of earlier stages.  Train seeds are
-# offset by the corpus index, so train reads the corpus order.
+# `RunConfig.snapshot()` (`corpora.<name>` is that field of every corpus, in
+# corpus order), and files, hashed by content: outside inputs, the artifacts
+# of earlier stages and the package modules whose code the stage runs
+# ("<name>.py").  A module edit re-runs the stages that run it, and those
+# whose inputs then change; a file format tag lives in the module that
+# writes the format.  Train seeds are offset by the corpus index, so train
+# reads the corpus order.  A test profiles each stage and fails on a module
+# that runs but is not listed here.
 STAGE_READS = {
-    "ingest": (("corpora.id", "corpora.lang", "corpora.country", "corpora.pre_tokenized",
-                "stream_format"),
-               ("inputs", "emoji_data", "emoji_categories")),
-    "train": (("training", "min_count", "runs", "corpora.id", "model_format"),
-              ("streams/",)),
+    "ingest": (("corpora.id", "corpora.lang", "corpora.country", "corpora.pre_tokenized"),
+               ("inputs", "emoji_data", "emoji_categories",
+                "corpus.py", "fileio.py", "inventory.py", "pipeline.py")),
+    "train": (("training", "min_count", "runs", "corpora.id"),
+              ("streams/", "embedding.py", "fileio.py", "pipeline.py")),
     "project": (("shared_threshold", "corpora.id", "corpora.culture", "corpora.lang"),
                 ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
-                 "streams/", "models/")),
+                 "streams/", "models/", "analytics.py", "corpus.py", "embedding.py",
+                 "fileio.py", "inventory.py", "lexicon.py", "pipeline.py", "projection.py")),
     "analyze": (("top_k", "corpora.id", "corpora.culture"),
-                ("emoji_data", "emoji_categories", "handoff.bin")),
-    "report": ((), ("report/report.json",)),
+                ("emoji_data", "emoji_categories", "handoff.bin", "analytics.py",
+                 "fileio.py", "inventory.py", "pipeline.py", "projection.py")),
+    # report rebuilds the report dataclasses of analytics.py, whose generated
+    # methods no profile attributes to that file
+    "report": ((), ("report/report.json", "analytics.py", "charts.py", "fileio.py",
+                    "pipeline.py")),
 }
+PACKAGE = Path(__file__).parent  # where the modules named in STAGE_READS are
 
 
 class ConfigError(ValueError):
@@ -391,9 +397,12 @@ class Pipeline:
                                            newline="", encoding="utf-8")
 
     def _files(self) -> dict[str, list[Path]]:
-        """The files of each name `STAGE_READS` uses."""
+        """The files of each name `STAGE_READS` uses; "<name>.py" is the
+        module of that name in this package."""
         c = self.config
-        return {
+        modules = {name: [PACKAGE / name] for _, names in STAGE_READS.values()
+                   for name in names if name.endswith(".py")}
+        return modules | {
             "inputs": [s.input_path for s in c.corpora],
             "lexicons": [s.lexicon_path for s in c.corpora],
             "emoji_data": [c.emoji_data],
@@ -408,17 +417,14 @@ class Pipeline:
 
     def _key(self, stage: str) -> str:
         field_names, file_names = STAGE_READS[stage]
-        # the manifest's config; a new stream or model format must re-run
-        # the stage that writes it, not fail to read the old files
-        config = self.manifest.config | {"stream_format": STREAM_FORMAT,
-                                         "model_format": MODEL_FORMAT}
+        config = self.manifest.config
         files = self._files()
 
         def value(name: str):
             key, _, corpus_field = name.partition(".")
             return [c[corpus_field] for c in config[key]] if corpus_field else config[key]
 
-        parts = [stage, __version__, {n: value(n) for n in field_names},
+        parts = [stage, {n: value(n) for n in field_names},
                  {n: [self._digest(p) for p in files[n]] for n in file_names}]
         blob = json.dumps(parts, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -14,28 +14,26 @@ import numpy as np
 
 from crossmoji.corpus import (
     META_TOKENS,
-    STREAM_FORMAT,
     FilterConfig,
     IngestCounts,
     PostRecord,
     RecordError,
-    TypeStreams,
-    filter_reason,
     ingest_corpus,
     ingest_lines,
     ingest_range,
     line_ranges,
-    load_streams,
     normalize_text,
     parse_record,
     read_streams,
-    save_streams,
     tokenize,
     write_streams,
     _NORMALIZE_RULES,
     _RULE_TRIGGERS,
+    _drop_reasons,
+    _filter_keys,
     _split_verbal,
 )
+from crossmoji.fileio import STREAM_FORMAT, TypeStreams, load_streams, save_streams
 from crossmoji.inventory import load_default_inventory
 
 from util import write_mixed_feed
@@ -51,32 +49,38 @@ def rec(text, lang="en", country="US", pre_tokenized=False, post_id="p1"):
 
 # --- filtering -----------------------------------------------------------------
 
+def drop_reason(record, config):
+    """Why `config` drops `record`: "lang", "country", "retweet" or None."""
+    [reason] = _drop_reasons(record, [_filter_keys(config.lang, config.country)])
+    return reason
+
+
 def test_direct_retweet_removed():
-    assert filter_reason(rec("RT @bob: hello"), US) == "retweet"
+    assert drop_reason(rec("RT @bob: hello"), US) == "retweet"
 
 
 def test_double_slash_retweet_marker_removed():
-    assert filter_reason(rec("@alice// nice one"), US) == "retweet"
+    assert drop_reason(rec("@alice// nice one"), US) == "retweet"
 
 
 def test_clean_record_passes_unchanged():
-    assert filter_reason(rec("hello \U0001F604"), US) is None
+    assert drop_reason(rec("hello \U0001F604"), US) is None
 
 
 def test_language_mismatch_dropped():
-    assert filter_reason(rec("hello", lang="ja"), US) == "lang"
+    assert drop_reason(rec("hello", lang="ja"), US) == "lang"
 
 
 def test_country_mismatch_dropped():
-    assert filter_reason(rec("hello", country="JP"), US) == "country"
+    assert drop_reason(rec("hello", country="JP"), US) == "country"
 
 
 def test_lang_primary_subtag_matches():
-    assert filter_reason(rec("hello", lang="en-GB"), US) is None
+    assert drop_reason(rec("hello", lang="en-GB"), US) is None
 
 
 def test_mention_without_marker_is_kept():
-    assert filter_reason(rec("@bob hello"), US) is None  # not a retweet prefix
+    assert drop_reason(rec("@bob hello"), US) is None  # not a retweet prefix
 
 
 def test_filter_order_independence():
@@ -85,7 +89,7 @@ def test_filter_order_independence():
         rec("plain"), rec("@b// y"), rec("RT @c: z", lang="fr"),
     ]
     predicates = {
-        "lang": lambda r: filter_reason(r, US) != "lang" or False,
+        "lang": lambda r: drop_reason(r, US) != "lang" or False,
     }
 
     def survives(r, order):
@@ -93,7 +97,7 @@ def test_filter_order_independence():
         checks = {
             "lang": lambda: r.lang.lower().split("-")[0] == "en",
             "country": lambda: r.country.upper() == "US",
-            "retweet": lambda: filter_reason(
+            "retweet": lambda: drop_reason(
                 PostRecord(r.post_id, r.text, "US", "en"), US) != "retweet",
         }
         return all(checks[name]() for name in order)
@@ -102,7 +106,7 @@ def test_filter_order_independence():
     for order in itertools.permutations(("lang", "country", "retweet")):
         assert [survives(r, order) for r in records] == baseline
     # and the combined filter agrees
-    assert [filter_reason(r, US) is None for r in records] == baseline
+    assert [drop_reason(r, US) is None for r in records] == baseline
 
 
 def test_records_filtered_once_give_each_corpus_its_own_reasons():
@@ -126,7 +130,7 @@ def test_records_filtered_once_give_each_corpus_its_own_reasons():
         expected = Counter(per_corpus_rule(r, config) for r in records)
         assert counts.dropped == {k: expected[k] for k in ("lang", "country", "retweet")}
         assert counts.kept == expected[None]
-        assert [filter_reason(r, config) for r in records] == [
+        assert [drop_reason(r, config) for r in records] == [
             per_corpus_rule(r, config) for r in records]
 
 

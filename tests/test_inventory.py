@@ -44,7 +44,7 @@ def test_range_line_expands(tmp_path):
                                  [f"{cp:04X}\tSymbols" for cp in range(0x2194, 0x219A)])
     inv = load_inventory(data, cats)
     assert len(inv) == 6
-    assert "↘" in inv
+    assert "↘" in inv.entries
 
 
 def test_full_default_file_has_1281_entries(full_inventory):
@@ -226,9 +226,9 @@ def test_shared_set_threshold_and_presence(full_inventory):
         "B": {e1: 700, e2: 400},
     }, full_inventory)
     got = shared_set(table, 1000)
-    assert e1 in got          # everywhere, total 1500
-    assert e2 not in got      # total 900 < threshold
-    assert e3 not in got      # absent from corpus B
+    assert e1 in got.emoji          # everywhere, total 1500
+    assert e2 not in got.emoji      # total 900 < threshold
+    assert e3 not in got.emoji      # absent from corpus B
     assert got.emoji == (e1,)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.corpus import ingest_handle, load_streams, write_streams
+from crossmoji.corpus import ingest_handle, write_streams
 from crossmoji.embedding import (
     TrainParams,
     build_vocabulary,
@@ -24,6 +24,7 @@ from crossmoji.embedding import (
     encode_types,
     vocabulary_of,
 )
+from crossmoji.fileio import load_streams
 from crossmoji.inventory import EmojiInventory, count_frequencies, load_default_inventory
 from crossmoji.pipeline import (
     SCHEMA,
@@ -115,21 +116,22 @@ def test_config_change_invalidates_markers(completed_run):
     assert incomplete(dataclasses.replace(config, top_k=7)) == ["analyze", "report"]
 
 
+def edit_module(monkeypatch, name: str) -> None:
+    """Make `_digest` give the package module `name` another digest, as an
+    edit to its code would."""
+    path = pipeline.PACKAGE / name
+    digest = Pipeline._digest
+    monkeypatch.setattr(Pipeline, "_digest",
+                        lambda self, p: "edited" if p == path else digest(self, p))
+
+
 def test_model_format_change_invalidates_markers(completed_run, monkeypatch):
-    # a directory trained under another model format re-trains instead of
-    # failing to read its models
+    # the model format is a tag in embedding.py: a directory trained under
+    # another one re-trains instead of failing to read its models
     _, config, _ = completed_run
     assert incomplete(config) == []
-    monkeypatch.setattr("crossmoji.pipeline.MODEL_FORMAT", "crossmoji-model 0")
+    edit_module(monkeypatch, "embedding.py")
     assert incomplete(config) == ["train", "project", "analyze", "report"]
-
-
-def test_version_change_reruns_train(completed_run, tmp_path, monkeypatch):
-    # every stage key covers the package version, so models trained by an
-    # older release are not served from the cache
-    config = copy_run(completed_run, tmp_path)
-    monkeypatch.setattr("crossmoji.pipeline.__version__", "0.0.0-older")
-    assert "train" in ran(Pipeline(config).run("all"))
 
 
 def test_one_stage_run_keeps_the_whole_manifest(completed_run, tmp_path):
@@ -303,6 +305,89 @@ def test_edit_invalidates_first_stage_reading_it(completed_run, tmp_path, field)
     stage, edit = FIELD_READERS[field]
     changed = edit(completed_run[1], tmp_path)
     assert incomplete(changed)[0] == stage
+
+
+# package module -> the first stage that runs its code (None: no stage does)
+MODULE_RUNNERS = {
+    "__init__.py": None,
+    "analytics.py": "project",
+    "charts.py": "report",
+    "cli.py": None,
+    "corpus.py": "ingest",
+    "embedding.py": "train",
+    "fileio.py": "ingest",
+    "inventory.py": "ingest",
+    "lexicon.py": "project",
+    "pipeline.py": "ingest",
+    "projection.py": "project",
+}
+
+
+def declared_modules(stage: str) -> set[str]:
+    return {name for name in pipeline.STAGE_READS[stage][1] if name.endswith(".py")}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in pipeline.PACKAGE.glob("*.py")))
+def test_module_edit_invalidates_first_stage_running_it(completed_run, monkeypatch, module):
+    # the stages before the first that runs the module stay complete
+    stage = MODULE_RUNNERS[module]
+    assert stage == next((s for s in STAGES if module in declared_modules(s)), None)
+    edit_module(monkeypatch, module)
+    assert incomplete(completed_run[1]) == ([] if stage is None else
+                                            list(STAGES[STAGES.index(stage):]))
+
+
+def test_new_version_alone_leaves_every_stage_complete(completed_run, monkeypatch):
+    # a key covers code by its content, not by the version string
+    monkeypatch.setattr("crossmoji.__version__", "0.0.0-older")
+    monkeypatch.setattr("crossmoji.pipeline.__version__", "0.0.0-older")
+    assert incomplete(completed_run[1]) == []
+
+
+def test_corpus_edit_that_writes_the_same_streams_leaves_train_cached(
+        completed_run, tmp_path, monkeypatch):
+    # an edit to the ingest code re-runs ingest (once stale keys served it
+    # from the cache); streams that come out the same leave every model
+    # cached.  Project re-runs too, for it runs `primary_language`, but
+    # writes the same hand-off, so analyze and report stay cached.
+    config = copy_run(completed_run, tmp_path)
+    before = outputs(config.out_dir, also=("models", "streams"))
+    handoff = (config.out_dir / "handoff.bin").read_bytes()
+    edit_module(monkeypatch, "corpus.py")
+    assert ran(Pipeline(config).run("all")) == ["ingest", "project"]
+    assert outputs(config.out_dir, also=("models", "streams")) == before
+    assert (config.out_dir / "handoff.bin").read_bytes() == handoff
+
+
+def test_every_declared_module_is_a_package_file():
+    # `_digest` gives None for a missing file, so a misspelled module name
+    # would keep the key constant whatever the code
+    for stage in STAGES:
+        assert all((pipeline.PACKAGE / name).is_file() for name in declared_modules(stage))
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_declares_every_module_it_runs(completed_run, tmp_path, monkeypatch, stage):
+    # a fresh pipeline in one process runs the stage, the stages before it
+    # complete; every package module whose code ran must be in its key
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    config = copy_run(completed_run, tmp_path)
+    run = Pipeline(config)
+    modules = set()
+
+    def profile(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent == pipeline.PACKAGE:
+            modules.add(path.name)
+
+    sys.setprofile(profile)
+    try:
+        run.run(stage)
+    finally:
+        sys.setprofile(None)
+    assert run.manifest.stages[stage]["completed"]
+    assert modules - declared_modules(stage) == set()
+    assert "pipeline.py" in modules  # the profile saw the stage run
 
 
 def test_truncated_model_retrains_to_same_bytes(completed_run, tmp_path):
@@ -904,16 +989,14 @@ def test_undecodable_lines_are_parse_errors_not_a_failed_ingest(tmp_path):
 
 
 def test_directory_ingested_with_text_streams_reingests(completed_run, tmp_path, monkeypatch):
-    # an output directory ingested before stream files had a format: text
-    # streams, and an ingest key without the stream format.  Ingest re-runs
-    # and writes the same stream files, so the later stages stay complete.
+    # an output directory ingested by code that wrote text streams, under
+    # the ingest key of that code.  Ingest re-runs and writes the same
+    # stream files, so the later stages stay complete.
     config = copy_run(completed_run, tmp_path)
     out = config.out_dir
     before = outputs(out, also=("models", "streams"))
-    fields, files = pipeline.STAGE_READS["ingest"]
     with monkeypatch.context() as m:
-        m.setitem(pipeline.STAGE_READS, "ingest",
-                  (tuple(f for f in fields if f != "stream_format"), files))
+        edit_module(m, "fileio.py")
         old_key = Pipeline(config)._key("ingest")
     artifacts = {}
     for spec in config.corpora:
