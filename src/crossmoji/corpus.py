@@ -243,37 +243,54 @@ def _split_plain(chunk: str) -> Iterator[str]:
     yield from reversed(trail)
 
 
-def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
-    """Turn a filtered record into tokens with emoji split out standalone.
+def _chunk_tokens(chunk: str, pre_tokenized: bool,
+                  inventory: EmojiInventory) -> tuple[str, ...]:
+    """The tokens of one whitespace chunk, emoji split out standalone.
 
-    Pre-tokenized records (CJK path) are split on whitespace as-is, except
-    that glued emoji are still separated.  Otherwise verbal tokens are
-    lowercased and edge punctuation is split off; meta-tokens pass through
-    verbatim.
-    """
+    A pre-tokenized chunk (CJK path) is kept as-is, except that glued emoji
+    are still separated.  Otherwise verbal tokens are lowercased and edge
+    punctuation is split off; meta-tokens pass through verbatim."""
+    # a chunk without an inventory start character holds no emoji, so it
+    # skips `split_text`; one no verbal splitter acts on is one token
+    if inventory.start_chars.isdisjoint(chunk):
+        if pre_tokenized:
+            return (chunk,)
+        if (_VERBAL_SPLIT_CHARS.isdisjoint(chunk) and chunk[0] not in _EDGE_PUNCT
+                and chunk[-1] not in _EDGE_PUNCT):
+            return (chunk.lower(),)
+        return tuple(t for t in _split_verbal(chunk) if t)
     tokens: list[str] = []
-    starts = inventory.start_chars
-    for chunk in record.text.split():
-        # a chunk without an inventory start character holds no emoji, so it
-        # skips `split_text`; one no verbal splitter acts on is one token
-        if starts.isdisjoint(chunk):
-            if record.pre_tokenized:
-                tokens.append(chunk)
-            elif (_VERBAL_SPLIT_CHARS.isdisjoint(chunk) and chunk[0] not in _EDGE_PUNCT
-                    and chunk[-1] not in _EDGE_PUNCT):
-                tokens.append(chunk.lower())
-            else:
-                tokens.extend(t for t in _split_verbal(chunk) if t)
-            continue
-        for piece, is_emoji in inventory.split_text(chunk):
-            if is_emoji:
+    for piece, is_emoji in inventory.split_text(chunk):
+        if is_emoji:
+            tokens.append(piece)
+        elif pre_tokenized:
+            if piece:
                 tokens.append(piece)
-            elif record.pre_tokenized:
-                if piece:
-                    tokens.append(piece)
-            else:
-                tokens.extend(t for t in _split_verbal(piece) if t)
-    return TokenStream(post_id=record.post_id, tokens=tuple(tokens))
+        else:
+            tokens.extend(t for t in _split_verbal(piece) if t)
+    return tuple(tokens)
+
+
+def _tokens(text: str, pre_tokenized: bool, inventory: EmojiInventory,
+            memo: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """The `_chunk_tokens` of each whitespace chunk of `text`, in order.
+    `memo` maps each chunk seen before, with the same `pre_tokenized`, to
+    its tokens, so an equal chunk is tokenized once and shares their
+    strings."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        found = memo.get(chunk)
+        if found is None:
+            found = memo[chunk] = _chunk_tokens(chunk, pre_tokenized, inventory)
+        tokens += found
+    return tuple(tokens)
+
+
+def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
+    """Turn a filtered record into tokens with emoji split out standalone,
+    chunk by chunk (`_chunk_tokens`)."""
+    return TokenStream(post_id=record.post_id,
+                       tokens=_tokens(record.text, record.pre_tokenized, inventory, {}))
 
 
 # --- corpus-level I/O ----------------------------------------------------
@@ -281,7 +298,9 @@ def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
 @dataclass
 class IngestCounts:
     """Per-corpus record counts through the filter chain (monotone), and
-    the seconds spent filtering and tokenizing the corpus's records."""
+    the seconds spent filtering and tokenizing the corpus's records.
+    `distinct_chunks`, like `read`, counts for every corpus of an
+    `ingest_lines` call: the distinct whitespace chunks it tokenized."""
 
     read: int = 0
     parse_errors: int = 0
@@ -290,6 +309,7 @@ class IngestCounts:
     empty_streams: int = 0
     streams: int = 0
     seconds: float = 0.0
+    distinct_chunks: int = 0
 
     def __add__(self, other: IngestCounts) -> IngestCounts:
         """The counts of two parts of a corpus, summed field by field."""
@@ -333,11 +353,15 @@ def ingest_lines(
     non-empty streams and counts.  Every corpus counts every line read.
 
     A corpus-level `pre_tokenized` flag (the CJK path) applies to every
-    record; individual records can also carry their own flag.
+    record; individual records can also carry their own flag.  Each
+    distinct chunk is tokenized once per call, through one memo for plain
+    chunks, keyed as `normalize_text` leaves them, and one for
+    pre-tokenized ones: equal chunks share one tuple of token strings.
     """
     parsed = IngestCounts()
     results = [([], IngestCounts()) for _ in corpora]
     wanted = [_filter_keys(config.lang, config.country) for config, _ in corpora]
+    memos: dict[bool, dict] = {False: {}, True: {}}  # pre_tokenized -> chunk -> tokens
     for record in read_records(lines, parsed):
         # the first corpus's seconds include the filtering all corpora share
         start = time.perf_counter()
@@ -347,14 +371,11 @@ def ingest_lines(
                 counts.dropped[reason] += 1
             else:
                 counts.kept += 1
-                if record.pre_tokenized or pre_tokenized:
-                    stream = tokenize(PostRecord(record.post_id, record.text, record.country,
-                                                 record.lang, pre_tokenized=True), inventory)
-                else:
-                    stream = tokenize(PostRecord(record.post_id, normalize_text(record.text),
-                                                 record.country, record.lang), inventory)
-                if stream.tokens:
-                    streams.append(stream)
+                pre = record.pre_tokenized or pre_tokenized
+                text = record.text if pre else normalize_text(record.text)
+                tokens = _tokens(text, pre, inventory, memos[pre])
+                if tokens:
+                    streams.append(TokenStream(record.post_id, tokens))
                 else:
                     counts.empty_streams += 1
             now = time.perf_counter()
@@ -363,6 +384,7 @@ def ingest_lines(
     for streams, counts in results:
         counts.read, counts.parse_errors = parsed.read, parsed.parse_errors
         counts.streams = len(streams)
+        counts.distinct_chunks = len(memos[False]) + len(memos[True])
     return results
 
 

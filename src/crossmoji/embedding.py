@@ -161,6 +161,18 @@ class EmbeddingModel:
         except KeyError:
             raise TokenNotFoundError(token) from None
 
+    def restrict(self, tokens: Iterable[str]) -> EmbeddingModel:
+        """The model over those of `tokens` in its vocabulary, in vocabulary
+        order, with their counts, vectors and everything else unchanged.
+        Its matrix is a copy of those rows, so this model's can be freed."""
+        index = self.vocab.index
+        rows = sorted({index[t] for t in tokens if t in index})
+        vocab = Vocabulary(tokens=tuple(self.vocab.tokens[i] for i in rows),
+                           counts=tuple(self.vocab.counts[i] for i in rows),
+                           min_count=self.vocab.min_count,
+                           corpus_tokens=self.vocab.corpus_tokens)
+        return replace(self, vocab=vocab, syn0=self.syn0[rows])
+
 
 # --- loss kernel ----------------------------------------------------------
 

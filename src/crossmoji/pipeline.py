@@ -24,10 +24,11 @@ file holds a corpus's type table with each type's count, then the type
 ids of its posts and their lengths (`fileio.save_streams`).  Train builds the
 vocabulary from the counts and encodes the ids once per corpus; project
 counts emoji from the type table alone.  The models are read once, by
-project, which hands analyze all it needs in one binary file
-(`write_handoff`): the per-run orthonormal similarity cube, the
-run-averaged emoji x emoji cosine profiles, the frequency table and the
-shared set.  Analyze reads nothing else that an earlier stage wrote.
+project, one at a time, each cut to the rows project reads; it hands
+analyze all it needs in one binary file (`write_handoff`): the per-run
+orthonormal similarity cube, the run-averaged emoji x emoji cosine
+profiles, the frequency table and the shared set.  Analyze reads nothing
+else that an earlier stage wrote.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -56,7 +58,15 @@ from .corpus import (
     line_ranges,
     primary_language,
 )
-from .embedding import TrainParams, encode_types, load_model, save_model, train_cbow, vocabulary_of
+from .embedding import (
+    ModelFormatError,
+    TrainParams,
+    encode_types,
+    load_model,
+    save_model,
+    train_cbow,
+    vocabulary_of,
+)
 from .fileio import (
     TypeStreams,
     atomic_write,
@@ -126,6 +136,20 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def max_rss() -> dict:
+    """`max_rss_mb`: the peak resident set so far of this process (`self`)
+    and of the largest worker process that has ended (`workers`), in MB of
+    10^6 bytes; nothing where the `resource` module is missing."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return {}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
+    return {"max_rss_mb": {
+        who: round(resource.getrusage(which).ru_maxrss * unit / 1e6, 2)
+        for who, which in (("self", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN))}}
 
 
 _calls: list = []  # in a worker process: the calls of the fan_out that forked it
@@ -468,9 +492,11 @@ class Pipeline:
             (self.out / rel).unlink(missing_ok=True)
             self._digests.pop(self.out / rel, None)
 
-    def _load_streams(self) -> dict[str, TypeStreams]:
-        return {spec.corpus_id: load_streams(self.streams_path(spec.corpus_id))
-                for spec in self.config.corpora}
+    def _emoji_counts(self, corpus_id: str) -> Counter:
+        """A corpus's emoji counts, in the order its stream first has them,
+        from its stream file's type table alone."""
+        types = load_streams(self.streams_path(corpus_id))
+        return count_emoji(zip(types.types, types.counts.tolist()), self.inventory)
 
     # --- stages ---
 
@@ -503,7 +529,8 @@ class Pipeline:
         shard_rows = []
         for (path, start, end), (shard_parts, lines, seconds) in zip(shards, results):
             shard_rows.append({"file": str(path), "start": start, "end": end, "lines": lines,
-                               "seconds": round(seconds, 3)})
+                               "seconds": round(seconds, 3),
+                               "distinct_chunks": shard_parts[0][1].distinct_chunks})
             for spec, part in zip(groups[path], shard_parts):
                 parts.setdefault(spec.corpus_id, []).append(part)
         counts_by_corpus, throughput = {}, {}
@@ -527,7 +554,8 @@ class Pipeline:
 
     def stage_train(self) -> dict:
         c = self.config
-        streams = self._load_streams()
+        streams = {spec.corpus_id: load_streams(self.streams_path(spec.corpus_id))
+                   for spec in c.corpora}
         vocabs = {corpus_id: vocabulary_of(types, c.min_count)
                   for corpus_id, types in streams.items()}
         # encoded once, here: the workers inherit them
@@ -563,13 +591,8 @@ class Pipeline:
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        # each corpus's emoji counts, in the order its stream first has them
-        table = FrequencyTable(self.inventory, {
-            corpus_id: count_emoji(zip(types.types, types.counts.tolist()), self.inventory)
-            for corpus_id, types in self._load_streams().items()})
-        models = {spec.corpus_id: [load_model(self.model_path(spec.corpus_id, r))
-                                   for r in range(self.config.runs)]
-                  for spec in self.config.corpora}
+        table = FrequencyTable(self.inventory, {spec.corpus_id: self._emoji_counts(spec.corpus_id)
+                                                for spec in self.config.corpora})
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
             self.manifest.warnings.append(
@@ -577,11 +600,6 @@ class Pipeline:
 
         lexicons = [parse_lexicon(spec.lexicon_path, spec.lang) for spec in self.config.corpora]
         schema = shared_schema(lexicons)
-        expansions = {}
-        for spec, lexicon in zip(self.config.corpora, lexicons):
-            exp = expand_patterns(lexicon, models[spec.corpus_id][0].vocab.tokens)
-            expansions[spec.corpus_id] = {c: sorted(exp[c]) for c in schema}
-
         ekman = load_ekman(self.config.ekman_words)
         ekman_axes = {}
         for spec in self.config.corpora:
@@ -592,7 +610,29 @@ class Pipeline:
                 self.manifest.warnings.append(
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
 
-        info = {"schema": list(schema), "shared_emoji": len(shared)}
+        # one model at a time, each cut to the rows project reads: its
+        # corpus's category tokens and Ekman words, and the shared emoji
+        models, expansions = {}, {}
+        for spec, lexicon in zip(self.config.corpora, lexicons):
+            runs = models[spec.corpus_id] = []
+            for r in range(self.config.runs):
+                path = self.model_path(spec.corpus_id, r)
+                model = load_model(path)
+                if r == 0:
+                    tokens = model.vocab.tokens
+                    exp = expand_patterns(lexicon, tokens)
+                    expansions[spec.corpus_id] = {cat: sorted(exp[cat]) for cat in schema}
+                    keep = set(shared.emoji).union(
+                        *expansions[spec.corpus_id].values(),
+                        (word for _, word in ekman_axes.get(spec.corpus_id, ())))
+                elif model.vocab.tokens != tokens:
+                    raise ModelFormatError(f"{path}: vocabulary differs from that of "
+                                           f"{self.model_path(spec.corpus_id, 0)}")
+                runs.append(model.restrict(keep))
+                del model  # the full matrix goes before the next one loads
+
+        info = {"schema": list(schema), "shared_emoji": len(shared),
+                "rows": {corpus_id: len(cut[0].vocab) for corpus_id, cut in models.items()}}
         tensor = None
         if len(shared) == 0:
             with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
@@ -702,7 +742,7 @@ class Pipeline:
                 self._write_marker(name, None, {}, [])
                 self.manifest.save(self.out / "manifest.json")
                 raise PipelineStageError(name, exc) from exc
-            self.manifest.record(name, key, time.perf_counter() - start, **extra)
+            self.manifest.record(name, key, time.perf_counter() - start, **extra, **max_rss())
             self._write_marker(name, key, extra, self.manifest.warnings[warnings_before:])
         self.manifest.save(self.out / "manifest.json")
         return self.manifest

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -362,6 +363,68 @@ def test_ingest_normalizes_then_tokenizes():
     lines = [jline("1", "go http://a.b/c now \U0001F604")]
     streams, _ = ingest_corpus(lines, US, INV)
     assert streams[0].tokens == ("go", "<url>", "now", "\U0001F604")
+
+
+# pieces of chunks: ASCII words, edge punctuation, meta-token triggers, CJK
+# text and inventory emoji, with a ZWJ sequence, a skin tone and selectors
+CHUNK_PIECES = [
+    "good", "Morning", "don't", "x", ".", ",", "!", "(", ")", "\"", "…", "@bob", "50%",
+    "12", "3:30", ":)", "<3", "$5", "www.a.com", "a@b.co", "<url>", "東京", "です",
+    "\U0001F604", "\u2764\ufe0f", "\u2764\ufe0e", "\ufe0f", "\u200d",
+    "\U0001F468\u200d\U0001F469\u200d\U0001F467", "\U0001F44D\U0001F3FD", "\U0001F1EF\U0001F1F5"]
+CHUNKS = st.lists(st.sampled_from(CHUNK_PIECES), min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(CHUNKS, min_size=1, max_size=6), st.booleans()),
+                min_size=1, max_size=8),
+       st.booleans())
+def test_memoized_ingest_equals_tokenize_per_record(posts, corpus_pre_tokenized):
+    # records: (chunks, the record's own pre_tokenized flag); the corpus flag
+    # makes every record pre-tokenized
+    lines = [jline(str(i), " ".join(chunks), pre_tokenized=flag)
+             for i, (chunks, flag) in enumerate(posts)]
+    [(streams, counts)] = ingest_lines(lines, [(US, corpus_pre_tokenized)], INV)
+    assert counts.kept == len(posts)
+    texts, expected, distinct = [], [], set()
+    for i, (chunks, flag) in enumerate(posts):
+        pre = flag or corpus_pre_tokenized
+        text = " ".join(chunks) if pre else normalize_text(" ".join(chunks))
+        distinct.update((chunk, pre) for chunk in text.split())
+        stream = tokenize(rec(text, pre_tokenized=pre, post_id=str(i)), INV)
+        if stream.tokens:
+            texts.append((text, pre))
+            expected.append(stream)
+    assert streams == expected
+    assert counts.distinct_chunks == len(distinct)
+    # equal chunks of one call share their token strings
+    first: dict = {}
+    for stream, (text, pre) in zip(streams, texts):
+        pos = 0
+        for chunk in text.split():
+            n = len(tokenize(rec(chunk, pre_tokenized=pre), INV).tokens)
+            part = stream.tokens[pos:pos + n]
+            pos += n
+            assert all(a is b for a, b in zip(part, first.setdefault((chunk, pre), part)))
+        assert pos == len(stream.tokens)
+
+
+def test_ingest_result_holds_each_distinct_chunk_once():
+    # 2,000 posts over 200 words: what ingest_lines returns holds a pointer
+    # per token, not a string of its own
+    words = ["".join(p) for p in itertools.product("abcdefghij", repeat=3)][:200]
+    rng = np.random.default_rng(0)
+    lines = [jline(str(i), " ".join(rng.choice(words, size=20).tolist())) for i in range(2000)]
+    ingest_lines(lines[:5], [(US, False)], INV)  # what a first call sets up stays out
+    tracemalloc.start()
+    try:
+        [(streams, _)] = ingest_lines(lines, [(US, False)], INV)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tokens = sum(len(s.tokens) for s in streams)
+    assert tokens == 2000 * 20
+    assert held / tokens < 60
 
 
 def test_stream_io_roundtrip():

@@ -12,6 +12,7 @@ import pytest
 
 from crossmoji.corpus import TokenStream
 from crossmoji.embedding import (
+    EmbeddingModel,
     EmptyVocabularyError,
     ModelFormatError,
     TokenNotFoundError,
@@ -609,6 +610,25 @@ def test_round_trip_bit_identical(tmp_path):
     matrix = np.lib.format.read_array(io.BytesIO(path.read_bytes().partition(b"\n")[2]))
     assert matrix.shape == (len(model.vocab), model.dim)
     assert matrix.dtype.str == "<f4"
+
+
+def test_restrict_keeps_the_named_rows_in_vocabulary_order():
+    model = trained_tiny_model()
+    tokens = model.vocab.tokens
+    wanted = [tokens[3], "absent", tokens[0], tokens[3]]
+    cut = model.restrict(wanted)
+    assert type(cut) is EmbeddingModel
+    assert cut.vocab.tokens == (tokens[0], tokens[3])
+    assert cut.vocab.counts == (model.vocab.counts[0], model.vocab.counts[3])
+    assert (cut.vocab.min_count, cut.vocab.corpus_tokens) == (model.vocab.min_count,
+                                                              model.vocab.corpus_tokens)
+    assert (cut.params, cut.epoch_losses) == (model.params, model.epoch_losses)
+    for token in cut.vocab.tokens:
+        assert np.array_equal(bits(cut.vector(token)), bits(model.vector(token)))
+    assert "absent" not in cut.vocab and tokens[1] not in cut.vocab
+    assert cut.syn0.dtype == np.float32 and cut.syn0.shape == (2, model.dim)
+    assert not np.shares_memory(cut.syn0, model.syn0)  # the full matrix can go
+    assert model.restrict([]).syn0.shape == (0, model.dim)
 
 
 def test_save_then_save_again_identical_bytes(tmp_path):

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,12 +17,15 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.corpus import ingest_handle, write_streams
+from crossmoji.corpus import ingest_handle, normalize_text, read_lines, write_streams
 from crossmoji.embedding import (
+    EmbeddingModel,
+    ModelFormatError,
     TrainParams,
     build_vocabulary,
     encode_streams,
     encode_types,
+    load_model,
     vocabulary_of,
 )
 from crossmoji.fileio import load_streams
@@ -725,6 +729,79 @@ def test_union_category_dropped_not_fatal(tmp_path):
         "dropped categories: catB (linearly dependent on the kept categories in US, ")
 
 
+# --- project reads one model at a time ----------------------------------------------
+
+def write_project_fixture(tmp_path: Path) -> Path:
+    """Two corpora, three runs.  Emoji X is shared, but JP has it once, below
+    min_count, so JP's vocabulary lacks it; the Ekman adjective "cheery" is
+    in US's vocabulary alone."""
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=10, runs=3, dim=8, epochs=1)
+    (tmp_path / "ekman.json").write_text(json.dumps({"en": {"joy": ["glad", "cheery"]}}))
+    raw = json.loads(cfg_path.read_text())
+    raw["ekman_words"] = "ekman.json"
+    cfg_path.write_text(json.dumps(raw))
+    extra = {"west.jsonl": ("US", ["glad cheery \U0001F604 glad"] * 4),
+             "east.jsonl": ("JP", ["glad filler0 \U0001F604"] + ["glad filler1 filler2"] * 3)}
+    for name, (country, texts) in extra.items():
+        with open(tmp_path / name, "a", encoding="utf-8") as f:
+            for i, text in enumerate(texts):
+                f.write(json.dumps({"post_id": f"extra{i}", "text": text, "country": country,
+                                    "lang": "en"}, ensure_ascii=False) + "\n")
+    return cfg_path
+
+
+def test_project_holds_one_full_model_at_a_time_with_unchanged_outputs(tmp_path, monkeypatch):
+    config = load_config(write_project_fixture(tmp_path))
+    finalizers, alive = [], []
+
+    def tracked_load(path):
+        model = load_model(path)
+        finalizers.append(weakref.finalize(model.syn0, lambda: None))
+        alive.append(sum(f.alive for f in finalizers))  # full matrices alive after this load
+        return model
+
+    monkeypatch.setattr(pipeline, "load_model", tracked_load)
+    manifest = Pipeline(config).run("all")
+    assert alive == [1] * 6
+    assert "1 shared emoji missing from some corpus vocabulary, excluded from projections" \
+        in manifest.warnings
+    assert "Ekman axes excluded (word missing in some corpus): ekman:joy:adjective" \
+        in manifest.warnings
+    assert "ekman:joy:noun" in manifest.stages["project"]["axes"]
+    out = Path(config.out_dir)
+    names = ("handoff.bin", "tensors/similarity_orthonormal.csv")
+    cut = {name: (out / name).read_bytes() for name in names}
+    rows = manifest.stages["project"]["rows"]
+    # the same stage on the whole models writes the same bytes
+    monkeypatch.setattr(EmbeddingModel, "restrict", lambda self, tokens: self)
+    whole = Pipeline(config).run("project").stages["project"]["rows"]
+    assert {name: (out / name).read_bytes() for name in names} == cut
+    assert list(rows) == list(whole) == ["US", "JP"]
+    assert all(0 < rows[c] < whole[c] for c in rows)
+
+
+def test_project_refuses_a_run_whose_vocabulary_differs_from_run_0s(tmp_path, monkeypatch):
+    config = load_config(write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2,
+                                                 dim=8, epochs=1))
+    Pipeline(config).run("all")
+
+    def reordered(path):
+        model = load_model(path)
+        if Path(path).name == "JP.run1.vec":
+            vocab = model.vocab
+            model = dataclasses.replace(
+                model, vocab=dataclasses.replace(vocab, tokens=vocab.tokens[::-1]))
+        return model
+
+    monkeypatch.setattr(pipeline, "load_model", reordered)
+    with pytest.raises(PipelineStageError) as failure:
+        Pipeline(config).run("project")
+    assert failure.value.stage == "project"
+    assert isinstance(failure.value.cause, ModelFormatError)
+    assert re.search(r"JP\.run1\.vec: vocabulary differs from that of .*JP\.run0\.vec",
+                     str(failure.value.cause))
+
+
 def counted_keys(monkeypatch) -> list:
     calls = []
     key = Pipeline._key
@@ -856,8 +933,6 @@ def test_manifest_records_train_throughput_per_run(completed_run):
     # tokens per run are the in-vocabulary tokens times epochs, and bytes the
     # size of the run's model file; ingest records posts per second per
     # corpus, and both stages their workers
-    from crossmoji.embedding import load_model
-
     _, config, manifest = completed_run
     ingest, train = manifest.stages["ingest"], manifest.stages["train"]
     for corpus_id, info in train["training"].items():
@@ -886,6 +961,34 @@ def test_manifest_records_train_throughput_per_run(completed_run):
         assert all(r["seconds"] >= 0 for r in rows)
     assert ingest["workers"] == min(len(shards), cpus)
     assert train["workers"] == min(len(config.corpora) * config.runs, cpus)
+
+
+def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
+    _, config, manifest = completed_run
+    # every post of the fixture is kept and not pre-tokenized
+    for row in manifest.stages["ingest"]["shards"]:
+        lines = read_lines(row["file"], row["start"], row["end"])
+        assert row["distinct_chunks"] == len({
+            chunk for line in lines for chunk in normalize_text(json.loads(line)["text"]).split()})
+    rows = manifest.stages["project"]["rows"]
+    assert list(rows) == [spec.corpus_id for spec in config.corpora]
+    for corpus_id, n in rows.items():
+        vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
+        assert 0 < n < len(vocab)
+
+
+def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):
+    pytest.importorskip("resource")
+    _, config, manifest = completed_run
+    peaks = [manifest.stages[stage]["max_rss_mb"] for stage in STAGES]
+    assert all(set(peak) == {"self", "workers"} for peak in peaks)
+    assert all(peak["self"] > 1 and peak["workers"] >= 0 for peak in peaks)
+    selfs = [peak["self"] for peak in peaks]
+    assert selfs == sorted(selfs)  # a peak so far never falls
+    # a skipped stage ran in no process of this run
+    again = Pipeline(dataclasses.replace(config, out_dir=tmp_path / "out"))
+    shutil.copytree(config.out_dir, tmp_path / "out")
+    assert not any("max_rss_mb" in entry for entry in again.run("all").stages.values())
 
 
 # --- worker processes ------------------------------------------------------------
