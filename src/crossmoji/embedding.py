@@ -46,7 +46,7 @@ import numpy as np
 
 from .fileio import TypeStreams, atomic_write, read_arrays, write_arrays
 
-MODEL_FORMAT = "crossmoji-model 4"
+MODEL_FORMAT = "crossmoji-model 5"
 
 BATCH = 256  # positions per minibatch step
 GROUP = 16  # consecutive positions sharing their negatives; divides BATCH
@@ -75,7 +75,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     counts: tuple[int, ...]
-    min_count: int
     corpus_tokens: int  # all stream tokens, including ones below min_count
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ def vocabulary_of(streams: TypeStreams, min_count: int) -> Vocabulary:
     return Vocabulary(
         tokens=tuple(t for t, _ in kept),
         counts=tuple(c for _, c in kept),
-        min_count=min_count,
         corpus_tokens=len(streams.ids),
     )
 
@@ -135,6 +133,8 @@ class TrainParams:
             raise ValueError("require lr0 > lr_min > 0")
         if self.window < 1 or self.negatives < 1 or self.epochs < 1:
             raise ValueError("window, negatives and epochs must be >= 1")
+        if self.subsample < 0:
+            raise ValueError("subsample must be >= 0")
 
 
 @dataclass
@@ -169,7 +169,6 @@ class EmbeddingModel:
         rows = sorted({index[t] for t in tokens if t in index})
         vocab = Vocabulary(tokens=tuple(self.vocab.tokens[i] for i in rows),
                            counts=tuple(self.vocab.counts[i] for i in rows),
-                           min_count=self.vocab.min_count,
                            corpus_tokens=self.vocab.corpus_tokens)
         return replace(self, vocab=vocab, syn0=self.syn0[rows])
 
@@ -536,39 +535,33 @@ def neighbors(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, floa
 
 def save_model(model: EmbeddingModel, path) -> None:
     """The `fileio.write_arrays` layout: one JSON metadata line (format tag,
-    training parameters, vocabulary), then the (|V|, d) float32 input
-    matrix.  The output matrix is not saved: no stage reads it, and it
-    would double the bytes written, read and hashed.  The same model always
-    gives the same bytes; the file is renamed into place once complete."""
-    vocab = model.vocab
+    training parameters and epoch losses), then the (|V|, d) float32 input
+    matrix, rows in vocabulary order.  The vocabulary is not saved: every
+    run of a corpus shares it, and `vocabulary_of` rebuilds it from the
+    corpus's stream file.  The output matrix is not saved either: no stage
+    reads it, and it would double the bytes written, read and hashed.  The
+    same model always gives the same bytes; the file is renamed into place
+    once complete."""
     meta = {
         "format": MODEL_FORMAT,
         "params": asdict(model.params),
-        "min_count": vocab.min_count,
-        "corpus_tokens": vocab.corpus_tokens,
         "epoch_losses": list(model.epoch_losses),
-        "tokens": list(vocab.tokens),
-        "counts": list(vocab.counts),
     }
     with atomic_write(path, "wb") as f:
         write_arrays(f, meta, [model.syn0])
 
 
-def load_model(path) -> EmbeddingModel:
-    """Inverse of save_model; load(save(m)) reproduces m exactly.  Anything
-    that does not decode to a consistent model, a file of an older format
-    included, raises ModelFormatError naming `path`."""
+def load_model(path, vocab: Vocabulary) -> EmbeddingModel:
+    """Inverse of save_model, given the vocabulary the model was trained
+    over: load_model(save_model(m), m.vocab) reproduces m exactly.  Anything
+    that does not decode to a model with one row per token of `vocab`, a
+    file of an older format included, raises ModelFormatError naming `path`."""
     try:
         meta, [syn0] = read_arrays(path, MODEL_FORMAT, (np.float32,))
         params = TrainParams(**meta["params"])
-        tokens, counts = tuple(meta["tokens"]), tuple(meta["counts"])
-        if len(counts) != len(tokens):
-            raise ModelFormatError(f"{len(counts)} counts for {len(tokens)} tokens")
-        shape = (len(tokens), params.dim)
+        shape = (len(vocab), params.dim)
         if syn0.shape != shape:
             raise ModelFormatError(f"input matrix is {syn0.shape}, expected {shape}")
-        vocab = Vocabulary(tokens=tokens, counts=counts, min_count=meta["min_count"],
-                           corpus_tokens=meta["corpus_tokens"])
         epoch_losses = tuple(meta["epoch_losses"])
     except KeyError as exc:
         raise ModelFormatError(f"{path}: metadata lacks {exc}") from exc

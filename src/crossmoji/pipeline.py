@@ -21,14 +21,16 @@ files byte for byte, whatever the number of workers.
 
 Ingest hands train and project type ids and counts, not text: a stream
 file holds a corpus's type table with each type's count, then the type
-ids of its posts and their lengths (`fileio.save_streams`).  Train builds the
-vocabulary from the counts and encodes the ids once per corpus; project
-counts emoji from the type table alone.  The models are read once, by
-project, one at a time, each cut to the rows project reads; it hands
-analyze all it needs in one binary file (`write_handoff`): the per-run
-orthonormal similarity cube, the run-averaged emoji x emoji cosine
-profiles, the frequency table and the shared set.  Analyze reads nothing
-else that an earlier stage wrote.
+ids of its posts and their lengths (`fileio.save_streams`).  A stream file
+is the one source of its corpus's vocabulary: train builds it from the
+counts and encodes the ids once per corpus, and project builds the same
+vocabulary again, and counts emoji, from the type table alone.  A model
+file holds only its run's matrix, one row per vocabulary token.  The
+models are read once, by project, one at a time, each cut to the rows
+project reads; it hands analyze all it needs in one binary file
+(`write_handoff`): the per-run orthonormal similarity cube, the
+run-averaged emoji x emoji cosine profiles, the frequency table and the
+shared set.  Analyze reads nothing else that an earlier stage wrote.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .corpus import (
     primary_language,
 )
 from .embedding import (
-    ModelFormatError,
     TrainParams,
     encode_types,
     load_model,
@@ -112,7 +113,7 @@ STAGE_READS = {
                 "corpus.py", "fileio.py", "inventory.py", "pipeline.py")),
     "train": (("training", "min_count", "runs", "corpora.id"),
               ("streams/", "embedding.py", "fileio.py", "pipeline.py")),
-    "project": (("shared_threshold", "corpora.id", "corpora.culture", "corpora.lang"),
+    "project": (("shared_threshold", "min_count", "corpora.id", "corpora.culture", "corpora.lang"),
                 ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
                  "streams/", "models/", "analytics.py", "corpus.py", "embedding.py",
                  "fileio.py", "inventory.py", "lexicon.py", "pipeline.py", "projection.py")),
@@ -238,6 +239,10 @@ class RunConfig:
             raise ConfigError("runs must be >= 1")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if self.min_count < 1:
+            raise ConfigError("training.min_count must be >= 1")
+        if self.shared_threshold < 0:
+            raise ConfigError("shared_threshold must be >= 0")
 
     @property
     def culture_of(self) -> dict[str, str]:
@@ -492,12 +497,6 @@ class Pipeline:
             (self.out / rel).unlink(missing_ok=True)
             self._digests.pop(self.out / rel, None)
 
-    def _emoji_counts(self, corpus_id: str) -> Counter:
-        """A corpus's emoji counts, in the order its stream first has them,
-        from its stream file's type table alone."""
-        types = load_streams(self.streams_path(corpus_id))
-        return count_emoji(zip(types.types, types.counts.tolist()), self.inventory)
-
     # --- stages ---
 
     def stage_ingest(self) -> dict:
@@ -591,8 +590,15 @@ class Pipeline:
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:
-        table = FrequencyTable(self.inventory, {spec.corpus_id: self._emoji_counts(spec.corpus_id)
-                                                for spec in self.config.corpora})
+        # from one read of each stream file: the vocabulary train built, and
+        # the emoji counts, in the order the stream first has them
+        vocabs, counts = {}, {}
+        for spec in self.config.corpora:
+            types = load_streams(self.streams_path(spec.corpus_id))
+            vocabs[spec.corpus_id] = vocabulary_of(types, self.config.min_count)
+            counts[spec.corpus_id] = count_emoji(zip(types.types, types.counts.tolist()),
+                                                 self.inventory)
+        table = FrequencyTable(self.inventory, counts)
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
             self.manifest.warnings.append(
@@ -611,25 +617,19 @@ class Pipeline:
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
 
         # one model at a time, each cut to the rows project reads: its
-        # corpus's category tokens and Ekman words, and the shared emoji
+        # corpus's category tokens and Ekman words, and the shared emoji; the
+        # full matrix goes before the next one loads
         models, expansions = {}, {}
         for spec, lexicon in zip(self.config.corpora, lexicons):
-            runs = models[spec.corpus_id] = []
-            for r in range(self.config.runs):
-                path = self.model_path(spec.corpus_id, r)
-                model = load_model(path)
-                if r == 0:
-                    tokens = model.vocab.tokens
-                    exp = expand_patterns(lexicon, tokens)
-                    expansions[spec.corpus_id] = {cat: sorted(exp[cat]) for cat in schema}
-                    keep = set(shared.emoji).union(
-                        *expansions[spec.corpus_id].values(),
-                        (word for _, word in ekman_axes.get(spec.corpus_id, ())))
-                elif model.vocab.tokens != tokens:
-                    raise ModelFormatError(f"{path}: vocabulary differs from that of "
-                                           f"{self.model_path(spec.corpus_id, 0)}")
-                runs.append(model.restrict(keep))
-                del model  # the full matrix goes before the next one loads
+            vocab = vocabs[spec.corpus_id]
+            exp = expand_patterns(lexicon, vocab.tokens)
+            expansions[spec.corpus_id] = {cat: sorted(exp[cat]) for cat in schema}
+            keep = set(shared.emoji).union(
+                *expansions[spec.corpus_id].values(),
+                (word for _, word in ekman_axes.get(spec.corpus_id, ())))
+            models[spec.corpus_id] = [
+                load_model(self.model_path(spec.corpus_id, r), vocab).restrict(keep)
+                for r in range(self.config.runs)]
 
         info = {"schema": list(schema), "shared_emoji": len(shared),
                 "rows": {corpus_id: len(cut[0].vocab) for corpus_id, cut in models.items()}}

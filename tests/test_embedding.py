@@ -555,8 +555,7 @@ def model_with_rows(rows):
 
     tokens = tuple(rows)
     syn0 = np.array([rows[t] for t in tokens], dtype=float)
-    vocab = Vocabulary(tokens=tokens, counts=(1,) * len(tokens), min_count=1,
-                       corpus_tokens=len(tokens))
+    vocab = Vocabulary(tokens=tokens, counts=(1,) * len(tokens), corpus_tokens=len(tokens))
     return EmbeddingModel(vocab=vocab, syn0=syn0, params=TrainParams(dim=syn0.shape[1]))
 
 
@@ -586,28 +585,34 @@ def test_neighbors_oov_error():
 
 # --- persistence ---------------------------------------------------------------------
 
+TINY_SENTENCES = streams(*(["red green blue yellow"] * 15))
+
+
+def tiny_vocab():
+    return build_vocabulary(TINY_SENTENCES, min_count=1)
+
+
 def trained_tiny_model():
-    sents = streams(*(["red green blue yellow"] * 15))
-    vocab = build_vocabulary(sents, min_count=1)
+    vocab = tiny_vocab()
     params = TrainParams(dim=5, epochs=2, window=2, negatives=2, seed=42)
-    return train_cbow(encode_streams(sents, vocab), vocab, params)
+    return train_cbow(encode_streams(TINY_SENTENCES, vocab), vocab, params)
 
 
 def test_round_trip_bit_identical(tmp_path):
     model = trained_tiny_model()
     path = tmp_path / "m.vec"
     save_model(model, path)
-    back = load_model(path)
-    assert back.vocab.tokens == model.vocab.tokens
-    assert back.vocab.counts == model.vocab.counts
-    assert back.vocab.min_count == model.vocab.min_count
-    assert back.vocab.corpus_tokens == model.vocab.corpus_tokens
+    back = load_model(path, tiny_vocab())
+    assert back.vocab == model.vocab
     assert model.syn0.dtype == back.syn0.dtype == np.float32
     assert np.array_equal(bits(back.syn0), bits(model.syn0))
     assert back.params == model.params
     assert back.epoch_losses == model.epoch_losses
-    # the file holds the (|V|, d) input matrix alone, little-endian float32
-    matrix = np.lib.format.read_array(io.BytesIO(path.read_bytes().partition(b"\n")[2]))
+    # the metadata holds no vocabulary, and the file the (|V|, d) input
+    # matrix alone, little-endian float32
+    header, _, npy = path.read_bytes().partition(b"\n")
+    assert list(json.loads(header)) == ["format", "params", "epoch_losses"]
+    matrix = np.lib.format.read_array(io.BytesIO(npy))
     assert matrix.shape == (len(model.vocab), model.dim)
     assert matrix.dtype.str == "<f4"
 
@@ -620,8 +625,7 @@ def test_restrict_keeps_the_named_rows_in_vocabulary_order():
     assert type(cut) is EmbeddingModel
     assert cut.vocab.tokens == (tokens[0], tokens[3])
     assert cut.vocab.counts == (model.vocab.counts[0], model.vocab.counts[3])
-    assert (cut.vocab.min_count, cut.vocab.corpus_tokens) == (model.vocab.min_count,
-                                                              model.vocab.corpus_tokens)
+    assert cut.vocab.corpus_tokens == model.vocab.corpus_tokens
     assert (cut.params, cut.epoch_losses) == (model.params, model.epoch_losses)
     for token in cut.vocab.tokens:
         assert np.array_equal(bits(cut.vector(token)), bits(model.vector(token)))
@@ -635,7 +639,7 @@ def test_save_then_save_again_identical_bytes(tmp_path):
     model = trained_tiny_model()
     p1, p2 = tmp_path / "a.vec", tmp_path / "b.vec"
     save_model(model, p1)
-    save_model(load_model(p1), p2)
+    save_model(load_model(p1, model.vocab), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -673,9 +677,9 @@ def npy_bytes(array):
     return buf.getvalue()
 
 
-def assert_format_error(path, match=""):
+def assert_format_error(path, match="", vocab=None):
     with pytest.raises(ModelFormatError, match=re.escape(f"{path}: ") + ".*" + match):
-        load_model(path)
+        load_model(path, vocab or tiny_vocab())
 
 
 def test_truncated_file_fatal(tmp_path):
@@ -701,7 +705,7 @@ def test_future_format_version_rejected(tmp_path):
     _, meta, matrices = saved_tiny_model(tmp_path)
     meta["format"] = "crossmoji-model 9"
     assert_format_error(write_model_file(tmp_path / "v9.vec", meta, matrices),
-                        "not a crossmoji-model 4 file")
+                        "not a crossmoji-model 5 file")
 
 
 def test_format_2_file_with_output_matrix_rejected(tmp_path):
@@ -710,7 +714,7 @@ def test_format_2_file_with_output_matrix_rejected(tmp_path):
     meta["format"] = "crossmoji-model 2"
     stacked = npy_bytes(np.stack([model.syn0, np.zeros_like(model.syn0)]))
     assert_format_error(write_model_file(tmp_path / "v2.vec", meta, stacked),
-                        "not a crossmoji-model 4 file")
+                        "not a crossmoji-model 5 file")
 
 
 def test_format_3_float64_file_rejected(tmp_path):
@@ -719,7 +723,18 @@ def test_format_3_float64_file_rejected(tmp_path):
     meta["format"] = "crossmoji-model 3"
     wide = npy_bytes(model.syn0.astype(np.float64))
     assert_format_error(write_model_file(tmp_path / "v3.vec", meta, wide),
-                        "not a crossmoji-model 4 file")
+                        "not a crossmoji-model 5 file")
+
+
+def test_format_4_file_with_vocabulary_rejected(tmp_path):
+    # the parent's layout: the same matrix, with the vocabulary in the metadata
+    model, meta, matrices = saved_tiny_model(tmp_path)
+    vocab = model.vocab
+    meta |= {"format": "crossmoji-model 4", "min_count": 1,
+             "corpus_tokens": vocab.corpus_tokens, "tokens": list(vocab.tokens),
+             "counts": list(vocab.counts)}
+    assert_format_error(write_model_file(tmp_path / "v4.vec", meta, matrices),
+                        "not a crossmoji-model 5 file")
 
 
 def test_parent_text_format_file_rejected(tmp_path):
@@ -744,13 +759,19 @@ def test_wrong_row_width_fatal(tmp_path):
                         r"input matrix is \(4, 4\), expected \(4, 5\)")
 
 
+def test_vocabulary_of_the_wrong_size_fatal(tmp_path):
+    # a model file is read with its corpus's vocabulary: one row per token
+    _, meta, matrices = saved_tiny_model(tmp_path)
+    path = write_model_file(tmp_path / "m.vec", meta, matrices)
+    for sentence, rows in (("red green blue yellow stranger", 5), ("red green blue", 3)):
+        assert_format_error(path, rf"\(4, 5\), expected \({rows}, 5\)",
+                            build_vocabulary(streams(sentence), min_count=1))
+
+
 @pytest.mark.parametrize("edit, match", [
-    (lambda meta: (meta["tokens"].append("stranger"), meta["counts"].append(1)),
-     r"\(4, 5\), expected \(5, 5\)"),
-    (lambda meta: meta["counts"].pop(), "3 counts for 4 tokens"),
-    (lambda meta: meta.pop("corpus_tokens"), "metadata lacks 'corpus_tokens'"),
+    (lambda meta: meta.pop("epoch_losses"), "metadata lacks 'epoch_losses'"),
     (lambda meta: meta["params"].update(mode="parallel"), "unexpected keyword argument 'mode'"),
-], ids=["extra-token", "short-counts", "missing-key", "unknown-param"])
+], ids=["missing-key", "unknown-param"])
 def test_inconsistent_metadata_fatal(tmp_path, edit, match):
     _, meta, matrices = saved_tiny_model(tmp_path)
     edit(meta)

@@ -20,7 +20,6 @@ from crossmoji import pipeline
 from crossmoji.corpus import ingest_handle, normalize_text, read_lines, write_streams
 from crossmoji.embedding import (
     EmbeddingModel,
-    ModelFormatError,
     TrainParams,
     build_vocabulary,
     encode_streams,
@@ -339,6 +338,32 @@ def test_module_edit_invalidates_first_stage_running_it(completed_run, monkeypat
     edit_module(monkeypatch, module)
     assert incomplete(completed_run[1]) == ([] if stage is None else
                                             list(STAGES[STAGES.index(stage):]))
+
+
+def test_min_count_alone_changes_the_project_key(completed_run):
+    # project rebuilds each corpus's vocabulary from its stream file with
+    # min_count, so its key reads min_count even when the models are the same
+    config = completed_run[1]
+    changed = dataclasses.replace(config, min_count=config.min_count + 1)
+    assert Pipeline(changed)._key("project") != Pipeline(config)._key("project")
+
+
+def test_readme_stage_key_table_matches_stage_reads():
+    # the Caching section of README.md tabulates what each stage key covers
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    header = lines.index("| stage   | config it reads | files it reads | code it runs |")
+    rows = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        stage, config_cell, _, code_cell = (c.strip() for c in line.strip("|").split("|"))
+        rows[stage] = (sorted(re.findall(r"`([^`]+)`", config_cell)),
+                       sorted(re.findall(r"`([^`]+)`", code_cell)))
+    assert list(rows) == list(STAGES)
+    for stage, (field_names, file_names) in pipeline.STAGE_READS.items():
+        assert rows[stage] == (sorted(f.removeprefix("corpora.") for f in field_names),
+                               sorted(f.removesuffix(".py") for f in file_names
+                                      if f.endswith(".py")))
 
 
 def test_new_version_alone_leaves_every_stage_complete(completed_run, monkeypatch):
@@ -754,8 +779,8 @@ def test_project_holds_one_full_model_at_a_time_with_unchanged_outputs(tmp_path,
     config = load_config(write_project_fixture(tmp_path))
     finalizers, alive = [], []
 
-    def tracked_load(path):
-        model = load_model(path)
+    def tracked_load(path, vocab):
+        model = load_model(path, vocab)
         finalizers.append(weakref.finalize(model.syn0, lambda: None))
         alive.append(sum(f.alive for f in finalizers))  # full matrices alive after this load
         return model
@@ -778,28 +803,6 @@ def test_project_holds_one_full_model_at_a_time_with_unchanged_outputs(tmp_path,
     assert {name: (out / name).read_bytes() for name in names} == cut
     assert list(rows) == list(whole) == ["US", "JP"]
     assert all(0 < rows[c] < whole[c] for c in rows)
-
-
-def test_project_refuses_a_run_whose_vocabulary_differs_from_run_0s(tmp_path, monkeypatch):
-    config = load_config(write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2,
-                                                 dim=8, epochs=1))
-    Pipeline(config).run("all")
-
-    def reordered(path):
-        model = load_model(path)
-        if Path(path).name == "JP.run1.vec":
-            vocab = model.vocab
-            model = dataclasses.replace(
-                model, vocab=dataclasses.replace(vocab, tokens=vocab.tokens[::-1]))
-        return model
-
-    monkeypatch.setattr(pipeline, "load_model", reordered)
-    with pytest.raises(PipelineStageError) as failure:
-        Pipeline(config).run("project")
-    assert failure.value.stage == "project"
-    assert isinstance(failure.value.cause, ModelFormatError)
-    assert re.search(r"JP\.run1\.vec: vocabulary differs from that of .*JP\.run0\.vec",
-                     str(failure.value.cause))
 
 
 def counted_keys(monkeypatch) -> list:
@@ -902,6 +905,11 @@ WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "cou
                  id="top-level-min_count-int"),
     pytest.param("corpora", [{k: v for k, v in WEST.items() if k != "lang"}],
                  r"corpora\[0\]\.lang is missing", id="lang-missing"),
+    # an integer or number of the right type, out of range
+    ("min_count", 0, r"training\.min_count must be >= 1"),
+    ("min_count", -3, r"training\.min_count must be >= 1"),
+    ("subsample", -0.5, "bad training config: subsample must be >= 0"),
+    ("shared_threshold", -1, "shared_threshold must be >= 0"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
@@ -924,6 +932,12 @@ def test_every_config_key_rejects_a_value_of_the_wrong_json_type(tmp_path, obj, 
         load_config(cfg_path)
 
 
+def corpus_vocabulary(config, corpus_id: str):
+    """The vocabulary train built for the corpus, from its stream file."""
+    types = load_streams(Path(config.out_dir) / "streams" / f"{corpus_id}.bin")
+    return vocabulary_of(types, config.min_count)
+
+
 def within_rounding(items: int, seconds: float, per_s: int) -> bool:
     # seconds are rounded to the millisecond, the rate is not
     return items / (seconds + 5e-4) - 1 <= per_s <= items / max(seconds - 5e-4, 1e-9) + 1
@@ -936,7 +950,7 @@ def test_manifest_records_train_throughput_per_run(completed_run):
     _, config, manifest = completed_run
     ingest, train = manifest.stages["ingest"], manifest.stages["train"]
     for corpus_id, info in train["training"].items():
-        vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
+        vocab = corpus_vocabulary(config, corpus_id)
         tokens = vocab.kept_tokens * config.training.epochs
         assert len(info["runs"]) == config.runs
         for r, run in enumerate(info["runs"]):
@@ -973,8 +987,7 @@ def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
     rows = manifest.stages["project"]["rows"]
     assert list(rows) == [spec.corpus_id for spec in config.corpora]
     for corpus_id, n in rows.items():
-        vocab = load_model(Path(config.out_dir) / "models" / f"{corpus_id}.run0.vec").vocab
-        assert 0 < n < len(vocab)
+        assert 0 < n < len(corpus_vocabulary(config, corpus_id))
 
 
 def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):

@@ -26,8 +26,7 @@ def model_from(vectors, seed=1, dim=None):
     syn0 = np.array([vectors[t] for t in tokens], dtype=float)
     dim = dim or syn0.shape[1]
     params = TrainParams(dim=dim, epochs=1, seed=seed, window=1, negatives=1)
-    vocab = Vocabulary(tokens=tokens, counts=(5,) * len(tokens), min_count=1,
-                       corpus_tokens=5 * len(tokens))
+    vocab = Vocabulary(tokens=tokens, counts=(5,) * len(tokens), corpus_tokens=5 * len(tokens))
     return EmbeddingModel(vocab=vocab, syn0=syn0, params=params)
 
 
