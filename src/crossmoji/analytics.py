@@ -136,52 +136,14 @@ class CountryMatrix:
     excluded: tuple[str, ...]
 
 
-@dataclass
-class EmojiProfiles:
-    """Per corpus, the upper triangle of the emoji x emoji cosine matrix
-    over `emoji_used`, averaged over runs."""
-
-    emoji_used: tuple[str, ...]
-    excluded: tuple[str, ...]            # shared emoji missing from some corpus
-    by_corpus: dict[str, np.ndarray]     # corpus -> (n * (n - 1) / 2,) profile
-
-
-def emoji_profiles(run_models: Mapping[str, Sequence], shared: Sequence[str]) -> EmojiProfiles:
-    """The cosine profiles `country_similarity_matrix` compares.  Emoji
-    missing from any corpus are excluded from all profiles symmetrically."""
-    corpora = tuple(run_models)
-    usable = [
-        e for e in shared
-        if all(e in run_models[c][0].vocab for c in corpora)
-    ]
-    excluded = tuple(e for e in shared if e not in usable)
-    if not usable:
-        return EmojiProfiles((), excluded, {c: np.empty(0) for c in corpora})
-    iu = np.triu_indices(len(usable), k=1)
-    profiles: dict[str, np.ndarray] = {}
-    for corpus in corpora:
-        models = run_models[corpus]
-        acc = None
-        for model in models:
-            mat = np.stack([model.vector(e) for e in usable])
-            norms = np.linalg.norm(mat, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            unit = mat / norms
-            sims = np.clip(unit @ unit.T, -1.0, 1.0)[iu]
-            acc = sims if acc is None else acc + sims
-        profiles[corpus] = acc * (1.0 / len(models))
-    return EmojiProfiles(tuple(usable), excluded, profiles)
-
-
-def country_similarity_matrix(profiles: EmojiProfiles,
-                              culture_of: Mapping[str, str]) -> CountryMatrix:
-    """Country-pairwise Pearson of emoji-emoji cosine profiles."""
-    if len(profiles.emoji_used) < 3:
+def country_similarity_matrix(tensor: SimilarityTensor) -> CountryMatrix:
+    """Country-pairwise Pearson of the tensor's emoji-emoji cosine profiles."""
+    if len(tensor.targets) < 3:
         raise UndefinedCorrelationError(
-            f"need at least 3 shared emoji present everywhere, have {len(profiles.emoji_used)}"
+            f"need at least 3 shared emoji present everywhere, have {len(tensor.targets)}"
         )
-    corpora = tuple(profiles.by_corpus)
-    vectors = profiles.by_corpus
+    corpora = tensor.corpora
+    vectors = tensor.profiles
     n = len(corpora)
     matrix = np.eye(n)
     for i in range(n):
@@ -189,8 +151,8 @@ def country_similarity_matrix(profiles: EmojiProfiles,
             r = pearson(vectors[corpora[i]], vectors[corpora[j]])
             matrix[i, j] = matrix[j, i] = r
 
-    west = [c for c in corpora if culture_of[c] == WEST]
-    east = [c for c in corpora if culture_of[c] == EAST]
+    west = tensor.culture_corpora(WEST)
+    east = tensor.culture_corpora(EAST)
     cross_mean = None
     culture_corr = None
     if west and east:
@@ -205,8 +167,8 @@ def country_similarity_matrix(profiles: EmojiProfiles,
         )
     return CountryMatrix(
         corpora=corpora, matrix=matrix, cross_pair_mean=cross_mean,
-        culture_vector_corr=culture_corr, emoji_used=profiles.emoji_used,
-        excluded=profiles.excluded,
+        culture_vector_corr=culture_corr, emoji_used=tensor.targets,
+        excluded=tensor.excluded_targets,
     )
 
 
@@ -355,15 +317,14 @@ class CorrelationReport:
 
 def build_report(
     tensor: Optional[SimilarityTensor],
-    profiles: Optional[EmojiProfiles],
     table: FrequencyTable,
     inventory: EmojiInventory,
     shared: SharedEmojiSet,
     culture_of: Mapping[str, str],
     top_k: int = 15,
 ) -> CorrelationReport:
-    """Assemble the full report; skips cross-culture parts with warnings
-    when the inputs cannot support them."""
+    """Assemble the full report; skips the parts the inputs cannot support
+    with a warning.  `tensor` is None when no emoji is shared."""
     report = CorrelationReport()
     warnings: list[str] = []
 
@@ -384,9 +345,11 @@ def build_report(
     elif tensor is not None:
         warnings.append("missing a culture group; category/icon correlations skipped")
 
-    if profiles is not None and len(profiles.by_corpus) >= 2:
+    if len(culture_of) >= 2:
         try:
-            report.country = country_similarity_matrix(profiles, culture_of)
+            if tensor is None:
+                raise UndefinedCorrelationError("no emoji is shared")
+            report.country = country_similarity_matrix(tensor)
         except UndefinedCorrelationError as exc:
             warnings.append(f"country similarity matrix skipped: {exc}")
 

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Either a stage subcommand or `--stage NAME` selects what runs; `all`
-executes the full pipeline, skipping stages whose artifacts are already
-complete for the same configuration.
+A positional stage selects what runs; `all`, the default, executes the
+full pipeline, skipping stages whose artifacts are already complete for
+the same configuration.
 """
 
 from __future__ import annotations
@@ -18,26 +18,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crossmoji",
         description="Cross-cultural emoji semantics pipeline",
     )
-    parser.add_argument("stage_command", nargs="?", choices=list(STAGES) + ["all"],
+    parser.add_argument("stage", nargs="?", choices=list(STAGES) + ["all"], default="all",
                         metavar="stage",
-                        help="ingest | train | project | analyze | report | all")
+                        help="ingest | train | project | analyze | report | all (default)")
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--stage", choices=list(STAGES) + ["all"], default=None,
-                        help="alternative to the positional stage")
     parser.add_argument("--out", default=None, help="override the config's output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.stage_command and args.stage and args.stage_command != args.stage:
-        print(f"conflicting stages: {args.stage_command!r} vs --stage {args.stage!r}",
-              file=sys.stderr)
-        return 2
-    stage = args.stage_command or args.stage or "all"
     try:
         config = load_config(args.config, out_dir=args.out)
-        manifest = Pipeline(config).run(stage)
+        manifest = Pipeline(config).run(args.stage)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -224,11 +224,7 @@ class FrequencyTable:
         return {e: n / total for e, n in sorted(self.counts[corpus_id].items())}
 
     def top(self, corpus_id: str, k: int) -> list[tuple[str, int]]:
-        items = sorted(
-            self.counts[corpus_id].items(),
-            key=lambda kv: (-kv[1], tuple(ord(c) for c in kv[0])),
-        )
-        return items[:k]
+        return sorted(self.counts[corpus_id].items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
     def by_category(self, corpus_id: str) -> dict[str, int]:
         """Aggregate counts by display category label."""
@@ -288,10 +284,8 @@ def shared_set(table: FrequencyTable, threshold: int) -> SharedEmojiSet:
     candidates = set()
     for corpus_id in corpora:
         candidates.update(table.counts[corpus_id])
-    members = [
-        e for e in candidates
-        if all(table.count(c, e) >= 1 for c in corpora)
-        and table.total_count(e) >= threshold
-    ]
-    members.sort(key=lambda e: (-table.total_count(e), tuple(ord(c) for c in e)))
+    totals = {e: table.total_count(e) for e in candidates
+              if all(table.count(c, e) >= 1 for c in corpora)}
+    members = sorted((e for e, n in totals.items() if n >= threshold),
+                     key=lambda e: (-totals[e], e))
     return SharedEmojiSet(emoji=tuple(members), threshold=threshold)

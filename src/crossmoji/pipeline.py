@@ -28,9 +28,10 @@ vocabulary again, and counts emoji, from the type table alone.  A model
 file holds only its run's matrix, one row per vocabulary token.  The
 models are read once, by project, one at a time, each cut to the rows
 project reads; it hands analyze all it needs in one binary file
-(`write_handoff`): the per-run orthonormal similarity cube, the
-run-averaged emoji x emoji cosine profiles, the frequency table and the
-shared set.  Analyze reads nothing else that an earlier stage wrote.
+(`write_handoff`): the similarity tensor (its per-run orthonormal cube
+and its run-averaged emoji x emoji cosine profiles), the frequency table
+and the shared set.  Analyze reads nothing else that an earlier stage
+wrote.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Optional, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .analytics import CorrelationReport, EmojiProfiles, build_report, emoji_profiles
+from .analytics import CorrelationReport, build_report
 from .charts import emit_charts
 from .corpus import (
     CorpusHandle,
@@ -115,8 +116,8 @@ STAGE_READS = {
               ("streams/", "embedding.py", "fileio.py", "pipeline.py")),
     "project": (("shared_threshold", "min_count", "corpora.id", "corpora.culture", "corpora.lang"),
                 ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
-                 "streams/", "models/", "analytics.py", "corpus.py", "embedding.py",
-                 "fileio.py", "inventory.py", "lexicon.py", "pipeline.py", "projection.py")),
+                 "streams/", "models/", "corpus.py", "embedding.py", "fileio.py",
+                 "inventory.py", "lexicon.py", "pipeline.py", "projection.py")),
     "analyze": (("top_k", "corpora.id", "corpora.culture"),
                 ("emoji_data", "emoji_categories", "handoff.bin", "analytics.py",
                  "fileio.py", "inventory.py", "pipeline.py", "projection.py")),
@@ -247,9 +248,6 @@ class RunConfig:
     @property
     def culture_of(self) -> dict[str, str]:
         return {c.corpus_id: c.culture for c in self.corpora}
-
-    def cultures_present(self) -> set[str]:
-        return set(self.culture_of.values())
 
     def snapshot(self) -> dict:
         """The config as the manifest records it and the stage keys read
@@ -634,10 +632,7 @@ class Pipeline:
         info = {"schema": list(schema), "shared_emoji": len(shared),
                 "rows": {corpus_id: len(cut[0].vocab) for corpus_id, cut in models.items()}}
         tensor = None
-        if len(shared) == 0:
-            with self._artifact(self.out / "tensors" / "EMPTY", encoding="utf-8") as f:
-                f.write("no shared emoji\n")
-        else:
+        if len(shared) > 0:
             tensor = build_tensor(models, expansions, schema, shared.emoji,
                                   self.config.culture_of, ekman_axes=ekman_axes or None)
             path = self.out / "tensors" / "similarity_orthonormal.csv"
@@ -657,20 +652,14 @@ class Pipeline:
                     "Ekman axes excluded (word missing in some corpus): "
                     + ", ".join(tensor.excluded_axes))
         with self._artifact(self.out / "handoff.bin", "wb") as f:
-            write_handoff(f, tensor, emoji_profiles(models, shared.emoji), table, shared)
+            write_handoff(f, tensor, table, shared)
         return info
 
     def stage_analyze(self) -> dict:
-        tensor, profiles, table, shared = read_handoff(
+        tensor, table, shared = read_handoff(
             self.out / "handoff.bin", self.inventory, self.config.culture_of)
-        cross = {"West", "East"} <= self.config.cultures_present()
-        if not cross:
-            self.manifest.warnings.append(
-                "only one culture group configured; cross-culture analytics skipped")
-        report = build_report(
-            tensor if cross else None, profiles, table, self.inventory, shared,
-            self.config.culture_of, top_k=self.config.top_k,
-        )
+        report = build_report(tensor, table, self.inventory, shared,
+                              self.config.culture_of, top_k=self.config.top_k)
         self.manifest.warnings.extend(report.warnings)
         open_report = self._opener("report")
         with open_report("frequency.csv") as f:
@@ -750,50 +739,52 @@ class Pipeline:
 
 # --- project -> analyze hand-off ----------------------------------------------
 
-HANDOFF_FORMAT = "crossmoji-handoff 1"
+HANDOFF_FORMAT = "crossmoji-handoff 2"
 
 
-def write_handoff(f, tensor: Optional[SimilarityTensor], profiles: EmojiProfiles,
-                  table: FrequencyTable, shared: SharedEmojiSet) -> None:
+def write_handoff(f, tensor: Optional[SimilarityTensor], table: FrequencyTable,
+                  shared: SharedEmojiSet) -> None:
     """Write what analyze reads into the binary file `f`, in the
     `write_arrays` layout.  The JSON line holds the corpora, the tensor's
     axes and targets (null when no emoji is shared, so there is no
-    tensor), the emoji the profiles cover and exclude, the shared set and
-    each corpus's emoji counts.  Two arrays follow: the (corpora, runs,
-    axes, targets) orthonormal cube, empty without a tensor, and the
-    (corpora, emoji pairs) cosine profiles."""
-    corpora = list(profiles.by_corpus)
+    tensor), the shared set and each corpus's emoji counts.  Two arrays
+    follow, both empty without a tensor: its (corpora, runs, axes,
+    targets) orthonormal cube and its (corpora, target pairs) cosine
+    profiles."""
+    corpora = list(table.corpora)
     meta = {
         "format": HANDOFF_FORMAT,
         "corpora": corpora,
         "axes": None if tensor is None else list(tensor.axes),
         "targets": None if tensor is None else list(tensor.targets),
-        "emoji_used": list(profiles.emoji_used),
-        "excluded": list(profiles.excluded),
         "shared": list(shared.emoji),
         "shared_threshold": shared.threshold,
         "counts": {corpus: dict(counts) for corpus, counts in table.counts.items()},
     }
-    cube = (np.empty((len(corpora), 0, 0, 0)) if tensor is None
-            else np.stack([tensor.per_run[c] for c in corpora]))
-    write_arrays(f, meta, [cube, np.stack([profiles.by_corpus[c] for c in corpora])])
+    if tensor is None:
+        arrays = [np.empty((len(corpora), 0, 0, 0)), np.empty((len(corpora), 0))]
+    else:
+        arrays = [np.stack([tensor.per_run[c] for c in corpora]),
+                  np.stack([tensor.profiles[c] for c in corpora])]
+    write_arrays(f, meta, arrays)
 
 
 def read_handoff(path, inventory, culture_of) -> tuple:
-    """Read what `write_handoff` wrote: (tensor or None, profiles, frequency
-    table, shared set), every value exactly as project computed it."""
-    meta, (cube, profile_rows) = read_arrays(path, HANDOFF_FORMAT, (np.float64, np.float64))
-    corpora = tuple(meta["corpora"])
+    """Read what `write_handoff` wrote: (tensor or None, frequency table,
+    shared set), every value exactly as project computed it.  The tensor's
+    excluded targets are the shared emoji that are not its targets."""
+    meta, (cube, profiles) = read_arrays(path, HANDOFF_FORMAT, (np.float64, np.float64))
+    shared = SharedEmojiSet(tuple(meta["shared"]), meta["shared_threshold"])
     tensor = None
     if meta["axes"] is not None:
-        tensor = SimilarityTensor(axes=tuple(meta["axes"]), targets=tuple(meta["targets"]),
-                                  corpora=corpora, culture_of=dict(culture_of),
-                                  per_run=dict(zip(corpora, cube)))
-    profiles = EmojiProfiles(tuple(meta["emoji_used"]), tuple(meta["excluded"]),
-                             dict(zip(corpora, profile_rows)))
+        corpora, targets = tuple(meta["corpora"]), tuple(meta["targets"])
+        tensor = SimilarityTensor(
+            axes=tuple(meta["axes"]), targets=targets, corpora=corpora,
+            culture_of=dict(culture_of), per_run=dict(zip(corpora, cube)),
+            excluded_targets=tuple(e for e in shared.emoji if e not in targets),
+            profiles=dict(zip(corpora, profiles)))
     table = FrequencyTable(inventory, {c: Counter(n) for c, n in meta["counts"].items()})
-    shared = SharedEmojiSet(tuple(meta["shared"]), meta["shared_threshold"])
-    return tensor, profiles, table, shared
+    return tensor, table, shared
 
 
 # --- report serialization ----------------------------------------------------

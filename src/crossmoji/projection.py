@@ -16,6 +16,10 @@ the union of others (LIWC's `affect` of `posemo` and `negemo`) are all
 that one case.  A target or Ekman word missing from any corpus vocabulary
 is excluded everywhere (and reported).  Culture averages use
 `sum * (1/n)`, the literal form of the per-culture mean.
+
+The same unit target rows give each corpus's emoji x emoji cosine
+profile, the upper triangle of their cosine matrix averaged over runs,
+which the country matrix compares.
 """
 
 from __future__ import annotations
@@ -117,7 +121,9 @@ class SimilarityTensor:
 
     Axes are the orthonormalized schema categories followed by any Ekman
     word axes (labels prefixed 'ekman:').  `per_run[corpus]` has shape
-    (runs, n_axes, n_targets)."""
+    (runs, n_axes, n_targets); `profiles[corpus]` is the run-averaged
+    upper triangle, (n_targets * (n_targets - 1) / 2,), of the cosine
+    matrix of the targets (empty for a tensor read from CSV)."""
 
     axes: tuple[str, ...]
     targets: tuple[str, ...]
@@ -127,6 +133,7 @@ class SimilarityTensor:
     excluded_targets: tuple[str, ...] = ()
     excluded_axes: tuple[str, ...] = ()
     dropped_categories: Mapping[str, str] = field(default_factory=dict)
+    profiles: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_categories(self) -> int:
@@ -162,7 +169,8 @@ def build_tensor(
     culture_of: Mapping[str, str],
     ekman_axes: Optional[Mapping[str, Sequence[tuple[str, str]]]] = None,
 ) -> SimilarityTensor:
-    """Build the similarity tensor over every (corpus, run, axis, target).
+    """Build the similarity tensor over every (corpus, run, axis, target),
+    and the targets' cosine profiles.
 
     run_models: corpus -> R trained models (same R everywhere).
     expansions: corpus -> category -> in-vocabulary tokens.
@@ -241,6 +249,8 @@ def build_tensor(
     axes = tuple(kept) + ekman_labels
     per_run = {corpus: np.empty((n, len(axes), len(usable_targets)))
                for corpus, n in n_runs.items()}
+    pairs = np.triu_indices(len(usable_targets), k=1)
+    profiles: dict[str, np.ndarray] = {}
     for (corpus, r, model), basis in zip(runs, bases):
         rows = [basis[:len(kept)]]
         if ekman_labels:
@@ -250,6 +260,8 @@ def build_tensor(
         a_norm = axis_matrix / np.linalg.norm(axis_matrix, axis=1, keepdims=True)
         t_norm = target_matrix / np.linalg.norm(target_matrix, axis=1, keepdims=True)
         per_run[corpus][r] = np.clip(a_norm @ t_norm.T, -1.0, 1.0)
+        sims = np.clip(t_norm @ t_norm.T, -1.0, 1.0)[pairs]
+        profiles[corpus] = sims if r == 0 else profiles[corpus] + sims
 
     return SimilarityTensor(
         axes=axes,
@@ -260,6 +272,7 @@ def build_tensor(
         excluded_targets=tuple(excluded_targets),
         excluded_axes=tuple(excluded_axes),
         dropped_categories=dropped,
+        profiles={corpus: p * (1.0 / n_runs[corpus]) for corpus, p in profiles.items()},
     )
 
 

@@ -15,14 +15,14 @@ from crossmoji.analytics import (
     category_scc,
     country_similarity_matrix,
     culture_triples,
-    emoji_profiles,
     frequency_analysis,
     icon_scc,
     pearson,
     spearman,
 )
+from crossmoji.embedding import EmbeddingModel, TrainParams, Vocabulary
 from crossmoji.inventory import EmojiInventory, FrequencyTable, SharedEmojiSet
-from crossmoji.projection import SimilarityTensor
+from crossmoji.projection import SimilarityTensor, build_tensor
 
 
 # --- oracles ---------------------------------------------------------------
@@ -353,19 +353,20 @@ def test_frequency_small_category_omitted():
 
 # --- country similarity matrix -----------------------------------------------
 
-class FakeModel:
-    """Embedding stand-in: fixed token -> vector map."""
-
-    def __init__(self, vectors):
-        self.vectors = {t: np.asarray(v, dtype=float) for t, v in vectors.items()}
-        self.vocab = set(vectors)
-
-    def vector(self, token):
-        return self.vectors[token]
-
-
 def random_model(rng, tokens, dim=8):
-    return FakeModel({t: rng.normal(size=dim) for t in tokens})
+    """A one-run model of random vectors for `tokens` and the category
+    token "word"."""
+    vectors = {t: rng.normal(size=dim) for t in [*tokens, "word"]}
+    vocab = Vocabulary(tokens=tuple(vectors), counts=(5,) * len(vectors),
+                       corpus_tokens=5 * len(vectors))
+    return EmbeddingModel(vocab=vocab, syn0=np.array(list(vectors.values())),
+                          params=TrainParams(dim=dim, epochs=1, seed=1, window=1, negatives=1))
+
+
+def profile_tensor(run_models, tokens, culture_of):
+    """The tensor, with its cosine profiles, over one category axis."""
+    return build_tensor(run_models, {c: {"cat": ["word"]} for c in run_models}, ["cat"],
+                        tokens, culture_of)
 
 
 def test_country_matrix_identical_models_off_diagonal_one():
@@ -373,7 +374,7 @@ def test_country_matrix_identical_models_off_diagonal_one():
     tokens = ["😀", "😢", "🍕", "🚗"]
     model = random_model(rng, tokens)
     out = country_similarity_matrix(
-        emoji_profiles({"A": [model], "B": [model]}, tokens), {"A": "West", "B": "East"})
+        profile_tensor({"A": [model], "B": [model]}, tokens, {"A": "West", "B": "East"}))
     assert out.matrix[0, 1] == pytest.approx(1.0)
     assert np.allclose(np.diag(out.matrix), 1.0)
 
@@ -383,7 +384,7 @@ def test_country_matrix_matches_brute_force_recompute():
     tokens = ["😀", "😢", "🍕", "🚗", "⚽"]
     models = {c: [random_model(rng, tokens)] for c in ["A", "B", "C"]}
     out = country_similarity_matrix(
-        emoji_profiles(models, tokens), {"A": "West", "B": "West", "C": "East"})
+        profile_tensor(models, tokens, {"A": "West", "B": "West", "C": "East"}))
 
     def profile(model):
         vals = []
@@ -409,9 +410,9 @@ def test_country_matrix_symmetric_under_permutation():
     tokens = ["😀", "😢", "🍕", "🚗"]
     models = {c: [random_model(rng, tokens)] for c in ["A", "B", "C"]}
     cultures = {"A": "West", "B": "West", "C": "East"}
-    out1 = country_similarity_matrix(emoji_profiles(models, tokens), cultures)
+    out1 = country_similarity_matrix(profile_tensor(models, tokens, cultures))
     reordered = {c: models[c] for c in ["C", "A", "B"]}
-    out2 = country_similarity_matrix(emoji_profiles(reordered, tokens), cultures)
+    out2 = country_similarity_matrix(profile_tensor(reordered, tokens, cultures))
     for i, ci in enumerate(out1.corpora):
         for j, cj in enumerate(out1.corpora):
             i2, j2 = out2.corpora.index(ci), out2.corpora.index(cj)
@@ -423,7 +424,9 @@ def test_country_matrix_excludes_missing_emoji_symmetrically():
     tokens = ["😀", "😢", "🍕", "🚗"]
     full = random_model(rng, tokens)
     partial = random_model(rng, tokens[:-1])  # 🚗 missing here
-    out = country_similarity_matrix(
-        emoji_profiles({"A": [full], "B": [partial]}, tokens), {"A": "West", "B": "East"})
+    tensor = profile_tensor({"A": [full], "B": [partial]}, tokens, {"A": "West", "B": "East"})
+    out = country_similarity_matrix(tensor)
     assert out.excluded == ("🚗",)
     assert out.emoji_used == ("😀", "😢", "🍕")
+    # both profiles cover the same 3 pairs
+    assert [p.shape for p in tensor.profiles.values()] == [(3,), (3,)]

@@ -28,19 +28,18 @@ def test_all_stage_via_positional(small_config, capsys):
 
 
 def test_stage_flag_equivalent(small_config, capsys):
-    assert main(["--config", str(small_config), "--stage", "ingest"]) == 0
+    # a stage is named positionally only; there is no --stage flag
+    assert main(["ingest", "--config", str(small_config)]) == 0
     assert (small_config.parent / "out" / "streams" / "US.bin").exists()
+    assert not (small_config.parent / "out" / "models").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(small_config), "--stage", "train"])
+    assert exit_info.value.code == 2
 
 
 def test_default_stage_is_all(small_config):
     assert main(["--config", str(small_config)]) == 0
     assert (small_config.parent / "out" / "report" / "report.json").exists()
-
-
-def test_conflicting_stage_forms_rejected(small_config, capsys):
-    code = main(["train", "--config", str(small_config), "--stage", "ingest"])
-    assert code == 2
-    assert "conflicting" in capsys.readouterr().err
 
 
 def test_out_override(small_config, tmp_path):

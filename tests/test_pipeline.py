@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -28,7 +29,13 @@ from crossmoji.embedding import (
     vocabulary_of,
 )
 from crossmoji.fileio import load_streams
-from crossmoji.inventory import EmojiInventory, count_frequencies, load_default_inventory
+from crossmoji.inventory import (
+    EmojiInventory,
+    FrequencyTable,
+    SharedEmojiSet,
+    count_frequencies,
+    load_default_inventory,
+)
 from crossmoji.pipeline import (
     SCHEMA,
     STAGES,
@@ -313,7 +320,7 @@ def test_edit_invalidates_first_stage_reading_it(completed_run, tmp_path, field)
 # package module -> the first stage that runs its code (None: no stage does)
 MODULE_RUNNERS = {
     "__init__.py": None,
-    "analytics.py": "project",
+    "analytics.py": "analyze",
     "charts.py": "report",
     "cli.py": None,
     "corpus.py": "ingest",
@@ -364,6 +371,35 @@ def test_readme_stage_key_table_matches_stage_reads():
         assert rows[stage] == (sorted(f.removeprefix("corpora.") for f in field_names),
                                sorted(f.removesuffix(".py") for f in file_names
                                       if f.endswith(".py")))
+
+
+def test_readme_handoff_key_list_matches_write_handoff():
+    # "The project hand-off" in README.md lists the keys of the JSON line
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.endswith("The JSON line holds these keys:")) + 2
+    listed = []
+    for line in lines[start:]:
+        if not line:
+            break
+        if line.startswith("- "):  # an item's wrapped lines are indented
+            listed += re.findall(r"`([^`]+)`", line.partition(":")[0])
+    f = io.BytesIO()
+    pipeline.write_handoff(f, None, FrequencyTable(load_default_inventory(), {}),
+                           SharedEmojiSet((), 1))
+    assert listed == list(json.loads(f.getvalue().partition(b"\n")[0]))
+
+
+def test_handoff_in_format_1_refused_by_name(completed_run, tmp_path):
+    # a format-1 hand-off had its own emoji_used and excluded lists
+    config = completed_run[1]
+    with open(config.out_dir / "handoff.bin", "rb") as f:
+        meta, arrays = json.loads(f.readline()), f.read()
+    meta |= {"format": "crossmoji-handoff 1", "emoji_used": meta["targets"], "excluded": []}
+    path = tmp_path / "handoff.bin"
+    path.write_bytes(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n" + arrays)
+    with pytest.raises(ValueError, match="not a crossmoji-handoff 2 file"):
+        pipeline.read_handoff(path, load_default_inventory(), config.culture_of)
 
 
 def test_new_version_alone_leaves_every_stage_complete(completed_run, monkeypatch):
@@ -455,7 +491,7 @@ def test_no_tensor_outlives_its_project_run(completed_run, tmp_path):
     edit_config(tmp_path / "run" / "config.json", "shared_threshold", 10**9)
     config = load_config(tmp_path / "run" / "config.json")
     Pipeline(config).run("all")
-    assert sorted(p.name for p in (config.out_dir / "tensors").iterdir()) == ["EMPTY"]
+    assert list((config.out_dir / "tensors").iterdir()) == []
     assert not read_report_json(config.out_dir / "report" / "report.json").category_rho
 
 
@@ -597,6 +633,9 @@ def test_missing_culture_group_skips_cross_analytics(tmp_path):
     assert any("culture group" in w for w in manifest.warnings)
     report = read_report_json(Path(config.out_dir) / "report" / "report.json")
     assert not report.category_rho
+    # build_report alone gates the tensor sections, and says so in the report
+    gate = "missing a culture group; category/icon correlations skipped"
+    assert gate in report.warnings and manifest.warnings.count(gate) == 1
     assert report.frequency is not None  # per-corpus frequency still emitted
     # charts backed by empty sections are omitted and noted
     assert manifest.charts["fig_category_top5"] is None
@@ -1070,8 +1109,8 @@ def test_project_emoji_counts_equal_count_frequencies_of_token_streams(tmp_path,
     config = load_config(cfg_path)
     Pipeline(config).run("all")
     inventory = load_default_inventory()
-    _, _, table, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", inventory,
-                                           config.culture_of)
+    _, table, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", inventory,
+                                        config.culture_of)
     want = count_frequencies({spec.corpus_id: ingest_handle(spec, inventory)[0]
                               for spec in config.corpora}, inventory)
     assert all(want.total(c) for c in want.corpora)

@@ -298,9 +298,7 @@ def test_tensor_invariant_under_positive_vector_rescaling():
 
 def test_float32_models_give_the_bits_of_their_float64_copies():
     # models hold float32 parameters; the rows compared downstream are
-    # upcast, so the tensor and the profiles are those of float64 models
-    from crossmoji.analytics import emoji_profiles
-
+    # upcast, so the tensor and its profiles are those of float64 models
     rng = np.random.default_rng(13)
     models, expansions = two_culture_models(rng, runs=2)
     narrow = {corpus: [replace(m, syn0=m.syn0.astype(np.float32)) for m in ms]
@@ -309,14 +307,38 @@ def test_float32_models_give_the_bits_of_their_float64_copies():
             for corpus, ms in narrow.items()}
     args = (["money", "negemo", "posemo"], ["😀", "😢", "💰"], {"W1": "West", "E1": "East"})
     t32, t64 = build_tensor(narrow, expansions, *args), build_tensor(wide, expansions, *args)
-    p32, p64 = emoji_profiles(narrow, ["😀", "😢", "💰"]), emoji_profiles(wide, ["😀", "😢", "💰"])
     for corpus in ("W1", "E1"):
         assert t32.per_run[corpus].dtype == np.float64
         assert np.array_equal(t32.per_run[corpus].view(np.uint64),
                               t64.per_run[corpus].view(np.uint64))
-        assert p32.by_corpus[corpus].dtype == np.float64
-        assert np.array_equal(p32.by_corpus[corpus].view(np.uint64),
-                              p64.by_corpus[corpus].view(np.uint64))
+        assert t32.profiles[corpus].dtype == np.float64
+        assert np.array_equal(t32.profiles[corpus].view(np.uint64),
+                              t64.profiles[corpus].view(np.uint64))
+
+
+def test_tensor_profiles_equal_a_per_run_recompute_bit_for_bit():
+    # per corpus: the upper triangle of the targets' cosine matrix in each
+    # run, summed over the runs in order and times 1/R
+    rng = np.random.default_rng(15)
+    models, expansions = two_culture_models(rng, runs=3)
+    targets = ["😀", "😢", "💰"]
+    t = build_tensor(models, expansions, ["money", "negemo", "posemo"], targets,
+                     {"W1": "West", "E1": "East"})
+    assert t.targets == tuple(targets)
+    pairs = np.triu_indices(len(targets), k=1)
+    for corpus, runs in models.items():
+        total = None
+        for m in runs:
+            rows = np.stack([m.vector(e) for e in targets])
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            sims = np.clip(unit @ unit.T, -1.0, 1.0)[pairs]
+            total = sims if total is None else total + sims
+        expected = total * (1.0 / len(runs))
+        assert t.profiles[corpus].shape == (3,)
+        assert np.array_equal(t.profiles[corpus].view(np.uint64), expected.view(np.uint64))
+        oracle = [sum(cosine(m.vector(targets[i]), m.vector(targets[j])) for m in runs) / 3
+                  for i, j in zip(*pairs)]
+        assert t.profiles[corpus] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_tensor_csv_round_trip(tmp_path):
