@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, out_dir=args.out)
         manifest = Pipeline(config).run(args.stage)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineStageError as exc:

@@ -9,6 +9,7 @@ are parsed in parallel, each line once for every corpus that reads it
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import time
@@ -299,9 +300,12 @@ def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
 class IngestCounts:
     """Per-corpus record counts through the filter chain (monotone), and
     the seconds spent filtering and tokenizing the corpus's records.
-    `distinct_chunks`, like `read`, counts for every corpus of an
-    `ingest_lines` call: the distinct whitespace chunks it tokenized."""
+    `lines`, `distinct_chunks` and `read` count for every corpus of an
+    `ingest_lines` call: the lines it was given, blank ones too, and the
+    distinct whitespace chunks it tokenized.  `counts.json` leaves
+    `lines` out."""
 
+    lines: int = 0
     read: int = 0
     parse_errors: int = 0
     dropped: dict = field(default_factory=lambda: {"lang": 0, "country": 0, "retweet": 0})
@@ -334,6 +338,7 @@ class IngestCounts:
 
 def read_records(lines: Iterable[str], counts: IngestCounts) -> Iterator[PostRecord]:
     for line in lines:
+        counts.lines += 1
         if not line.strip():
             continue
         counts.read += 1
@@ -382,7 +387,8 @@ def ingest_lines(
             counts.seconds += now - start
             start = now
     for streams, counts in results:
-        counts.read, counts.parse_errors = parsed.read, parsed.parse_errors
+        counts.lines, counts.read = parsed.lines, parsed.read
+        counts.parse_errors = parsed.parse_errors
         counts.streams = len(streams)
         counts.distinct_chunks = len(memos[False]) + len(memos[True])
     return results
@@ -426,29 +432,21 @@ def line_ranges(path, parts: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [size]))
 
 
-def read_lines(path, start: int, end: int) -> list[str]:
-    """The lines of bytes [start, end) of a UTF-8 file, split as text-mode
-    reading splits them (universal newlines), without their line ends.  A
-    byte that is not UTF-8 becomes a surrogate code point, which
-    `parse_record` rejects: its line is a parse error, not a failed read."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        text = f.read(end - start).decode("utf-8", errors="surrogateescape")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def ingest_range(
     path, start: int, end: int, corpora: Sequence[tuple[FilterConfig, bool]],
     inventory: EmojiInventory,
-) -> tuple[list[tuple[TypeStreams, IngestCounts]], int]:
+) -> list[tuple[TypeStreams, IngestCounts]]:
     """`ingest_lines` on bytes [start, end) of `path`: each corpus's posts
-    as type ids and its counts, and the number of lines in the range."""
-    lines = read_lines(path, start, end)
+    as type ids, and its counts.  The bytes are decoded one line at a time
+    as `ingest_handle` decodes a whole file: universal newlines, and a byte
+    that is not UTF-8 as a surrogate code point, which `parse_record`
+    rejects, so its line is a parse error, not a failed read."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        data = f.read(end - start)
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     return [(TypeStreams.of(streams), counts)
-            for streams, counts in ingest_lines(lines, corpora, inventory)], len(lines)
+            for streams, counts in ingest_lines(lines, corpora, inventory)]
 
 
 def write_streams(streams: Iterable[TokenStream], f: TextIO) -> None:

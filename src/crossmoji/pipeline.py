@@ -323,7 +323,7 @@ def load_config(path, out_dir: Optional[str] = None,
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
@@ -518,15 +518,15 @@ class Pipeline:
             began = time.perf_counter()
             filters = [(FilterConfig(lang=spec.lang, country=spec.country), spec.pre_tokenized)
                        for spec in groups[path]]
-            parts, lines = ingest_range(path, start, end, filters, inventory)
-            return parts, lines, time.perf_counter() - began
+            parts = ingest_range(path, start, end, filters, inventory)
+            return parts, time.perf_counter() - began
 
         results, workers = fan_out([partial(ingest, *shard) for shard in shards])
         parts = {}
         shard_rows = []
-        for (path, start, end), (shard_parts, lines, seconds) in zip(shards, results):
-            shard_rows.append({"file": str(path), "start": start, "end": end, "lines": lines,
-                               "seconds": round(seconds, 3),
+        for (path, start, end), (shard_parts, seconds) in zip(shards, results):
+            shard_rows.append({"file": str(path), "start": start, "end": end,
+                               "lines": shard_parts[0][1].lines, "seconds": round(seconds, 3),
                                "distinct_chunks": shard_parts[0][1].distinct_chunks})
             for spec, part in zip(groups[path], shard_parts):
                 parts.setdefault(spec.corpus_id, []).append(part)
@@ -699,12 +699,12 @@ class Pipeline:
         its key.  The manifest records every stage: one this call did not
         run comes from its marker when the marker holds and the stages
         before it are complete, and is recorded as not complete otherwise."""
+        if stage not in list(STAGES) + ["all"]:
+            raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {self.out} not writable: {exc}") from exc
-        if stage not in list(STAGES) + ["all"]:
-            raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
         complete = True  # every stage before this one is
         for index, name in enumerate(STAGES):
             key = self._key(name)

@@ -92,13 +92,16 @@ def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):
     assert err.startswith("error: stage 'ingest' failed") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("contents", [None, b"\xff\xfe{}"], ids=["directory", "not-utf-8"])
-def test_config_that_is_a_directory_or_not_utf8_is_exit_2(tmp_path, capsys, contents):
+@pytest.mark.parametrize("case", ["directory", "not-utf-8", "missing", "under-a-file"])
+def test_config_that_is_a_directory_or_not_utf8_is_exit_2(tmp_path, capsys, case):
     cfg = tmp_path / "run.json"
-    if contents is None:
+    if case == "directory":
         cfg.mkdir()
-    else:
-        cfg.write_bytes(contents)
+    elif case == "not-utf-8":
+        cfg.write_bytes(b"\xff\xfe{}")
+    elif case == "under-a-file":
+        cfg.write_text("{}")
+        cfg = cfg / "x"  # opening it fails with NotADirectoryError
     assert main(["all", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: cannot read the config") and err.count("\n") == 1

@@ -37,7 +37,7 @@ from crossmoji.corpus import (
 from crossmoji.fileio import STREAM_FORMAT, TypeStreams, load_streams, save_streams
 from crossmoji.inventory import load_default_inventory
 
-from util import write_mixed_feed
+from util import synthetic_culture_corpus, write_mixed_feed
 
 INV = load_default_inventory()
 US = FilterConfig(lang="en", country="US")
@@ -427,6 +427,23 @@ def test_ingest_result_holds_each_distinct_chunk_once():
     assert held / tokens < 60
 
 
+def test_ingest_range_holds_no_list_of_its_lines(tmp_path):
+    # the range is read as bytes and decoded one line at a time: beyond what
+    # it returns, its peak is the bytes plus the posts' tokens, not a
+    # decoded copy of every line as well
+    path = synthetic_culture_corpus(tmp_path / "us.jsonl", "US", seed=0)
+    size = path.stat().st_size
+    ingest_range(path, 0, size, [(US, False)], INV)  # what a first call sets up stays out
+    tracemalloc.start()
+    try:
+        [(types, _)] = ingest_range(path, 0, size, [(US, False)], INV)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(types.lengths) > 1000
+    assert (peak - held) / size < 4.5
+
+
 def test_stream_io_roundtrip():
     lines = [jline("1", "hello \U0001F604"), jline("2", "bye \U0001F62D now")]
     streams, _ = ingest_corpus(lines, US, INV)
@@ -512,11 +529,11 @@ def test_sharded_ingest_equals_one_text_mode_pass(tmp_path):
     assert [c.as_dict()["parse_errors"] for _, c in expected] == [6, 6]
     for parts in (1, 2, 5, path.stat().st_size):
         shards = [ingest_range(path, s, e, corpora, INV) for s, e in line_ranges(path, parts)]
-        assert sum(n for _, n in shards) == len(lines)
+        assert sum(results[0][1].lines for results in shards) == len(lines)
         for k, (streams, counts) in enumerate(expected):
-            joined = TypeStreams.join(results[k][0] for results, _ in shards)
+            joined = TypeStreams.join(results[k][0] for results in shards)
             assert same_streams(joined, TypeStreams.of(streams)), parts
-            total = sum((results[k][1] for results, _ in shards), IngestCounts())
+            total = sum((results[k][1] for results in shards), IngestCounts())
             assert total.as_dict() == counts.as_dict(), parts
 
 

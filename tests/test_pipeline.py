@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.corpus import ingest_handle, normalize_text, read_lines, write_streams
+from crossmoji.corpus import ingest_handle, normalize_text, write_streams
 from crossmoji.embedding import (
     EmbeddingModel,
     TrainParams,
@@ -982,6 +982,21 @@ def within_rounding(items: int, seconds: float, per_s: int) -> bool:
     return items / (seconds + 5e-4) - 1 <= per_s <= items / max(seconds - 5e-4, 1e-9) + 1
 
 
+def test_each_model_is_seeded_by_its_corpus_and_run(tmp_path):
+    # corpus k, run r trains with seed + k * runs + r: no two models share a seed
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=3, runs=3, dim=8, epochs=1,
+                                       seed=11)
+    config = load_config(cfg_path)
+    runner = Pipeline(config)
+    runner.run("ingest")
+    runner.run("train")
+    for k, spec in enumerate(config.corpora):
+        vocab = corpus_vocabulary(config, spec.corpus_id)
+        for r in range(config.runs):
+            model = load_model(runner.model_path(spec.corpus_id, r), vocab)
+            assert model.params.seed == 11 + k * 3 + r, (spec.corpus_id, r)
+
+
 def test_manifest_records_train_throughput_per_run(completed_run):
     # tokens per run are the in-vocabulary tokens times epochs, and bytes the
     # size of the run's model file; ingest records posts per second per
@@ -1020,7 +1035,11 @@ def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
     _, config, manifest = completed_run
     # every post of the fixture is kept and not pre-tokenized
     for row in manifest.stages["ingest"]["shards"]:
-        lines = read_lines(row["file"], row["start"], row["end"])
+        with open(row["file"], "rb") as f:
+            f.seek(row["start"])
+            data = f.read(row["end"] - row["start"])
+        lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert row["lines"] == len(lines)
         assert row["distinct_chunks"] == len({
             chunk for line in lines for chunk in normalize_text(json.loads(line)["text"]).split()})
     rows = manifest.stages["project"]["rows"]
@@ -1236,3 +1255,4 @@ def test_unknown_stage_rejected(tmp_path):
     config = load_config(cfg_path)
     with pytest.raises(ConfigError, match="unknown stage"):
         Pipeline(config).run("compile")
+    assert not config.out_dir.exists()  # the name is checked before anything is made
