@@ -80,12 +80,16 @@ def category_scc(
     tensor: SimilarityTensor, top_k: int = 5
 ) -> tuple[dict[str, float], dict[tuple[str, str], list[tuple[str, float]]]]:
     """Per-axis East-vs-West rank correlation over the shared emoji set,
-    plus the top-k most similar emoji per axis per culture."""
+    plus the top-k most similar emoji per axis per culture.  An axis whose
+    correlation is undefined keeps its top-k lists but has no correlation."""
     west, east = _culture_profiles(tensor)
     rho: dict[str, float] = {}
     top: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for i, axis in enumerate(tensor.axes):
-        rho[axis] = spearman(west[i], east[i])
+        try:
+            rho[axis] = spearman(west[i], east[i])
+        except UndefinedCorrelationError:
+            pass
         for culture, mat in ((WEST, west), (EAST, east)):
             order = np.argsort(-mat[i], kind="stable")[:top_k]
             top[(culture, axis)] = [(tensor.targets[j], float(mat[i, j])) for j in order]
@@ -334,6 +338,9 @@ def build_report(
     groups = set(culture_of.values())
     if tensor is not None and {WEST, EAST} <= groups:
         report.category_rho, report.top5 = category_scc(tensor)
+        warnings += [f"category correlation skipped for axis {axis}: its West or East "
+                     "profile is constant, or has fewer than 3 emoji"
+                     for axis in tensor.axes if axis not in report.category_rho]
         try:
             report.icon = icon_scc(tensor, inventory)
         except UndefinedCorrelationError as exc:

@@ -15,7 +15,7 @@ import re
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fileio import TypeStreams
 from .inventory import EmojiInventory, strip_variation_selectors
@@ -448,17 +448,3 @@ def ingest_range(
     return [(TypeStreams.of(streams), counts)
             for streams, counts in ingest_lines(lines, corpora, inventory)]
 
-
-def write_streams(streams: Iterable[TokenStream], f: TextIO) -> None:
-    for s in streams:
-        f.write(f"{s.post_id}\t{' '.join(s.tokens)}\n")
-
-
-def read_streams(f: TextIO) -> Iterator[TokenStream]:
-    for line in f:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        post_id, _, rest = line.partition("\t")
-        tokens = tuple(t for t in rest.split(" ") if t)
-        yield TokenStream(post_id=post_id, tokens=tokens)

@@ -94,9 +94,11 @@ class Vocabulary:
         return self.counts[self.index[token]]
 
 
-def vocabulary_of(streams: TypeStreams, min_count: int) -> Vocabulary:
-    """The vocabulary of a type table's exact counts; deterministic index
-    order (count desc, then token)."""
+def build_vocabulary(streams: Iterable, min_count: int) -> Vocabulary:
+    """The vocabulary of token streams (`TokenStream`s, token sequences or
+    a `TypeStreams`), from their exact counts; deterministic index order
+    (count desc, then token)."""
+    streams = TypeStreams.of(streams)
     kept = [(t, c) for t, c in zip(streams.types, streams.counts.tolist()) if c >= min_count]
     if not kept:
         raise EmptyVocabularyError(
@@ -108,11 +110,6 @@ def vocabulary_of(streams: TypeStreams, min_count: int) -> Vocabulary:
         counts=tuple(c for _, c in kept),
         corpus_tokens=len(streams.ids),
     )
-
-
-def build_vocabulary(streams: Iterable, min_count: int) -> Vocabulary:
-    """`vocabulary_of` token streams (`TokenStream`s or token sequences)."""
-    return vocabulary_of(TypeStreams.of(streams), min_count)
 
 
 @dataclass(frozen=True)
@@ -238,21 +235,18 @@ def _negative_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     return cum / cum[-1]
 
 
-def encode_types(streams: TypeStreams, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """What `train_cbow` trains on: the in-vocabulary token ids (int64) of
-    all posts back to back, and the length of each post; posts without an
-    in-vocabulary token are dropped."""
-    lookup = np.array([vocab.index.get(t, -1) for t in streams.types], dtype=np.int64)
+def encode_streams(streams: Iterable, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """What `train_cbow` trains on, from token streams (`TokenStream`s,
+    token sequences or a `TypeStreams`): the in-vocabulary token ids (int32,
+    as a stream file stores them) of all posts back to back, and the length
+    of each post; posts without an in-vocabulary token are dropped."""
+    streams = TypeStreams.of(streams)
+    lookup = np.array([vocab.index.get(t, -1) for t in streams.types], dtype=np.int32)
     ids = lookup[streams.ids]
     kept = ids >= 0
     post = np.repeat(np.arange(len(streams.lengths)), streams.lengths)
     lengths = np.bincount(post[kept], minlength=len(streams.lengths))
     return ids[kept], lengths[lengths > 0]
-
-
-def encode_streams(streams: Iterable, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """`encode_types` of token streams (`TokenStream`s or token sequences)."""
-    return encode_types(TypeStreams.of(streams), vocab)
 
 
 def _chunk_positions(ids: np.ndarray, lengths: np.ndarray, keep_prob: Optional[np.ndarray],
@@ -300,7 +294,7 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray,
     width = matrix.shape[1]
     rows = rows.reshape(-1)
     cells = cells[: rows.size * width].reshape(rows.size, width)
-    np.multiply(rows[:, None], width, out=cells)
+    np.multiply(rows[:, None], width, out=cells, dtype=cells.dtype)
     cells += np.arange(width)
     np.add.at(matrix.reshape(-1), cells.reshape(-1), updates.reshape(-1))
 
@@ -433,7 +427,7 @@ def train_cbow(
     alpha_trace: Optional[Callable[[int, float], None]] = None,
 ) -> EmbeddingModel:
     """Train one CBOW model for exactly `params.epochs` passes over
-    `encoded`, the (ids, lengths) pair `encode_types` gives.
+    `encoded`, the (ids, lengths) pair `encode_streams` gives.
 
     The learning rate decays linearly with the number of in-vocabulary tokens
     consumed (pre-subsampling), refreshed once per sentence; `alpha_trace`,
@@ -537,7 +531,7 @@ def save_model(model: EmbeddingModel, path) -> None:
     """The `fileio.write_arrays` layout: one JSON metadata line (format tag,
     training parameters and epoch losses), then the (|V|, d) float32 input
     matrix, rows in vocabulary order.  The vocabulary is not saved: every
-    run of a corpus shares it, and `vocabulary_of` rebuilds it from the
+    run of a corpus shares it, and `build_vocabulary` rebuilds it from the
     corpus's stream file.  The output matrix is not saved either: no stage
     reads it, and it would double the bytes written, read and hashed.  The
     same model always gives the same bytes; the file is renamed into place

@@ -84,7 +84,10 @@ class TypeStreams:
 
     @classmethod
     def of(cls, streams: Iterable) -> TypeStreams:
-        """Token streams (`TokenStream`s or token sequences) as type ids."""
+        """Token streams (`TokenStream`s or token sequences) as type ids; a
+        `TypeStreams` is returned as it is."""
+        if isinstance(streams, TypeStreams):
+            return streams
         table: dict[str, int] = {}
         ids: list[int] = []
         lengths: list[int] = []
@@ -109,7 +112,7 @@ class TypeStreams:
         return cls(tuple(table), np.concatenate(ids), np.concatenate(lengths))
 
 
-def save_streams(f, streams: TypeStreams) -> None:
+def write_streams(f, streams: TypeStreams) -> None:
     """Write `streams` into the binary file `f` in the `write_arrays`
     layout: a JSON line with the format tag, the `types` and their
     `counts`, then the type ids and the post lengths as int32 arrays."""
@@ -118,8 +121,8 @@ def save_streams(f, streams: TypeStreams) -> None:
     write_arrays(f, meta, [streams.ids, streams.lengths])
 
 
-def load_streams(path) -> TypeStreams:
-    """What `save_streams` wrote to `path`; ValueError (or EOFError) if it
+def read_streams(path) -> TypeStreams:
+    """What `write_streams` wrote to `path`; ValueError (or EOFError) if it
     is not a consistent stream file of this format."""
     meta, (ids, lengths) = read_arrays(path, STREAM_FORMAT, (np.int32, np.int32))
     streams = TypeStreams(tuple(meta["types"]), ids, lengths)

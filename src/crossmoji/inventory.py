@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator, Mapping
 
+from .fileio import TypeStreams
+
 VARIATION_SELECTORS = {0xFE0E, 0xFE0F}
 ZWJ = 0x200D
 SKIN_TONE_RANGE = range(0x1F3FB, 0x1F3FF + 1)
@@ -247,24 +249,18 @@ class FrequencyTable:
                 )
 
 
-def count_emoji(pairs: Iterable[tuple[str, int]], inventory: EmojiInventory) -> Counter:
-    """The counts of the inventory emoji among (token, count) pairs, summed
-    per emoji, in the order each is first seen."""
-    counter: Counter = Counter()
-    for token, n in pairs:
-        if token in inventory.entries:
-            counter[token] += n
-    return counter
-
-
 def count_frequencies(
     streams_by_corpus: Mapping[str, Iterable], inventory: EmojiInventory
 ) -> FrequencyTable:
-    """Count inventory emoji tokens per corpus from token streams."""
-    return FrequencyTable(inventory, {
-        corpus_id: count_emoji(((token, 1) for stream in streams
-                                for token in getattr(stream, "tokens", stream)), inventory)
-        for corpus_id, streams in streams_by_corpus.items()})
+    """Count inventory emoji tokens per corpus, from its token streams
+    (`TokenStream`s, token sequences or a `TypeStreams`) through its type
+    table: each emoji in the order the corpus first has it."""
+    counts = {}
+    for corpus_id, streams in streams_by_corpus.items():
+        types = TypeStreams.of(streams)
+        pairs = zip(types.types, types.counts.tolist())
+        counts[corpus_id] = Counter({t: n for t, n in pairs if t in inventory.entries})
+    return FrequencyTable(inventory, counts)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ files byte for byte, whatever the number of workers.
 
 Ingest hands train and project type ids and counts, not text: a stream
 file holds a corpus's type table with each type's count, then the type
-ids of its posts and their lengths (`fileio.save_streams`).  A stream file
+ids of its posts and their lengths (`fileio.write_streams`).  A stream file
 is the one source of its corpus's vocabulary: train builds it from the
-counts and encodes the ids once per corpus, and project builds the same
-vocabulary again, and counts emoji, from the type table alone.  A model
+counts (`build_vocabulary`) and encodes the ids to int32 once per corpus
+(`encode_streams`), and project builds the same vocabulary again, and
+counts emoji (`count_frequencies`), from the type table alone.  A model
 file holds only its run's matrix, one row per vocabulary token.  The
 models are read once, by project, one at a time, each cut to the rows
 project reads; it hands analyze all it needs in one binary file
@@ -63,24 +64,24 @@ from .corpus import (
 )
 from .embedding import (
     TrainParams,
-    encode_types,
+    build_vocabulary,
+    encode_streams,
     load_model,
     save_model,
     train_cbow,
-    vocabulary_of,
 )
 from .fileio import (
     TypeStreams,
     atomic_write,
-    load_streams,
     read_arrays,
-    save_streams,
+    read_streams,
     write_arrays,
+    write_streams,
 )
 from .inventory import (
     FrequencyTable,
     SharedEmojiSet,
-    count_emoji,
+    count_frequencies,
     default_category_path,
     default_data_path,
     load_inventory,
@@ -89,13 +90,11 @@ from .inventory import (
 from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexicon, shared_schema
 from .projection import SimilarityTensor, build_tensor, write_tensor_csv
 
-# nothing here calls ingest_handle, write_streams, read_streams,
-# build_vocabulary, train_run_set, count_frequencies or read_tensor_csv: each
+# nothing here calls ingest_handle, train_run_set or read_tensor_csv: each
 # stays imported because bench/tracer.py wraps it by this name and fails on
 # a missing one
-from .corpus import ingest_handle, read_streams, write_streams
-from .embedding import build_vocabulary, train_run_set
-from .inventory import count_frequencies
+from .corpus import ingest_handle
+from .embedding import train_run_set
 from .projection import read_tensor_csv
 
 STAGES = ("ingest", "train", "project", "analyze", "report")
@@ -535,7 +534,7 @@ class Pipeline:
             if spec.corpus_id not in parts:
                 continue
             with self._artifact(self.streams_path(spec.corpus_id), "wb") as f:
-                save_streams(f, TypeStreams.join(types for types, _ in parts[spec.corpus_id]))
+                write_streams(f, TypeStreams.join(types for types, _ in parts[spec.corpus_id]))
             counts = sum((c for _, c in parts[spec.corpus_id]), IngestCounts())
             counts_by_corpus[spec.corpus_id] = counts.as_dict()
             throughput[spec.corpus_id] = {
@@ -551,13 +550,14 @@ class Pipeline:
 
     def stage_train(self) -> dict:
         c = self.config
-        streams = {spec.corpus_id: load_streams(self.streams_path(spec.corpus_id))
+        streams = {spec.corpus_id: read_streams(self.streams_path(spec.corpus_id))
                    for spec in c.corpora}
-        vocabs = {corpus_id: vocabulary_of(types, c.min_count)
+        vocabs = {corpus_id: build_vocabulary(types, c.min_count)
                   for corpus_id, types in streams.items()}
-        # encoded once, here: the workers inherit them
-        encoded = {corpus_id: encode_types(types, vocabs[corpus_id])
+        # encoded once, here, for the workers to inherit; the streams go first
+        encoded = {corpus_id: encode_streams(types, vocabs[corpus_id])
                    for corpus_id, types in streams.items()}
+        del streams
 
         def train(corpus_id: str, seed: int, path: Path) -> tuple:
             model = train_cbow(encoded[corpus_id], vocabs[corpus_id],
@@ -589,14 +589,13 @@ class Pipeline:
 
     def stage_project(self) -> dict:
         # from one read of each stream file: the vocabulary train built, and
-        # the emoji counts, in the order the stream first has them
-        vocabs, counts = {}, {}
-        for spec in self.config.corpora:
-            types = load_streams(self.streams_path(spec.corpus_id))
-            vocabs[spec.corpus_id] = vocabulary_of(types, self.config.min_count)
-            counts[spec.corpus_id] = count_emoji(zip(types.types, types.counts.tolist()),
-                                                 self.inventory)
-        table = FrequencyTable(self.inventory, counts)
+        # the emoji counts; the streams go before any model loads
+        streams = {spec.corpus_id: read_streams(self.streams_path(spec.corpus_id))
+                   for spec in self.config.corpora}
+        vocabs = {corpus_id: build_vocabulary(types, self.config.min_count)
+                  for corpus_id, types in streams.items()}
+        table = count_frequencies(streams, self.inventory)
+        del streams
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
             self.manifest.warnings.append(

@@ -4,6 +4,8 @@ The oracles here are deliberately naive: O(n^2) comparison-counting ranks,
 the definitional covariance formula, and full pairwise enumeration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from crossmoji.analytics import (
     UndefinedCorrelationError,
     average_ranks,
+    build_report,
     category_scc,
     country_similarity_matrix,
     culture_triples,
@@ -195,6 +198,29 @@ def test_category_scc_fixture_matches_hand_ranks():
     rho, _ = category_scc(tensor)
     for i, axis in enumerate(["a", "b", "c"]):
         assert rho[axis] == pytest.approx(spearman_oracle(list(west[i]), list(east[i])), abs=1e-12)
+
+
+def test_constant_axis_has_no_correlation_but_keeps_its_top_lists():
+    # dim-1 models give such an axis: every cosine is +1 or -1.  It used to
+    # fail the whole report with "zero variance"
+    targets = ["😀", "😢", "🍕", "🚗"]
+    west = np.array([[0.9, 0.1, 0.5, 0.3], [1.0, 1.0, 1.0, 1.0], [0.2, 0.4, 0.6, 0.8]])
+    east = np.array([[0.8, 0.2, 0.4, 0.1], [0.3, 0.2, 0.7, 0.6], [0.1, 0.8, 0.3, 0.7]])
+    culture_of = {"W1": "West", "E1": "East"}
+    tensor = make_tensor({"W1": west, "E1": east}, ["a", "b", "c"], targets, culture_of)
+    rho, top = category_scc(tensor)
+    assert list(rho) == ["a", "c"]
+    assert [e for e, _ in top[("East", "b")]] == ["🍕", "🚗", "😀", "😢"]
+    assert len(top[("West", "b")]) == 4
+    inv, table = make_table({"W1": dict.fromkeys(targets, 5), "E1": dict.fromkeys(targets, 5)})
+    tensor = dataclasses.replace(tensor, profiles={"W1": np.arange(6.0), "E1": np.arange(6.0)[::-1]})
+    report = build_report(tensor, table, inv, SharedEmojiSet(tuple(targets), 1), culture_of,
+                          top_k=3)
+    assert report.category_rho == rho
+    assert report.top5 == top
+    assert [w for w in report.warnings if "axis" in w] == [
+        "category correlation skipped for axis b: its West or East profile is constant, "
+        "or has fewer than 3 emoji"]
 
 
 def test_icon_scc_identical_and_reversed_profiles():

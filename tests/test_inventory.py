@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossmoji.corpus import TokenStream
+from crossmoji.fileio import TypeStreams
 from crossmoji.inventory import (
     EmptyCorpusError,
     EmojiInventory,
@@ -193,6 +195,24 @@ def test_planted_fixture_matches_scan_oracle(full_inventory):
         streams.append(tuple(toks))
     table = count_frequencies({"F": streams}, full_inventory)
     assert table.counts["F"] == expected
+
+
+def test_counts_from_type_tables_equal_token_streams_in_key_order(full_inventory):
+    # project counts each corpus from its stream file's type table: the same
+    # table as from its token streams, each emoji in the order first seen
+    posts = {"A": [("word", "\U0001F602", "❤"), ("\U0001F600", "\U0001F602"), ("x",)],
+             "B": [("\U0001F35C",), ("❤", "word", "\U0001F35C", "\U0001F600")]}
+    want = count_frequencies(
+        {c: [TokenStream(str(i), p) for i, p in enumerate(ps)] for c, ps in posts.items()},
+        full_inventory)
+    assert {c: list(n.items()) for c, n in want.counts.items()} == {
+        "A": [("\U0001F602", 2), ("❤", 1), ("\U0001F600", 1)],
+        "B": [("\U0001F35C", 2), ("❤", 1), ("\U0001F600", 1)]}
+    for streams in ({c: TypeStreams.of(ps) for c, ps in posts.items()}, posts):
+        got = count_frequencies(streams, full_inventory)
+        assert list(got.counts) == ["A", "B"]
+        assert ({c: list(n.items()) for c, n in got.counts.items()}
+                == {c: list(n.items()) for c, n in want.counts.items()})
 
 
 def test_normalized_sums_to_one(full_inventory):

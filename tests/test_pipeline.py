@@ -11,6 +11,7 @@ import subprocess
 import sys
 import weakref
 import xml.etree.ElementTree as ET
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -18,17 +19,15 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.corpus import ingest_handle, normalize_text, write_streams
+from crossmoji.corpus import ingest_handle, normalize_text
 from crossmoji.embedding import (
     EmbeddingModel,
     TrainParams,
     build_vocabulary,
     encode_streams,
-    encode_types,
     load_model,
-    vocabulary_of,
 )
-from crossmoji.fileio import load_streams
+from crossmoji.fileio import read_streams
 from crossmoji.inventory import (
     EmojiInventory,
     FrequencyTable,
@@ -973,8 +972,8 @@ def test_every_config_key_rejects_a_value_of_the_wrong_json_type(tmp_path, obj, 
 
 def corpus_vocabulary(config, corpus_id: str):
     """The vocabulary train built for the corpus, from its stream file."""
-    types = load_streams(Path(config.out_dir) / "streams" / f"{corpus_id}.bin")
-    return vocabulary_of(types, config.min_count)
+    types = read_streams(Path(config.out_dir) / "streams" / f"{corpus_id}.bin")
+    return build_vocabulary(types, config.min_count)
 
 
 def within_rounding(items: int, seconds: float, per_s: int) -> bool:
@@ -1176,8 +1175,8 @@ def test_directory_ingested_with_text_streams_reingests(completed_run, tmp_path,
     for spec in config.corpora:
         (out / "streams" / f"{spec.corpus_id}.bin").unlink()
         text = out / "streams" / f"{spec.corpus_id}.tokens"
-        with open(text, "w", encoding="utf-8") as f:
-            write_streams(ingest_handle(spec, load_default_inventory())[0], f)
+        text.write_bytes("".join(f"{s.post_id}\t{' '.join(s.tokens)}\n" for s in
+                                 ingest_handle(spec, load_default_inventory())[0]).encode())
         artifacts[f"streams/{spec.corpus_id}.tokens"] = hashlib.sha256(
             text.read_bytes()).hexdigest()
     marker = json.loads((out / ".stage_ingest.json").read_text())
@@ -1200,7 +1199,7 @@ def encode_token_loop(streams, vocab):
         if sentence:
             ids.extend(sentence)
             lengths.append(len(sentence))
-    return np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    return np.array(ids, dtype=np.int32), np.array(lengths, dtype=np.int64)
 
 
 def test_train_input_from_type_counts_equals_token_streams(completed_run):
@@ -1210,14 +1209,55 @@ def test_train_input_from_type_counts_equals_token_streams(completed_run):
     inventory = load_default_inventory()
     for spec in config.corpora:
         streams, _ = ingest_handle(spec, inventory)
-        types = load_streams(config.out_dir / "streams" / f"{spec.corpus_id}.bin")
-        vocab = vocabulary_of(types, config.min_count)
+        types = read_streams(config.out_dir / "streams" / f"{spec.corpus_id}.bin")
+        vocab = build_vocabulary(types, config.min_count)
         assert vocab == build_vocabulary(streams, config.min_count)
         assert len(vocab) == manifest.stages["train"]["training"][spec.corpus_id]["vocabulary"]
         want = encode_token_loop(streams, vocab)
-        for ids, lengths in (encode_types(types, vocab), encode_streams(streams, vocab)):
-            assert ids.dtype == lengths.dtype == np.int64
+        for ids, lengths in (encode_streams(types, vocab), encode_streams(streams, vocab)):
+            assert ids.dtype == np.int32 and lengths.dtype == np.int64
             assert np.array_equal(ids, want[0]) and np.array_equal(lengths, want[1])
+
+
+def test_all_calls_the_corpus_functions_the_benchmark_times(tmp_path, monkeypatch):
+    # bench/tracer.py times these names on crossmoji.pipeline, so the stages
+    # must call them, not twins under other names.  With one CPU every call
+    # is made in this process
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("write_streams", "read_streams", "build_vocabulary", "encode_streams",
+                 "count_frequencies"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2, dim=8, epochs=1)
+    Pipeline(load_config(cfg_path)).run("all")
+    # per corpus: ingest writes the stream file, train and project each read
+    # it and build the vocabulary, train encodes it; project counts emoji once
+    assert calls == {"write_streams": 2, "read_streams": 4, "build_vocabulary": 4,
+                     "encode_streams": 2, "count_frequencies": 1}
+
+
+def test_one_dimensional_models_leave_an_axis_out_not_the_report(tmp_path):
+    # at dim 1 every cosine is +1 or -1, so a culture's profile on an axis
+    # can be constant; that axis used to fail analyze with "zero variance"
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=60, runs=2, dim=1, epochs=3)
+    config = load_config(cfg_path)
+    manifest = Pipeline(config).run("all")
+    assert all(info["completed"] for info in manifest.stages.values())
+    axes = manifest.stages["project"]["axes"]
+    skipped = [axis for axis in axes if "category correlation skipped for axis "
+               f"{axis}: its West or East profile is constant, or has fewer than 3 emoji"
+               in manifest.warnings]
+    assert skipped
+    report = read_report_json(config.out_dir / "report" / "report.json")
+    assert set(report.category_rho) == set(axes) - set(skipped)
+    assert all(report.top5[(culture, axis)] for culture in ("West", "East") for axis in axes)
 
 
 def test_fan_out_keeps_call_order_and_runs_in_workers(monkeypatch):

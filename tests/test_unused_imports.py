@@ -7,8 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossmoji"
 # bench/tracer.py wraps these names in crossmoji.pipeline, which calls none of them
-PINNED = {"pipeline.py": {"ingest_handle", "read_streams", "write_streams", "build_vocabulary",
-                          "train_run_set", "count_frequencies", "read_tensor_csv"}}
+PINNED = {"pipeline.py": {"ingest_handle", "train_run_set", "read_tensor_csv"}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +27,10 @@ def unused_imports(source: str) -> list[str]:
                                         if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     unused = set(unused_imports(path.read_text(encoding="utf-8")))
-    assert unused - PINNED.get(path.name, set()) == set()
+    pinned = PINNED.get(path.name, set())
+    assert unused - pinned == set()
+    # a pinned name that its module reads needs no pin: take it off the list
+    assert pinned <= unused
 
 
 def test_unused_import_found():
