@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .fileio import TypeStreams
-from .inventory import EmojiInventory, strip_variation_selectors
+from .inventory import EmojiInventory, primary_language, strip_variation_selectors
 
 
 class RecordError(ValueError):
@@ -102,11 +102,6 @@ def parse_record(line: str) -> PostRecord:
         lang=lang,
         pre_tokenized=pre_tokenized,
     )
-
-
-def primary_language(lang: str) -> str:
-    """The lowercase primary language subtag: "en" for "en-GB"."""
-    return lang.lower().split("-")[0]
 
 
 def _filter_keys(lang: str, country: str) -> tuple[str, str]:

@@ -132,6 +132,8 @@ class TrainParams:
             raise ValueError("window, negatives and epochs must be >= 1")
         if self.subsample < 0:
             raise ValueError("subsample must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

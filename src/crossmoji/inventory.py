@@ -39,6 +39,11 @@ def default_category_path():
     return resources.files("crossmoji.data") / "emoji_categories.tsv"
 
 
+def primary_language(lang: str) -> str:
+    """The lowercase primary language subtag: "en" for "en-GB"."""
+    return lang.lower().split("-")[0]
+
+
 def strip_variation_selectors(sequence: str) -> str:
     return sequence.translate(_DROP_SELECTORS)
 

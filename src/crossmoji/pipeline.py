@@ -1,23 +1,25 @@
 """End-to-end staged pipeline: ingest -> train -> project -> analyze -> report.
 
-Each stage persists its artifacts under the output directory and records a
-completion marker with its cache key and the digest of every artifact it
-declared.  An artifact is declared before it is written and is written to
-a temporary file renamed into place (`Pipeline._artifact`), so none is
-torn or unlisted.  The key covers only what the stage reads (`STAGE_READS`):
-its config fields, and the content of its outside files, of the earlier
-stages' artifacts and of the package modules whose code it runs.  Re-running
-`all` skips a stage whose key and artifacts still match, so an edit, to the
-config, an input or the code, re-runs the stages that read it and those
-whose inputs then change.  Before a stage runs, the artifacts its last run
-recorded are deleted, so a run that writes fewer files leaves none stale;
-a stage that fails records what it declared under no key, so the next run
-deletes that too.  Ingest cuts each input file into line-aligned byte
-ranges, one per usable CPU, and runs one job per range, which parses each
-line once for every corpus reading the file; train runs one job per
-(corpus, run).  Jobs run on forked worker processes when more than one CPU
-is usable (`fan_out`).  A fixed seed reproduces stream, embedding and CSV
-files byte for byte, whatever the number of workers.
+Each stage persists its artifacts under the output directory, and its entry
+in `manifest.json`, saved after each stage that runs, records its cache key
+and the digest of every artifact it declared.  An artifact is declared
+before it is written and is written to a temporary file renamed into place
+(`Pipeline._artifact`), so none is torn or unlisted.  The key covers only
+what the stage reads (`STAGE_READS`): its config fields, and the content of
+its outside files, of the earlier stages' artifacts and of the package
+modules whose code it runs.  Re-running `all` skips a stage whose key and
+artifacts still match, so an edit, to the config, an input or the code,
+re-runs the stages that read it and those whose inputs then change.
+Before a stage runs, the artifacts its last entry recorded are deleted, so
+a run that writes fewer files leaves none stale; a stage that fails
+records what it declared under no key, and one left not complete keeps
+its last artifacts, so the next run deletes those too.  Ingest cuts each
+input file into line-aligned byte ranges, one per usable CPU, and runs one
+job per range, which parses each line once for every corpus reading the
+file; train runs one job per (corpus, run).  Jobs run on forked worker
+processes when more than one CPU is usable (`fan_out`).  A fixed seed
+reproduces stream, embedding and CSV files byte for byte, whatever the
+number of workers.
 
 Ingest hands train and project type ids and counts, not text: a stream
 file holds a corpus's type table with each type's count, then the type
@@ -60,7 +62,6 @@ from .corpus import (
     IngestCounts,
     ingest_range,
     line_ranges,
-    primary_language,
 )
 from .embedding import (
     TrainParams,
@@ -85,6 +86,7 @@ from .inventory import (
     default_category_path,
     default_data_path,
     load_inventory,
+    primary_language,
     shared_set,
 )
 from .lexicon import default_ekman_path, expand_patterns, load_ekman, parse_lexicon, shared_schema
@@ -115,8 +117,8 @@ STAGE_READS = {
               ("streams/", "embedding.py", "fileio.py", "pipeline.py")),
     "project": (("shared_threshold", "min_count", "corpora.id", "corpora.culture", "corpora.lang"),
                 ("lexicons", "ekman_words", "emoji_data", "emoji_categories",
-                 "streams/", "models/", "corpus.py", "embedding.py", "fileio.py",
-                 "inventory.py", "lexicon.py", "pipeline.py", "projection.py")),
+                 "streams/", "models/", "embedding.py", "fileio.py", "inventory.py",
+                 "lexicon.py", "pipeline.py", "projection.py")),
     "analyze": (("top_k", "corpora.id", "corpora.culture"),
                 ("emoji_data", "emoji_categories", "handoff.bin", "analytics.py",
                  "fileio.py", "inventory.py", "pipeline.py", "projection.py")),
@@ -347,7 +349,6 @@ class RunManifest:
     version: str = __version__
     stages: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    charts: dict = field(default_factory=dict)
 
     def record(self, stage: str, key: str, seconds: float, skipped: bool = False,
                **extra) -> None:
@@ -367,6 +368,7 @@ class Pipeline:
         self.config = config
         self.out = Path(config.out_dir)
         self.manifest = RunManifest(config=config.snapshot())
+        self._recorded = self._read_record()  # the last run's entries; run() reads them anew
         self._inventory = None
         self._digests: dict[Path, Optional[str]] = {}
         self._artifacts: list[Path] = []  # declared by the running stage
@@ -386,9 +388,6 @@ class Pipeline:
     def model_path(self, corpus_id: str, run: int) -> Path:
         return self.out / "models" / f"{corpus_id}.run{run}.vec"
 
-    def _marker(self, stage: str) -> Path:
-        return self.out / f".stage_{stage}.json"
-
     # --- cache keys ---
 
     def _digest(self, path: Path) -> Optional[str]:
@@ -405,7 +404,7 @@ class Pipeline:
 
     def _declare(self, paths: list[Path]) -> None:
         """Record artifacts the running stage is about to write, and make their
-        directories; its marker lists them, even if it fails, for `_clear`."""
+        directories; its entry lists them, even if it fails, for `_clear`."""
         for path in paths:
             if path not in self._artifacts:
                 self._artifacts.append(path)
@@ -455,40 +454,33 @@ class Pipeline:
         blob = json.dumps(parts, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _holds(self, stage: str, key: str) -> bool:
-        """The stage's marker holds `key`, and every artifact the marker
-        lists is still there with the digest it was written with."""
-        marker = self._read_marker(stage)
-        artifacts = marker.get("artifacts")
-        return (marker.get("key") == key and isinstance(artifacts, dict)
-                and all(self._digest(self.out / rel) == digest
-                        for rel, digest in artifacts.items()))
-
-    def _write_marker(self, stage: str, key: Optional[str], extra: dict,
-                      warnings: list) -> None:
-        """Record a stage's run: the key of a completed run, or None for a
-        failed one, and the digest of every artifact it declared (None for
-        one it did not write)."""
-        for path in self._artifacts:
-            self._digests.pop(path, None)  # the stage wrote it since it was hashed
-        artifacts = {p.relative_to(self.out).as_posix(): self._digest(p)
-                     for p in self._artifacts}
-        payload = {"key": key, "stage": stage, "artifacts": artifacts,
-                   "extra": extra, "warnings": warnings}
-        with atomic_write(self._marker(stage), encoding="utf-8") as f:
-            f.write(json.dumps(payload, ensure_ascii=False, default=str) + "\n")
-
-    def _read_marker(self, stage: str) -> dict:
+    def _read_record(self) -> dict:
+        """stage -> its entry in the output directory's `manifest.json`, for
+        each entry that records its artifacts; {} without a readable one."""
         try:
-            return json.loads(self._marker(stage).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            stages = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+            return {name: entry for name, entry in stages.items()
+                    if isinstance(entry.get("artifacts"), dict)}  # none up to 0.4.x
+        except (OSError, ValueError, KeyError):
             return {}
 
+    def _holds(self, stage: str, key: str) -> bool:
+        """The stage's last entry holds `key`, and every artifact it lists is
+        still there with the digest it was written with."""
+        entry = self._recorded.get(stage, {})
+        return entry.get("key") == key and all(
+            self._digest(self.out / rel) == digest for rel, digest in entry["artifacts"].items())
+
+    def _written(self) -> dict:
+        """rel path -> sha256 (None: not written) of each declared artifact."""
+        for path in self._artifacts:
+            self._digests.pop(path, None)  # the stage wrote it since it was hashed
+        return {p.relative_to(self.out).as_posix(): self._digest(p) for p in self._artifacts}
+
     def _clear(self, stage: str) -> None:
-        """Delete the artifacts the stage's marker records, so that a run
+        """Delete the artifacts the stage's last entry records, so that a run
         writing fewer files leaves none of the last run's behind."""
-        artifacts = self._read_marker(stage).get("artifacts")
-        for rel in artifacts if isinstance(artifacts, dict) else ():
+        for rel in self._recorded.get(stage, {}).get("artifacts", {}):
             if Path(rel).is_absolute() or ".." in Path(rel).parts:
                 continue  # not a file a stage writes
             (self.out / rel).unlink(missing_ok=True)
@@ -499,7 +491,7 @@ class Pipeline:
     def stage_ingest(self) -> dict:
         inventory = self.inventory  # loaded here, so that workers inherit it
         # recorded here alone: ingest's key covers the emoji data, and a
-        # skipped ingest restores them from its marker
+        # skipped ingest restores them from its entry
         self.manifest.warnings.extend(inventory.warnings)
         groups: dict[Path, list[CorpusHandle]] = {}  # the corpora reading each file
         for spec in self.config.corpora:
@@ -666,7 +658,7 @@ class Pipeline:
         write_report_csvs(report, self.inventory, open_report)
         with open_report("report.json") as f:
             write_report_json(report, f)
-        return {"warnings": list(report.warnings)}
+        return {}
 
     def stage_report(self) -> dict:
         report = read_report_json(self.out / "report" / "report.json")
@@ -674,65 +666,71 @@ class Pipeline:
         for name, filename in charts.items():
             if filename is None:
                 self.manifest.warnings.append(f"chart {name} omitted: empty report section")
-        self.manifest.charts = charts
         return {"charts": charts}
 
     # --- driver ---
 
-    def _restore(self, stage: str, key: str, complete: bool) -> None:
-        """Record a stage this call does not run: when `complete`, as its
-        marker recorded it, with its warnings and charts; otherwise as not
-        complete."""
-        if not complete:
-            self.manifest.stages[stage] = {"completed": False, "skipped": True, "key": None}
-            return
-        marker = self._read_marker(stage)
-        extra = marker.get("extra", {})
-        self.manifest.record(stage, key, 0.0, skipped=True, **extra)
-        self.manifest.warnings.extend(marker.get("warnings", []))
-        if stage == "report" and "charts" in extra:
-            self.manifest.charts = extra["charts"]
+    def _restore(self, stage: str, key: str) -> None:
+        """Record a complete stage this call does not run as its last entry
+        recorded it, with its warnings, and with no `max_rss_mb`."""
+        entry = {k: v for k, v in self._recorded[stage].items()
+                 if k not in ("completed", "skipped", "key", "seconds", "max_rss_mb")}
+        self.manifest.record(stage, key, 0.0, skipped=True, **entry)
+        self.manifest.warnings.extend(entry.get("warnings", []))
 
     def run(self, stage: str = "all") -> RunManifest:
-        """Run `stage`, or with "all" every stage whose marker does not hold
-        its key.  The manifest records every stage: one this call did not
-        run comes from its marker when the marker holds and the stages
-        before it are complete, and is recorded as not complete otherwise."""
+        """Run `stage`, or with "all" every stage whose last entry does not
+        hold its key, saving the manifest after each.  It records every stage:
+        one this call did not run comes from its last entry when that holds
+        and the stages before it are complete, and is not complete otherwise."""
         if stage not in list(STAGES) + ["all"]:
             raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {self.out} not writable: {exc}") from exc
+        # a new manifest, in which a stage this call has not recorded is not
+        # complete and keeps its last entry's key and artifacts, for a later
+        # `_holds` and `_clear`
+        self._recorded = self._read_record()
+        last = {name: self._recorded.get(name, {}) for name in STAGES}
+        self.manifest = RunManifest(self.manifest.config, stages={
+            name: {"completed": False, "skipped": True, "key": last[name].get("key"),
+                   "artifacts": last[name].get("artifacts", {})} for name in STAGES})
         complete = True  # every stage before this one is
-        for index, name in enumerate(STAGES):
-            key = self._key(name)
-            if stage != name and (stage != "all" or self._holds(name, key)):
-                # in `all`, the stages before this one completed in this loop
-                complete = complete and (stage == "all" or self._holds(name, key))
-                self._restore(name, key, complete)
-                continue
-            start = time.perf_counter()
-            warnings_before = len(self.manifest.warnings)
-            self._artifacts = []
-            try:
+        try:
+            for index, name in enumerate(STAGES):
+                key = self._key(name)
+                if stage != name and (stage != "all" or self._holds(name, key)):
+                    # in `all`, the stages before this one completed in this loop
+                    complete = complete and (stage == "all" or self._holds(name, key))
+                    if complete:
+                        self._restore(name, key)
+                    continue
                 if not complete:
                     raise PipelineStageError(STAGES[index - 1], RuntimeError(
-                        f"artifacts missing or stale; run the {STAGES[index - 1]!r} "
-                        "stage first"))
-                self._clear(name)
-                extra = getattr(self, f"stage_{name}")() or {}
-            except PipelineStageError:
+                        f"artifacts missing or stale; run the {STAGES[index - 1]!r} stage first"))
+                start = time.perf_counter()
+                warnings_before = len(self.manifest.warnings)
+                self._artifacts = []
+                try:
+                    self._clear(name)
+                    extra = getattr(self, f"stage_{name}")() or {}
+                except BaseException as exc:
+                    # under no key: the next run of the stage deletes the
+                    # files its last entry listed and those this run declared
+                    entry = self.manifest.stages[name]
+                    entry |= {"skipped": False, "key": None,
+                              "artifacts": entry["artifacts"] | self._written()}
+                    if not isinstance(exc, Exception):
+                        raise  # an interrupt
+                    raise PipelineStageError(name, exc) from exc
+                self.manifest.record(name, key, time.perf_counter() - start, **extra,
+                                     **max_rss(), artifacts=self._written(),
+                                     warnings=self.manifest.warnings[warnings_before:])
                 self.manifest.save(self.out / "manifest.json")
-                raise
-            except Exception as exc:
-                # lists what this run declared, for the next run's _clear
-                self._write_marker(name, None, {}, [])
-                self.manifest.save(self.out / "manifest.json")
-                raise PipelineStageError(name, exc) from exc
-            self.manifest.record(name, key, time.perf_counter() - start, **extra, **max_rss())
-            self._write_marker(name, key, extra, self.manifest.warnings[warnings_before:])
-        self.manifest.save(self.out / "manifest.json")
+        finally:
+            self.manifest.save(self.out / "manifest.json")
         return self.manifest
 
 

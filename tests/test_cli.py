@@ -75,10 +75,10 @@ def test_worker_failure_is_stage_error_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "stage 'train' failed: need at least 2 vocabulary tokens" in err
     assert "BrokenProcessPool" not in err
-    # the failed stage's marker lists the models it was to write
-    marker = json.loads((tmp_path / "out" / ".stage_train.json").read_text())
-    assert marker["key"] is None
-    assert set(marker["artifacts"]) == {"models/US.run0.vec", "models/US.run1.vec"}
+    # the failed stage's manifest entry lists the models it was to write
+    entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]["train"]
+    assert entry["key"] is None and not entry["completed"]
+    assert set(entry["artifacts"]) == {"models/US.run0.vec", "models/US.run1.vec"}
 
 
 def test_input_that_is_a_directory_is_clean_error(tmp_path, capsys):

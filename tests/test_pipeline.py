@@ -102,7 +102,18 @@ def test_rerun_skips_completed_stages(completed_run):
     assert report_csv.read_bytes() == before
     # the resumed manifest keeps the cached run's stage info and charts
     assert manifest2.stages["ingest"]["counts"] == manifest1.stages["ingest"]["counts"]
-    assert manifest2.charts == manifest1.charts
+    assert manifest2.stages["report"]["charts"] == manifest1.stages["report"]["charts"]
+
+
+def test_second_run_of_a_pipeline_records_each_warning_once(completed_run, tmp_path):
+    # each run() starts a new manifest: the stages a second call skips
+    # restore their warnings once, not after those of the first call
+    config = copy_run(completed_run, tmp_path)
+    runner = Pipeline(config)
+    runner.run("all")
+    assert runner.run("all").warnings == completed_run[2].warnings != []
+    saved = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert saved["warnings"] == completed_run[2].warnings
 
 
 def test_stage_requires_predecessor(tmp_path):
@@ -113,7 +124,7 @@ def test_stage_requires_predecessor(tmp_path):
 
 
 def incomplete(config) -> list[str]:
-    """The stages not complete: from the first whose marker does not hold on."""
+    """The stages not complete: from the first whose entry does not hold on."""
     pipeline = Pipeline(config)
     holds = [pipeline._holds(stage, pipeline._key(stage)) for stage in STAGES]
     return list(STAGES[holds.index(False):]) if False in holds else []
@@ -154,7 +165,8 @@ def test_one_stage_run_keeps_the_whole_manifest(completed_run, tmp_path):
     assert single.stages["ingest"]["counts"] == cold.stages["ingest"]["counts"]
     assert single.stages["train"]["training"] == cold.stages["train"]["training"]
     assert single.warnings == saved["warnings"] == cold.warnings
-    assert single.charts == saved["charts"] == cold.charts != {}
+    charts = cold.stages["report"]["charts"]
+    assert single.stages["report"]["charts"] == saved["stages"]["report"]["charts"] == charts != {}
 
 
 def test_one_stage_run_records_later_stale_stages_as_not_complete(completed_run, tmp_path):
@@ -163,7 +175,7 @@ def test_one_stage_run_records_later_stale_stages_as_not_complete(completed_run,
     manifest = Pipeline(config).run("train")
     assert [s for s, info in manifest.stages.items() if not info["completed"]] == [
         "analyze", "report"]
-    assert manifest.charts == {}
+    assert "charts" not in manifest.stages["report"]
 
 
 # --- per-stage cache keys ------------------------------------------------------
@@ -195,6 +207,19 @@ def drop_last_line(path: Path) -> None:
 def test_moved_run_directory_stays_complete(completed_run, tmp_path):
     # keys cover file contents, not paths
     assert incomplete(copy_run(completed_run, tmp_path)) == []
+
+
+def test_manifest_without_artifacts_reruns_every_stage_once(completed_run, tmp_path):
+    # a 0.4.x manifest records no artifacts: no stage holds, and the run
+    # records them, so the next one skips every stage
+    config = copy_run(completed_run, tmp_path)
+    path = config.out_dir / "manifest.json"
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    for entry in saved["stages"].values():
+        del entry["artifacts"]
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert ran(Pipeline(config).run("all")) == []
 
 
 def test_input_edit_reruns_every_stage(completed_run, tmp_path):
@@ -411,14 +436,13 @@ def test_new_version_alone_leaves_every_stage_complete(completed_run, monkeypatc
 def test_corpus_edit_that_writes_the_same_streams_leaves_train_cached(
         completed_run, tmp_path, monkeypatch):
     # an edit to the ingest code re-runs ingest (once stale keys served it
-    # from the cache); streams that come out the same leave every model
-    # cached.  Project re-runs too, for it runs `primary_language`, but
-    # writes the same hand-off, so analyze and report stay cached.
+    # from the cache); streams that come out the same leave every later
+    # stage cached: project runs no code of corpus.py
     config = copy_run(completed_run, tmp_path)
     before = outputs(config.out_dir, also=("models", "streams"))
     handoff = (config.out_dir / "handoff.bin").read_bytes()
     edit_module(monkeypatch, "corpus.py")
-    assert ran(Pipeline(config).run("all")) == ["ingest", "project"]
+    assert ran(Pipeline(config).run("all")) == ["ingest"]
     assert outputs(config.out_dir, also=("models", "streams")) == before
     assert (config.out_dir / "handoff.bin").read_bytes() == handoff
 
@@ -535,13 +559,16 @@ def test_analyze_reads_only_the_handoff(tmp_path, monkeypatch, edit, sections):
 
 
 def assert_only_recorded_files(config) -> None:
-    # no temp file or earlier run's file stays behind: each file is a marker,
-    # the manifest or an artifact a marker records with its digest
+    # no temp file or earlier run's file stays behind: each file is the
+    # manifest or an artifact a stage entry of the manifest records with its
+    # digest
     out = Path(config.out_dir)
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
     recorded = {"manifest.json"}
     for stage in STAGES:
-        recorded.add(f".stage_{stage}.json")
-        recorded |= set(json.loads((out / f".stage_{stage}.json").read_text())["artifacts"])
+        for rel, digest in stages[stage]["artifacts"].items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+            recorded.add(rel)
     files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert files == recorded
     assert sorted(p.name for p in (out / "models").iterdir()) == \
@@ -588,7 +615,7 @@ def test_report_json_round_trip(completed_run, tmp_path):
 def test_charts_are_well_formed_svg(completed_run):
     tmp, config, manifest = completed_run
     charts_dir = Path(config.out_dir) / "charts"
-    emitted = [name for name, f in manifest.charts.items() if f]
+    emitted = [name for name, f in manifest.stages["report"]["charts"].items() if f]
     assert set(emitted) == {"fig_top_emoji", "fig_category_shares",
                             "fig_country_heatmap", "fig_category_top5",
                             "fig_icon_extremes"}
@@ -637,7 +664,7 @@ def test_missing_culture_group_skips_cross_analytics(tmp_path):
     assert gate in report.warnings and manifest.warnings.count(gate) == 1
     assert report.frequency is not None  # per-corpus frequency still emitted
     # charts backed by empty sections are omitted and noted
-    assert manifest.charts["fig_category_top5"] is None
+    assert manifest.stages["report"]["charts"]["fig_category_top5"] is None
     assert any("chart fig_category_top5 omitted" in w for w in manifest.warnings)
 
 
@@ -656,8 +683,8 @@ def test_stage_failure_names_stage_and_keeps_partial_artifacts(tmp_path):
 
 
 def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
-    # the failed ingest wrote US's streams; its marker lists them, so the
-    # next run deletes them although its config no longer has US
+    # the failed ingest wrote US's streams; its manifest entry lists them, so
+    # the next run deletes them although its config no longer has US
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1,
                                        dim=8, epochs=1)
     (tmp_path / "east.jsonl").rename(tmp_path / "east-kept.jsonl")
@@ -665,9 +692,9 @@ def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
         Pipeline(load_config(cfg_path)).run("all")
     out = tmp_path / "out"
     assert (out / "streams" / "US.bin").exists()
-    marker = json.loads((out / ".stage_ingest.json").read_text())
-    assert marker["key"] is None
-    assert set(marker["artifacts"]) == {"streams/US.bin", "streams/JP.bin", "counts.json"}
+    entry = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]
+    assert entry["key"] is None and not entry["completed"]
+    assert set(entry["artifacts"]) == {"streams/US.bin", "streams/JP.bin", "counts.json"}
     edit_config(cfg_path, "corpora", [
         {"id": "JP", "culture": "East", "input": "east-kept.jsonl", "lang": "en",
          "country": "JP", "lexicon": "demo.dic"}])
@@ -750,6 +777,46 @@ def test_stage_failing_after_its_first_artifact_leaves_nothing_unrecorded(
                                       if c["culture"] == "West"])
     config = load_config(cfg_path)
     assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert_only_recorded_files(config)
+
+
+def test_failed_rerun_keeps_the_later_stages_files_recorded(completed_run, tmp_path, monkeypatch):
+    # a re-run whose project fails runs no later stage; their entries keep
+    # the files they last wrote, so a smaller run after it deletes the
+    # report CSVs and charts it no longer writes
+    copy_run(completed_run, tmp_path)
+    cfg_path = tmp_path / "run" / "config.json"
+    edit_config(cfg_path, "shared_threshold", completed_run[1].shared_threshold + 1)
+    fail_handoff(monkeypatch)
+    with pytest.raises(PipelineStageError, match="stage 'project' failed: disk full"):
+        Pipeline(load_config(cfg_path)).run("all")
+    monkeypatch.undo()
+    edit_config(cfg_path, "corpora", [c for c in json.loads(cfg_path.read_text())["corpora"]
+                                      if c["culture"] == "West"])
+    config = load_config(cfg_path)
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+    assert not (config.out_dir / "report" / "category_scc.csv").exists()
+    assert_only_recorded_files(config)
+
+
+def test_interrupted_run_keeps_the_stages_it_completed(tmp_path, monkeypatch):
+    # the manifest is saved after each stage that runs: when report starts,
+    # the file already records ingest to analyze as complete, so the next
+    # run runs report alone
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=1, dim=8, epochs=1)
+    config = load_config(cfg_path)
+    saved = {}
+
+    def interrupt(self):
+        saved.update(json.loads((self.out / "manifest.json").read_text(encoding="utf-8")))
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(Pipeline, "stage_report", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            Pipeline(config).run("all")
+    assert [s for s, info in saved["stages"].items() if info["completed"]] == list(STAGES[:-1])
+    assert ran(Pipeline(config).run("all")) == ["report"]
     assert_only_recorded_files(config)
 
 
@@ -948,6 +1015,8 @@ WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "cou
     ("min_count", -3, r"training\.min_count must be >= 1"),
     ("subsample", -0.5, "bad training config: subsample must be >= 0"),
     ("shared_threshold", -1, "shared_threshold must be >= 0"),
+    # the top-level seed sets TrainParams.seed, which rejects it before any stage runs
+    ("seed", -3, "bad training config: seed must be >= 0"),
 ])
 def test_bad_training_config_is_config_error(tmp_path, key, value, match):
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
@@ -1179,10 +1248,11 @@ def test_directory_ingested_with_text_streams_reingests(completed_run, tmp_path,
                                  ingest_handle(spec, load_default_inventory())[0]).encode())
         artifacts[f"streams/{spec.corpus_id}.tokens"] = hashlib.sha256(
             text.read_bytes()).hexdigest()
-    marker = json.loads((out / ".stage_ingest.json").read_text())
-    artifacts["counts.json"] = marker["artifacts"]["counts.json"]
-    (out / ".stage_ingest.json").write_text(json.dumps(marker | {
-        "key": old_key, "artifacts": artifacts}))
+    manifest = json.loads((out / "manifest.json").read_text())
+    ingest = manifest["stages"]["ingest"]
+    artifacts["counts.json"] = ingest["artifacts"]["counts.json"]
+    ingest |= {"key": old_key, "artifacts": artifacts}
+    (out / "manifest.json").write_text(json.dumps(manifest))
     assert incomplete(config)[0] == "ingest"
     assert ran(Pipeline(config).run("all")) == ["ingest"]
     assert not list((out / "streams").glob("*.tokens"))

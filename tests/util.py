@@ -178,7 +178,7 @@ def write_two_culture_setup(
 
 
 TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora",
-                  "top-k", "out_dir", "emoji_data")
+                  "top-k", "out_dir", "emoji_data", "seed")
 
 
 def edit_config(path: Path, key, value) -> None:
