@@ -5,7 +5,7 @@ corpus) -> project lexicon category vectors -> correlation analytics ->
 report (CSV + SVG).
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .analytics import (
     CorrelationReport,

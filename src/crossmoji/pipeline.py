@@ -23,7 +23,8 @@ number of workers.
 
 Ingest hands train and project type ids and counts, not text: a stream
 file holds a corpus's type table with each type's count, then the type
-ids of its posts and their lengths (`fileio.write_streams`).  A stream file
+ids of its posts and their lengths, each array at the narrowest of uint8,
+uint16 and int32 that holds it (`fileio.write_streams`).  A stream file
 is the one source of its corpus's vocabulary: train builds it from the
 counts (`build_vocabulary`) and encodes the ids to int32 once per corpus
 (`encode_streams`), and project builds the same vocabulary again, and
@@ -42,6 +43,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -252,11 +254,18 @@ class RunConfig:
 
     def snapshot(self) -> dict:
         """The config as the manifest records it and the stage keys read
-        it: every field but `out_dir`, under its JSON key, paths as strings."""
+        it: every field but `out_dir`, under its JSON key, paths as strings
+        relative to `out_dir`."""
         snapshot = asdict(self, dict_factory=lambda items: {
-            JSON_NAMES.get(k, k): str(v) if isinstance(v, Path) else v for k, v in items})
+            JSON_NAMES.get(k, k): self.relative(v) if isinstance(v, Path) else v
+            for k, v in items})
         del snapshot["out_dir"]
         return snapshot
+
+    def relative(self, path) -> str:
+        """`path` as the manifest records it: relative to `out_dir`, so the
+        record does not change with where the run's directories are."""
+        return os.path.relpath(Path(path).resolve(), Path(self.out_dir).resolve())
 
 
 def _keys(cls) -> dict:
@@ -516,7 +525,7 @@ class Pipeline:
         parts = {}
         shard_rows = []
         for (path, start, end), (shard_parts, seconds) in zip(shards, results):
-            shard_rows.append({"file": str(path), "start": start, "end": end,
+            shard_rows.append({"file": self.config.relative(path), "start": start, "end": end,
                                "lines": shard_parts[0][1].lines, "seconds": round(seconds, 3),
                                "distinct_chunks": shard_parts[0][1].distinct_chunks})
             for spec, part in zip(groups[path], shard_parts):
@@ -565,13 +574,20 @@ class Pipeline:
         results, workers = fan_out([partial(train, corpus_id, seed,
                                             self.model_path(corpus_id, r))
                                     for corpus_id, r, seed in jobs])
+        # the loss of vectors that have not learned: every score is 0 at the
+        # start, so the center and each negative add ln 2
+        untrained = (1 + c.training.negatives) * math.log(2)
         info = {}
         for (corpus_id, r, _), (losses, seconds, size) in zip(jobs, results):
             vocab = vocabs[corpus_id]
             entry = info.setdefault(corpus_id, {
                 "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
-                "epoch_losses": [], "runs": []})
+                "untrained_loss": untrained, "epoch_losses": [], "runs": []})
             entry["epoch_losses"].append(list(losses))
+            if abs(losses[-1] - untrained) <= 0.01 * untrained:
+                self.manifest.warnings.append(
+                    f"run did not leave its initial loss: corpus {corpus_id} run {r}, "
+                    f"last epoch loss {losses[-1]:.4f}, untrained loss {untrained:.4f}")
             # the tokens one run trains on: in-vocabulary tokens times epochs
             run_tokens = vocab.kept_tokens * c.training.epochs
             entry["runs"].append({"seconds": round(seconds, 3),
@@ -725,8 +741,11 @@ class Pipeline:
                     if not isinstance(exc, Exception):
                         raise  # an interrupt
                     raise PipelineStageError(name, exc) from exc
+                written = self._written()
                 self.manifest.record(name, key, time.perf_counter() - start, **extra,
-                                     **max_rss(), artifacts=self._written(),
+                                     **max_rss(), artifacts=written,
+                                     bytes=sum((self.out / rel).stat().st_size
+                                               for rel, digest in written.items() if digest),
                                      warnings=self.manifest.warnings[warnings_before:])
                 self.manifest.save(self.out / "manifest.json")
         finally:

@@ -31,7 +31,14 @@ from crossmoji.corpus import (
     _filter_keys,
     _split_verbal,
 )
-from crossmoji.fileio import STREAM_FORMAT, TypeStreams, read_streams, write_streams
+from crossmoji.fileio import (
+    STREAM_DTYPES,
+    STREAM_FORMAT,
+    TypeStreams,
+    read_arrays,
+    read_streams,
+    write_streams,
+)
 from crossmoji.inventory import load_default_inventory
 
 from util import synthetic_culture_corpus, write_mixed_feed
@@ -484,6 +491,7 @@ JP = FilterConfig(lang="en", country="JP")
 
 def same_streams(a: TypeStreams, b: TypeStreams) -> bool:
     return (a.types == b.types and a.ids.dtype == b.ids.dtype == np.int32
+            and a.lengths.dtype == b.lengths.dtype == np.int32
             and np.array_equal(a.ids, b.ids) and np.array_equal(a.lengths, b.lengths))
 
 
@@ -569,18 +577,49 @@ def test_stream_file_round_trip(tmp_path):
                     "counts": [2, 1, 1, 1, 1]}
 
 
+def stored_dtypes(path) -> list[str]:
+    """The .npy descr of the type ids and of the post lengths in a stream file."""
+    _, arrays = read_arrays(path, STREAM_FORMAT, (STREAM_DTYPES, STREAM_DTYPES))
+    return [array.dtype.str for array in arrays]
+
+
+@pytest.mark.parametrize("types, lengths, descrs", [
+    (256, [255, 1], ["|u1", "|u1"]),
+    (257, [256, 1], ["<u2", "<u2"]),
+    (65_536, [65_535, 1], ["<u2", "<u2"]),
+    (65_537, [65_535, 2], ["<i4", "<u2"]),
+    (3, [70_000], ["|u1", "<i4"]),
+    (0, [], ["|u1", "|u1"]),
+], ids=["uint8", "uint16", "uint16-top", "int32-ids", "int32-lengths", "empty"])
+def test_stream_file_stores_the_narrowest_width_and_reads_int32(tmp_path, types, lengths,
+                                                                descrs):
+    # the largest id is types - 1 and the longest post max(lengths)
+    ids = np.resize(np.arange(types, dtype=np.int32), sum(lengths))
+    streams = TypeStreams(tuple(f"t{i}" for i in range(types)), ids,
+                          np.array(lengths, np.int32))
+    with open(tmp_path / "US.bin", "wb") as f:
+        write_streams(f, streams)
+    assert stored_dtypes(tmp_path / "US.bin") == descrs
+    assert same_streams(read_streams(tmp_path / "US.bin"), streams)
+
+
 @pytest.mark.parametrize("meta, arrays, match", [
-    ({"format": "crossmoji-streams 0"}, None, "not a crossmoji-streams 1 file"),
+    ({"format": "crossmoji-streams 1"}, None, "not a crossmoji-streams 2 file"),
     ({}, [np.array([0, 1, 0, 2], np.int64), np.array([3, 1], np.int32)],
-     "an array is int64, expected int32"),
+     "an array is int64, expected uint8 or uint16 or int32"),
     ({}, [np.array([0, 1, 0, 2], np.float64), np.array([3, 1], np.int32)],
-     "an array is float64, expected int32"),
+     "an array is float64, expected uint8 or uint16 or int32"),
+    ({}, [np.array([0, 1, 0, 2], np.int8), np.array([3, 1], np.uint8)],
+     "an array is int8, expected uint8 or uint16 or int32"),
+    ({}, [np.array([0, 1, 0, 2], np.uint8), np.array([3, 1], np.uint64)],
+     "an array is uint64, expected uint8 or uint16 or int32"),
     ({}, [np.array([0, 1, 0, 2], np.int32)], "EOF|No data"),
     ({}, [np.array([0, 1, 0, 2], np.int32), np.array([3, 2], np.int32)], "disagree"),
     ({}, [np.array([0, 1, 0, 3], np.int32), np.array([3, 1], np.int32)], "disagree"),
     ({"counts": [1, 1, 1]}, None, "disagree"),
-], ids=["old-format", "int64-ids", "float-ids", "no-lengths", "lengths-sum", "id-out-of-range",
-        "wrong-counts"])
+    ({}, [np.array([0, 1, 0, 2], np.uint16), np.array([3, 2], np.uint8)], "disagree"),
+], ids=["old-format", "int64-ids", "float-ids", "int8-ids", "uint64-lengths", "no-lengths",
+        "lengths-sum", "id-out-of-range", "wrong-counts", "narrow-lengths-sum"])
 def test_stream_file_of_wrong_format_or_dtype_raises(tmp_path, meta, arrays, match):
     path = tmp_path / "US.bin"
     meta = {"format": STREAM_FORMAT, "types": ["a", "b", "c"], "counts": [2, 1, 1]} | meta

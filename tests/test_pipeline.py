@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -45,7 +46,7 @@ from crossmoji.pipeline import (
     read_report_json,
 )
 
-from util import edit_config, write_mixed_feed, write_two_culture_setup
+from util import edit_config, write_demo_lexicon, write_mixed_feed, write_two_culture_setup
 
 
 @pytest.fixture(scope="module")
@@ -1089,7 +1090,8 @@ def test_manifest_records_train_throughput_per_run(completed_run):
     cpus = pipeline.usable_cpus()
     shards = ingest["shards"]
     for spec in config.corpora:
-        rows = [r for r in shards if r["file"] == str(spec.input_path.resolve())]
+        rows = [r for r in shards if r["file"] == os.path.relpath(
+            spec.input_path.resolve(), Path(config.out_dir).resolve())]
         assert 1 <= len(rows) <= cpus
         assert [r["start"] for r in rows] == [0] + [r["end"] for r in rows[:-1]]
         assert rows[-1]["end"] == spec.input_path.stat().st_size
@@ -1103,7 +1105,7 @@ def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
     _, config, manifest = completed_run
     # every post of the fixture is kept and not pre-tokenized
     for row in manifest.stages["ingest"]["shards"]:
-        with open(row["file"], "rb") as f:
+        with open(Path(config.out_dir) / row["file"], "rb") as f:
             f.seek(row["start"])
             data = f.read(row["end"] - row["start"])
         lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
@@ -1114,6 +1116,71 @@ def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
     assert list(rows) == [spec.corpus_id for spec in config.corpora]
     for corpus_id, n in rows.items():
         assert 0 < n < len(corpus_vocabulary(config, corpus_id))
+
+
+def test_manifest_paths_do_not_depend_on_where_the_run_is(completed_run, tmp_path):
+    # the same inputs under directory names of different lengths: every
+    # path is recorded relative to the output directory
+    saved = []
+    for name in ("a", "a-longer-name"):
+        shutil.copytree(completed_run[0], tmp_path / name)
+        config = load_config(tmp_path / name / "config.json")
+        shutil.rmtree(config.out_dir)
+        Pipeline(config).run("all")
+        saved.append(json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8")))
+    assert saved[0]["config"] == saved[1]["config"]
+    assert [c["input"] for c in saved[0]["config"]["corpora"]] == [
+        "../west.jsonl", "../east.jsonl"]
+    files = [[row["file"] for row in manifest["stages"]["ingest"]["shards"]]
+             for manifest in saved]
+    assert files[0] == files[1] and set(files[0]) == {"../west.jsonl", "../east.jsonl"}
+
+
+def test_fixture_stream_files_store_uint8(completed_run):
+    # under 256 types and posts of 4 to 7 tokens: both arrays fit in one byte
+    for spec in completed_run[1].corpora:
+        with open(Path(completed_run[1].out_dir) / "streams" / f"{spec.corpus_id}.bin", "rb") as f:
+            data = f.read()
+        assert data.count(b"'descr': '|u1'") == 2, spec.corpus_id
+
+
+def test_stage_bytes_sum_to_the_output_directory(completed_run, tmp_path):
+    out = Path(completed_run[1].out_dir)
+    size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
+    for manifest in (completed_run[2], Pipeline(copy_run(completed_run, tmp_path)).run("all")):
+        stage_bytes = [manifest.stages[stage]["bytes"] for stage in STAGES]
+        assert all(n > 0 for n in stage_bytes)
+        assert sum(stage_bytes) == size - (out / "manifest.json").stat().st_size
+
+
+def test_run_that_does_not_learn_warns_once_per_run(completed_run, tmp_path):
+    # posts of words drawn evenly from 400 types, trained for one epoch, as
+    # on the `feed` workload: every run ends at the untrained loss
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(400)]
+    with open(tmp_path / "feed.jsonl", "w", encoding="utf-8") as f:
+        for i in range(1500):
+            f.write(json.dumps({"post_id": str(i), "text": " ".join(rng.choice(words, 6)),
+                                "country": "US", "lang": "en"}) + "\n")
+    write_demo_lexicon(tmp_path / "demo.dic")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "runs": 2, "training": {"dim": 16, "epochs": 1, "negatives": 5, "min_count": 3},
+        "corpora": [{"id": "US", "culture": "West", "input": "feed.jsonl", "lang": "en",
+                     "country": "US", "lexicon": "demo.dic"}]}), encoding="utf-8")
+    config = load_config(tmp_path / "config.json")
+    manifest = Pipeline(config).run("all")
+    training = manifest.stages["train"]["training"]["US"]
+    assert training["untrained_loss"] == 6 * math.log(2)
+    warned = [w for w in manifest.warnings if "did not leave its initial loss" in w]
+    assert warned == [
+        f"run did not leave its initial loss: corpus US run {r}, last epoch loss "
+        f"{losses[-1]:.4f}, untrained loss {6 * math.log(2):.4f}"
+        for r, losses in enumerate(training["epoch_losses"])]
+    assert Pipeline(config).run("all").warnings == manifest.warnings  # restored once
+    # the planted fixture: no run warns
+    trained = completed_run[2].stages["train"]["training"]
+    assert all(entry["untrained_loss"] == 5 * math.log(2) for entry in trained.values())
+    assert not any("initial loss" in w for w in completed_run[2].warnings)
 
 
 def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):
