@@ -160,11 +160,8 @@ def country_similarity_matrix(tensor: SimilarityTensor) -> CountryMatrix:
     cross_mean = None
     culture_corr = None
     if west and east:
-        cross_vals = [matrix[corpora.index(w), corpora.index(e)] for w in west for e in east]
-        total = 0.0
-        for v in cross_vals:
-            total += v
-        cross_mean = total * (1.0 / len(cross_vals))
+        cross_mean = culture_average([matrix[corpora.index(w), corpora.index(e)]
+                                      for w in west for e in east])
         culture_corr = pearson(
             culture_average([vectors[c] for c in west]),
             culture_average([vectors[c] for c in east]),
@@ -272,10 +269,7 @@ def culture_triples(tensor: SimilarityTensor) -> dict[str, tuple[Optional[float]
     def bucket_mean(pairs: list[tuple[str, str]], i: int) -> Optional[float]:
         if not pairs:
             return None
-        total = 0.0
-        for l1, l2 in pairs:
-            total += spearman(means[l1][i], means[l2][i])
-        return total * (1.0 / len(pairs))
+        return culture_average([spearman(means[l1][i], means[l2][i]) for l1, l2 in pairs])
 
     in_west_pairs = [(a, b) for k, a in enumerate(west) for b in west[k + 1 :]]
     in_east_pairs = [(a, b) for k, a in enumerate(east) for b in east[k + 1 :]]

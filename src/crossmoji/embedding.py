@@ -146,6 +146,7 @@ class EmbeddingModel:
     syn0: np.ndarray  # |V| x d input vectors, float32
     params: TrainParams
     epoch_losses: tuple[float, ...] = ()
+    untrained_losses: tuple[float, ...] = ()  # per epoch, the loss at all scores 0; not saved
     train_seconds: float = 0.0  # wall time of the training run; not saved
 
     @property
@@ -457,8 +458,9 @@ def train_cbow(
     chunks = np.r_[0, np.flatnonzero(np.diff(starts // CHUNK_TOKENS)) + 1, len(lengths)]
     work = _Workspace.of(BATCH, params.window, params.negatives, d)
     epoch_losses: list[float] = []
+    untrained_losses: list[float] = []
     for epoch in range(params.epochs):
-        loss_sum, n_positions = 0.0, 0
+        loss_sum, n_positions, n_unmasked = 0.0, 0, 0
         for s0, s1 in zip(chunks[:-1], chunks[1:]):
             done = epoch * len(ids) + starts[s0:s1]
             alpha = np.maximum(params.lr0 + (done / total_words) * lr_span, params.lr_min)
@@ -474,12 +476,16 @@ def train_cbow(
             for b in range(0, len(centers), BATCH):
                 loss_sum += _apply_batch(syn0, syn1, chunk, b, work)
             n_positions += len(centers)
+            n_unmasked += int(np.count_nonzero(chunk.keep))
         epoch_losses.append(loss_sum / max(n_positions, 1))
+        # at all scores 0, the center and each negative the mask leaves in add ln 2
+        untrained_losses.append(float(np.log(2.0)) * (1 + n_unmasked / max(n_positions, 1)))
         _check_finite(syn0, syn1, epoch)
 
     return EmbeddingModel(
         vocab=vocab, syn0=syn0, params=params,
-        epoch_losses=tuple(epoch_losses), train_seconds=time.perf_counter() - start,
+        epoch_losses=tuple(epoch_losses), untrained_losses=tuple(untrained_losses),
+        train_seconds=time.perf_counter() - start,
     )
 
 

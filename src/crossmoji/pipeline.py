@@ -43,7 +43,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -146,15 +145,24 @@ def usable_cpus() -> int:
 def max_rss() -> dict:
     """`max_rss_mb`: the peak resident set so far of this process (`self`)
     and of the largest worker process that has ended (`workers`), in MB of
-    10^6 bytes; nothing where the `resource` module is missing."""
+    10^6 bytes; nothing where the `resource` module is missing.  `self` is
+    `VmHWM` from /proc/self/status where that exists: Linux carries
+    `ru_maxrss` over from the process that exec'd this one."""
     try:
         import resource
     except ImportError:  # Windows
         return {}
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
-    return {"max_rss_mb": {
-        who: round(resource.getrusage(which).ru_maxrss * unit / 1e6, 2)
-        for who, which in (("self", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN))}}
+    peaks = {who: resource.getrusage(which).ru_maxrss * unit
+             for who, which in (("self", resource.RUSAGE_SELF),
+                                ("workers", resource.RUSAGE_CHILDREN))}
+    try:
+        with open("/proc/self/status", "rb") as f:  # bytes: `Name:` may be any
+            peaks["self"] = next(int(line.split()[1]) * 1024  # in kB, which are KiB
+                                 for line in f if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        pass
+    return {"max_rss_mb": {who: round(peak / 1e6, 2) for who, peak in peaks.items()}}
 
 
 _calls: list = []  # in a worker process: the calls of the fan_out that forked it
@@ -564,7 +572,8 @@ class Pipeline:
             model = train_cbow(encoded[corpus_id], vocabs[corpus_id],
                                replace(c.training, seed=seed))
             save_model(model, path)
-            return model.epoch_losses, model.train_seconds, path.stat().st_size
+            return (model.epoch_losses, model.untrained_losses[-1], model.train_seconds,
+                    path.stat().st_size)
 
         # every (corpus, run) pair gets its own seed; same-sized vocabularies
         # must not share initializations across corpora
@@ -574,15 +583,12 @@ class Pipeline:
         results, workers = fan_out([partial(train, corpus_id, seed,
                                             self.model_path(corpus_id, r))
                                     for corpus_id, r, seed in jobs])
-        # the loss of vectors that have not learned: every score is 0 at the
-        # start, so the center and each negative add ln 2
-        untrained = (1 + c.training.negatives) * math.log(2)
         info = {}
-        for (corpus_id, r, _), (losses, seconds, size) in zip(jobs, results):
+        for (corpus_id, r, _), (losses, untrained, seconds, size) in zip(jobs, results):
             vocab = vocabs[corpus_id]
             entry = info.setdefault(corpus_id, {
                 "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
-                "untrained_loss": untrained, "epoch_losses": [], "runs": []})
+                "epoch_losses": [], "runs": []})
             entry["epoch_losses"].append(list(losses))
             if abs(losses[-1] - untrained) <= 0.01 * untrained:
                 self.manifest.warnings.append(
@@ -592,7 +598,7 @@ class Pipeline:
             run_tokens = vocab.kept_tokens * c.training.epochs
             entry["runs"].append({"seconds": round(seconds, 3),
                                   "tokens_per_s": round(run_tokens / max(seconds, 1e-9)),
-                                  "bytes": size})
+                                  "bytes": size, "untrained_loss": untrained})
         return {"training": info, "workers": workers}
 
     def stage_project(self) -> dict:

@@ -14,8 +14,8 @@ the categories kept before it is below `GRAM_SCHMIDT_TOL` in some run.
 Zero vectors, categories with identical token sets and a category that is
 the union of others (LIWC's `affect` of `posemo` and `negemo`) are all
 that one case.  A target or Ekman word missing from any corpus vocabulary
-is excluded everywhere (and reported).  Culture averages use
-`sum * (1/n)`, the literal form of the per-culture mean.
+is excluded everywhere (and reported).  Every mean of runs, corpora,
+cultures and country pairs is `culture_average`'s sum * (1/n).
 
 The same unit target rows give each corpus's emoji x emoji cosine
 profile, the upper triangle of their cosine matrix averaged over runs,
@@ -107,12 +107,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def culture_average(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of per-corpus arrays as sum * (1/n), the literal '1/n Σ' form."""
-    total = arrays[0].copy()
-    for a in arrays[1:]:
-        total += a
-    return total * (1.0 / len(arrays))
+def culture_average(terms: Sequence):
+    """Mean of arrays or numbers as their sum, added left to right from the
+    first term, times (1/n): the literal '1/n Σ' form."""
+    total = terms[0]
+    for a in terms[1:]:
+        total = total + a
+    return total * (1.0 / len(terms))
 
 
 @dataclass
@@ -140,8 +141,7 @@ class SimilarityTensor:
         return sum(1 for a in self.axes if not a.startswith(EKMAN_AXIS_PREFIX))
 
     def corpus_mean(self, corpus: str) -> np.ndarray:
-        runs = self.per_run[corpus]
-        return runs.sum(axis=0) * (1.0 / runs.shape[0])
+        return culture_average(list(self.per_run[corpus]))
 
     def cultures(self) -> tuple[str, ...]:
         seen = []
@@ -250,7 +250,7 @@ def build_tensor(
     per_run = {corpus: np.empty((n, len(axes), len(usable_targets)))
                for corpus, n in n_runs.items()}
     pairs = np.triu_indices(len(usable_targets), k=1)
-    profiles: dict[str, np.ndarray] = {}
+    profiles: dict[str, list[np.ndarray]] = {corpus: [] for corpus in corpora}
     for (corpus, r, model), basis in zip(runs, bases):
         rows = [basis[:len(kept)]]
         if ekman_labels:
@@ -261,7 +261,7 @@ def build_tensor(
         t_norm = target_matrix / np.linalg.norm(target_matrix, axis=1, keepdims=True)
         per_run[corpus][r] = np.clip(a_norm @ t_norm.T, -1.0, 1.0)
         sims = np.clip(t_norm @ t_norm.T, -1.0, 1.0)[pairs]
-        profiles[corpus] = sims if r == 0 else profiles[corpus] + sims
+        profiles[corpus].append(sims)
 
     return SimilarityTensor(
         axes=axes,
@@ -272,7 +272,7 @@ def build_tensor(
         excluded_targets=tuple(excluded_targets),
         excluded_axes=tuple(excluded_axes),
         dropped_categories=dropped,
-        profiles={corpus: p * (1.0 / n_runs[corpus]) for corpus, p in profiles.items()},
+        profiles={corpus: culture_average(p) for corpus, p in profiles.items()},
     )
 
 

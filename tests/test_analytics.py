@@ -25,7 +25,7 @@ from crossmoji.analytics import (
 )
 from crossmoji.embedding import EmbeddingModel, TrainParams, Vocabulary
 from crossmoji.inventory import EmojiInventory, FrequencyTable, SharedEmojiSet
-from crossmoji.projection import SimilarityTensor, build_tensor
+from crossmoji.projection import SimilarityTensor, build_tensor, culture_average
 
 
 # --- oracles ---------------------------------------------------------------
@@ -429,6 +429,28 @@ def test_country_matrix_matches_brute_force_recompute():
     # cross summary: mean over the 2 cross pairs (A,C), (B,C)
     expected_cross = (out.matrix[0, 2] + out.matrix[1, 2]) / 2
     assert out.cross_pair_mean == pytest.approx(expected_cross, abs=1e-12)
+
+
+def test_triples_buckets_and_cross_pair_mean_are_culture_averages():
+    # the same literal mean as every other reported average, to the bit
+    rng = np.random.default_rng(12)
+    tokens = ["😀", "😢", "🍕", "🚗", "⚽"]
+    corpora = ["US", "UK", "CA", "CN", "JP"]
+    culture_of = {"US": "West", "UK": "West", "CA": "West", "CN": "East", "JP": "East"}
+    tensor = profile_tensor({c: [random_model(rng, tokens)] for c in corpora},
+                            tokens, culture_of)
+    means = {c: tensor.corpus_mean(c) for c in corpora}
+    cross = [("US", "CN"), ("US", "JP"), ("UK", "CN"), ("UK", "JP"), ("CA", "CN"), ("CA", "JP")]
+    in_west = [("US", "UK"), ("US", "CA"), ("UK", "CA")]
+    for i, axis in enumerate(tensor.axes):
+        got = culture_triples(tensor)[axis]
+        assert got[0] == culture_average([spearman(means[a][i], means[b][i]) for a, b in in_west])
+        assert got[2] == culture_average([spearman(means[a][i], means[b][i]) for a, b in cross])
+    out = country_similarity_matrix(tensor)
+    index = {c: k for k, c in enumerate(out.corpora)}
+    assert isinstance(out.cross_pair_mean, float)
+    assert out.cross_pair_mean == culture_average(
+        [out.matrix[index[a], index[b]] for a, b in cross])
 
 
 def test_country_matrix_symmetric_under_permutation():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,7 @@ def test_same_seed_same_model():
 
 TRAIN_AND_SAVE = """
 import sys
+from dataclasses import replace
 import numpy as np
 from crossmoji.embedding import TrainParams, build_vocabulary, encode_streams, save_model, train_cbow
 rng = np.random.default_rng(3)
@@ -258,6 +260,24 @@ def test_loss_decreases_between_epochs():
     model = train_cbow(encode_streams(sents, vocab), vocab, params)
     assert len(model.epoch_losses) == 2
     assert model.epoch_losses[1] < model.epoch_losses[0]
+
+
+def test_untrained_loss_counts_only_the_negatives_the_mask_leaves_in():
+    # on two types a shared negative often equals its row's center and is
+    # masked, so vectors that barely move end far below (1 + K) ln 2, at the
+    # loss the kernel gives all scores 0
+    rng = np.random.default_rng(5)
+    sents = streams(*(" ".join(rng.choice(["a", "b"], 8)) for _ in range(200)))
+    vocab = build_vocabulary(sents, min_count=1)
+    params = TrainParams(dim=8, epochs=2, lr0=1e-7, lr_min=1e-8, window=2, negatives=4,
+                         subsample=0.0, seed=1)
+    model = train_cbow(encode_streams(sents, vocab), vocab, params)
+    assert len(model.untrained_losses) == 2
+    assert model.epoch_losses[-1] == pytest.approx(model.untrained_losses[-1], abs=1e-4)
+    assert model.untrained_losses[-1] < 0.7 * (1 + params.negatives) * np.log(2)
+    # no random draw depends on it: a run that learns has the same values
+    learns = train_cbow(encode_streams(sents, vocab), vocab, replace(params, lr0=0.025))
+    assert learns.untrained_losses == model.untrained_losses
 
 
 def test_planted_synonyms_become_neighbors():

@@ -1170,17 +1170,35 @@ def test_run_that_does_not_learn_warns_once_per_run(completed_run, tmp_path):
     config = load_config(tmp_path / "config.json")
     manifest = Pipeline(config).run("all")
     training = manifest.stages["train"]["training"]["US"]
-    assert training["untrained_loss"] == 6 * math.log(2)
+    untrained = [run["untrained_loss"] for run in training["runs"]]
+    # with 400 types few negatives clash with their center
+    assert all(0.99 * 6 * math.log(2) < u <= 6 * math.log(2) for u in untrained)
     warned = [w for w in manifest.warnings if "did not leave its initial loss" in w]
     assert warned == [
         f"run did not leave its initial loss: corpus US run {r}, last epoch loss "
-        f"{losses[-1]:.4f}, untrained loss {6 * math.log(2):.4f}"
-        for r, losses in enumerate(training["epoch_losses"])]
+        f"{losses[-1]:.4f}, untrained loss {u:.4f}"
+        for r, (losses, u) in enumerate(zip(training["epoch_losses"], untrained))]
     assert Pipeline(config).run("all").warnings == manifest.warnings  # restored once
-    # the planted fixture: no run warns
+    # the planted fixture's 48 types: some negatives clash with their center
     trained = completed_run[2].stages["train"]["training"]
-    assert all(entry["untrained_loss"] == 5 * math.log(2) for entry in trained.values())
-    assert not any("initial loss" in w for w in completed_run[2].warnings)
+    assert all(math.log(2) < run["untrained_loss"] < 5 * math.log(2)
+               for entry in trained.values() for run in entry["runs"])
+
+
+@pytest.mark.parametrize("lr0, warns", [(1e-7, True), (0.1, False)])
+def test_run_on_a_small_vocabulary_warns_when_it_does_not_learn(tmp_path, lr0, warns):
+    # at a learning rate that moves nothing, masked clashes put the loss
+    # below (1 + K) ln 2, but at the kernel's own untrained loss
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=25, runs=2, dim=16, epochs=2)
+    edit_config(cfg_path, "lr0", lr0)
+    edit_config(cfg_path, "lr_min", lr0 / 10)
+    manifest = Pipeline(load_config(cfg_path)).run("all")
+    warned = [w for w in manifest.warnings if "did not leave its initial loss" in w]
+    every_run = [f"run did not leave its initial loss: corpus {c} run {r}"
+                 for c in ("US", "JP") for r in range(2)]
+    assert [w.split(",")[0] for w in warned] == (every_run if warns else [])
+    for entry in manifest.stages["train"]["training"].values():
+        assert all(losses[-1] < 0.99 * 5 * math.log(2) for losses in entry["epoch_losses"])
 
 
 def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):
@@ -1195,6 +1213,19 @@ def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):
     again = Pipeline(dataclasses.replace(config, out_dir=tmp_path / "out"))
     shutil.copytree(config.out_dir, tmp_path / "out")
     assert not any("max_rss_mb" in entry for entry in again.run("all").stages.values())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_max_rss_self_is_this_process_not_the_one_that_exec_d_it():
+    # a process holding 120 MB execs a fresh Python: Linux carries its
+    # ru_maxrss over, but not its resident-set high-water mark
+    exec_python = ("import os, sys; held = b'x' * 120_000_000; os.execv(sys.executable, "
+                   "[sys.executable, '-c', 'import json; from crossmoji.pipeline import max_rss; "
+                   "print(json.dumps(max_rss()))'])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", exec_python], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert json.loads(out)["max_rss_mb"]["self"] < 100
 
 
 # --- worker processes ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Category vectors, Gram-Schmidt, cosine, and tensor construction."""
 
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from crossmoji.embedding import EmbeddingModel, TrainParams, Vocabulary
 from crossmoji.projection import (
     DegenerateCategoryError,
     RankDeficiencyError,
+    SimilarityTensor,
     UndefinedSimilarityError,
     build_tensor,
     category_vector,
@@ -136,6 +138,26 @@ def test_cosine_scale_invariance():
 def test_culture_average_exact_one_third_form():
     vals = [np.array([0.2]), np.array([0.4]), np.array([0.6])]
     assert culture_average(vals)[0] == 0.4  # exact, not approx
+    assert culture_average([0.2, 0.4, 0.6]) == 0.4  # plain numbers too
+
+
+@pytest.mark.parametrize("runs", range(1, 7))
+def test_run_and_culture_means_are_a_left_to_right_sum_times_one_over_n(runs):
+    # the reported averages keep their bits only if every mean adds its
+    # terms in order from the first and then scales once by 1/n
+    def literal_mean(terms):
+        return reduce(np.add, terms) * (1.0 / len(terms))
+
+    rng = np.random.default_rng(runs)
+    corpora = ("US", "UK", "CA")
+    tensor = SimilarityTensor(
+        axes=("a", "b", "c"), targets=tuple("vwxyz"), corpora=corpora,
+        culture_of=dict.fromkeys(corpora, "West"),
+        per_run={c: rng.uniform(-1, 1, (runs, 3, 5)) for c in corpora})
+    for c in corpora:
+        assert np.array_equal(tensor.corpus_mean(c), literal_mean(list(tensor.per_run[c])))
+    assert np.array_equal(tensor.culture_mean("West"),
+                          literal_mean([literal_mean(list(tensor.per_run[c])) for c in corpora]))
 
 
 # --- tensor construction ---------------------------------------------------------
