@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -423,18 +423,21 @@ def _apply_batch(syn0: np.ndarray, syn1: np.ndarray, chunk: _Chunk, start: int,
     return float(loss)
 
 
+def learning_rate(done: np.ndarray, total: int, params: TrainParams) -> np.ndarray:
+    """The learning rate after `done` of a run's `total` in-vocabulary
+    tokens (pre-subsampling): linear from `lr0` to `lr_min`, never below it."""
+    return np.maximum(params.lr0 + (done / total) * (params.lr_min - params.lr0), params.lr_min)
+
+
 def train_cbow(
     encoded: tuple[np.ndarray, np.ndarray],
     vocab: Vocabulary,
     params: TrainParams,
-    alpha_trace: Optional[Callable[[int, float], None]] = None,
 ) -> EmbeddingModel:
     """Train one CBOW model for exactly `params.epochs` passes over
-    `encoded`, the (ids, lengths) pair `encode_streams` gives.
-
-    The learning rate decays linearly with the number of in-vocabulary tokens
-    consumed (pre-subsampling), refreshed once per sentence; `alpha_trace`,
-    if given, receives (tokens consumed, learning rate) for every sentence."""
+    `encoded`, the (ids, lengths) pair `encode_streams` gives, each sentence
+    at its first token's `learning_rate`.  A score far below 0 overflows
+    `exp` in `_sigmoid`, to a sigmoid of exactly 0, unreported."""
     start = time.perf_counter()
     if len(vocab) < 2:
         raise EmptyVocabularyError(
@@ -452,35 +455,31 @@ def train_cbow(
                                              params.subsample, len(ids))
 
     total_words = len(ids) * params.epochs
-    lr_span = params.lr_min - params.lr0
     ends = np.cumsum(lengths)
     starts = ends - lengths  # token offset of each sentence
     chunks = np.r_[0, np.flatnonzero(np.diff(starts // CHUNK_TOKENS)) + 1, len(lengths)]
     work = _Workspace.of(BATCH, params.window, params.negatives, d)
     epoch_losses: list[float] = []
     untrained_losses: list[float] = []
-    for epoch in range(params.epochs):
-        loss_sum, n_positions, n_unmasked = 0.0, 0, 0
-        for s0, s1 in zip(chunks[:-1], chunks[1:]):
-            done = epoch * len(ids) + starts[s0:s1]
-            alpha = np.maximum(params.lr0 + (done / total_words) * lr_span, params.lr_min)
-            if alpha_trace is not None:
-                for words_done, a in zip(done.tolist(), alpha.tolist()):
-                    alpha_trace(words_done, a)
-            centers, ctx, mask, sentence = _chunk_positions(
-                ids[starts[s0] : ends[s1 - 1]], lengths[s0:s1], keep_prob,
-                params.window, rng)
-            blocks = -(-len(centers) // GROUP)  # each shares its negatives
-            negs = np.searchsorted(neg_cum, rng.random((blocks, params.negatives)))
-            chunk = _Chunk.of(centers, ctx, mask, alpha[sentence], negs)
-            for b in range(0, len(centers), BATCH):
-                loss_sum += _apply_batch(syn0, syn1, chunk, b, work)
-            n_positions += len(centers)
-            n_unmasked += int(np.count_nonzero(chunk.keep))
-        epoch_losses.append(loss_sum / max(n_positions, 1))
-        # at all scores 0, the center and each negative the mask leaves in add ln 2
-        untrained_losses.append(float(np.log(2.0)) * (1 + n_unmasked / max(n_positions, 1)))
-        _check_finite(syn0, syn1, epoch)
+    with np.errstate(over="ignore"):
+        for epoch in range(params.epochs):
+            loss_sum, n_positions, n_unmasked = 0.0, 0, 0
+            for s0, s1 in zip(chunks[:-1], chunks[1:]):
+                alpha = learning_rate(epoch * len(ids) + starts[s0:s1], total_words, params)
+                centers, ctx, mask, sentence = _chunk_positions(
+                    ids[starts[s0] : ends[s1 - 1]], lengths[s0:s1], keep_prob,
+                    params.window, rng)
+                blocks = -(-len(centers) // GROUP)  # each shares its negatives
+                negs = np.searchsorted(neg_cum, rng.random((blocks, params.negatives)))
+                chunk = _Chunk.of(centers, ctx, mask, alpha[sentence], negs)
+                for b in range(0, len(centers), BATCH):
+                    loss_sum += _apply_batch(syn0, syn1, chunk, b, work)
+                n_positions += len(centers)
+                n_unmasked += int(np.count_nonzero(chunk.keep))
+            epoch_losses.append(loss_sum / max(n_positions, 1))
+            # at all scores 0, the center and each negative the mask leaves in add ln 2
+            untrained_losses.append(float(np.log(2.0)) * (1 + n_unmasked / max(n_positions, 1)))
+            _check_finite(syn0, syn1, epoch)
 
     return EmbeddingModel(
         vocab=vocab, syn0=syn0, params=params,

@@ -129,6 +129,7 @@ STAGE_READS = {
                     "pipeline.py")),
 }
 PACKAGE = Path(__file__).parent  # where the modules named in STAGE_READS are
+_module_digests: dict[Path, Optional[str]] = {}  # their digests, for this process
 
 
 class ConfigError(ValueError):
@@ -185,8 +186,8 @@ def fan_out(calls: list) -> tuple[list, int]:
     `min(calls, CPUs)` forked worker processes.  The workers inherit all the
     calls refer to, so only a call's index goes to a worker and only its
     result comes back.  Otherwise, or where `fork` is unavailable, the calls
-    run here one after another.  A call that raises raises its exception
-    here."""
+    run here one after another.  The first call that raises raises its
+    exception here, and no call that has not started then starts."""
     workers = min(len(calls), usable_cpus())
     if workers > 1:
         # imported here: a run that fans nothing out does not pay for them
@@ -201,12 +202,7 @@ def fan_out(calls: list) -> tuple[list, int]:
     # and fork passes `initargs` on without pickling them
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit, initargs=(calls,)) as pool:
-        futures = [pool.submit(_call, i) for i in range(len(calls))]
-        try:
-            return [f.result() for f in futures], workers
-        finally:
-            for f in futures:  # after a failure, start no further call
-                f.cancel()
+        return list(pool.map(_call, range(len(calls)))), workers
 
 
 class PipelineStageError(RuntimeError):
@@ -379,15 +375,25 @@ class RunManifest:
 
 
 class Pipeline:
-    """Executes stages against one output directory."""
+    """Executes stages against one output directory; it may be run again,
+    and each `run` reads the config, the last record and every file anew."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.out = Path(config.out_dir)
-        self.manifest = RunManifest(config=config.snapshot())
-        self._recorded = self._read_record()  # the last run's entries; run() reads them anew
-        self._inventory = None
+        self._begin()
+
+    def _begin(self) -> None:
+        """Build all a run reads from the config and the output directory as
+        they are now.  In the new manifest, a stage the run has not recorded
+        is not complete and keeps its last entry's key and artifacts, for the
+        next run's `_holds` and `_clear`."""
+        self.out = Path(self.config.out_dir)
+        self._recorded = self._read_record()
+        self.manifest = RunManifest(self.config.snapshot(), stages={name: {
+            "completed": False, "skipped": True, "key": self._recorded.get(name, {}).get("key"),
+            "artifacts": self._recorded.get(name, {}).get("artifacts", {})} for name in STAGES})
         self._digests: dict[Path, Optional[str]] = {}
+        self._inventory = None
         self._artifacts: list[Path] = []  # declared by the running stage
 
     # --- shared resources ---
@@ -410,14 +416,16 @@ class Pipeline:
     def _digest(self, path: Path) -> Optional[str]:
         """sha256 of a file's content, None if it cannot be read (the stage
         that reads it then runs and reports why); each file is hashed once
-        per pipeline, or again after a stage rewrites it."""
-        if path not in self._digests:
+        per run, or again after a stage rewrites it; a package module once
+        per process, as code already imported cannot change under it."""
+        digests = _module_digests if path.parent == PACKAGE else self._digests
+        if path not in digests:
             try:
                 with open(path, "rb") as f:
-                    self._digests[path] = hashlib.file_digest(f, "sha256").hexdigest()
+                    digests[path] = hashlib.file_digest(f, "sha256").hexdigest()
             except OSError:
-                self._digests[path] = None
-        return self._digests[path]
+                digests[path] = None
+        return digests[path]
 
     def _declare(self, paths: list[Path]) -> None:
         """Record artifacts the running stage is about to write, and make their
@@ -590,9 +598,13 @@ class Pipeline:
                 "vocabulary": len(vocab), "corpus_tokens": vocab.corpus_tokens,
                 "epoch_losses": [], "runs": []})
             entry["epoch_losses"].append(list(losses))
-            if abs(losses[-1] - untrained) <= 0.01 * untrained:
+            # within 1% of the untrained loss either way: it did not learn
+            stuck = abs(losses[-1] - untrained) <= 0.01 * untrained
+            verdict = ("did not leave its initial loss" if stuck
+                       else "diverged" if losses[-1] > untrained else None)
+            if verdict:
                 self.manifest.warnings.append(
-                    f"run did not leave its initial loss: corpus {corpus_id} run {r}, "
+                    f"run {verdict}: corpus {corpus_id} run {r}, "
                     f"last epoch loss {losses[-1]:.4f}, untrained loss {untrained:.4f}")
             # the tokens one run trains on: in-vocabulary tokens times epochs
             run_tokens = vocab.kept_tokens * c.training.epochs
@@ -705,20 +717,13 @@ class Pipeline:
         hold its key, saving the manifest after each.  It records every stage:
         one this call did not run comes from its last entry when that holds
         and the stages before it are complete, and is not complete otherwise."""
+        self._begin()
         if stage not in list(STAGES) + ["all"]:
             raise ConfigError(f"unknown stage {stage!r}; choose from {', '.join(STAGES)} or all")
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {self.out} not writable: {exc}") from exc
-        # a new manifest, in which a stage this call has not recorded is not
-        # complete and keeps its last entry's key and artifacts, for a later
-        # `_holds` and `_clear`
-        self._recorded = self._read_record()
-        last = {name: self._recorded.get(name, {}) for name in STAGES}
-        self.manifest = RunManifest(self.manifest.config, stages={
-            name: {"completed": False, "skipped": True, "key": last[name].get("key"),
-                   "artifacts": last[name].get("artifacts", {})} for name in STAGES})
         complete = True  # every stage before this one is
         try:
             for index, name in enumerate(STAGES):

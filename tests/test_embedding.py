@@ -22,6 +22,7 @@ from crossmoji.embedding import (
     cbow_gradients,
     cbow_loss,
     encode_streams,
+    learning_rate,
     load_model,
     neighbors,
     save_model,
@@ -235,20 +236,30 @@ def test_training_step_makes_no_blas_call():
 
 # --- learning rate schedule -------------------------------------------------------
 
-def test_linear_lr_decay_trace():
+def test_linear_lr_decay_trace(monkeypatch):
+    # train_cbow takes each sentence's rate from `learning_rate`, at the
+    # tokens consumed before the sentence, of the tokens of all epochs
+    import crossmoji.embedding as embedding
+
     sents = streams(*(["a b c d e"] * 40))
     vocab = build_vocabulary(sents, min_count=1)
     params = TrainParams(dim=4, epochs=3, window=2, negatives=2, subsample=0.0, seed=1)
-    trace = []
-    train_cbow(encode_streams(sents, vocab), vocab, params,
-               alpha_trace=lambda done, a: trace.append((done, a)))
+    asked = []
+    monkeypatch.setattr(embedding, "learning_rate", lambda done, total, p: asked.append(
+        (done.tolist(), total)) or learning_rate(done, total, p))
+    train_cbow(encode_streams(sents, vocab), vocab, params)
     total = 5 * 40 * 3
-    for done, alpha in trace:
-        expected = max(params.lr0 + (done / total) * (params.lr_min - params.lr0),
-                       params.lr_min)
-        assert alpha == pytest.approx(expected, abs=1e-15)
-    assert trace[0][1] == pytest.approx(params.lr0)
-    assert trace[-1][1] < params.lr0 * 0.05  # decayed nearly to the floor
+    assert {t for _, t in asked} == {total}
+    done = [n for chunk, _ in asked for n in chunk]
+    assert done == list(range(0, total, 5))  # once per sentence, every epoch
+    alpha = learning_rate(np.array(done), total, params).tolist()
+    for n, a in zip(done, alpha):
+        expected = max(params.lr0 + (n / total) * (params.lr_min - params.lr0), params.lr_min)
+        assert a == pytest.approx(expected, abs=1e-15)
+    assert alpha[0] == pytest.approx(params.lr0)
+    assert alpha[-1] < params.lr0 * 0.05  # decayed nearly to the floor
+    assert learning_rate(np.array([total, 2 * total]), total, params).tolist() == [
+        params.lr_min] * 2
 
 
 # --- training behaviour -------------------------------------------------------------

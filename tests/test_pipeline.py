@@ -13,7 +13,7 @@ import sys
 import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +188,17 @@ def copy_run(completed_run, tmp_path):
     return load_config(tmp_path / "run" / "config.json")
 
 
+def reused(config, same_object: bool):
+    """With `same_object`, a Pipeline of `config` that has run (every stage
+    skipped), so that it has read the record and config and hashed every
+    file, to run again after an edit; else None, for a fresh one."""
+    if not same_object:
+        return None
+    runner = Pipeline(config)
+    assert ran(runner.run("all")) == []
+    return runner
+
+
 def ran(manifest) -> list[str]:
     return [stage for stage, info in manifest.stages.items() if not info["skipped"]]
 
@@ -223,13 +234,15 @@ def test_manifest_without_artifacts_reruns_every_stage_once(completed_run, tmp_p
     assert ran(Pipeline(config).run("all")) == []
 
 
-def test_input_edit_reruns_every_stage(completed_run, tmp_path):
+@pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
+def test_input_edit_reruns_every_stage(completed_run, tmp_path, same_object):
     config = copy_run(completed_run, tmp_path)
+    runner = reused(config, same_object)
     west = config.corpora[0].input_path
     lines = west.read_text(encoding="utf-8").splitlines(keepends=True)
     west.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
     counts = (config.out_dir / "counts.json").read_bytes()
-    manifest = Pipeline(config).run("all")
+    manifest = (runner or Pipeline(config)).run("all")
     assert ran(manifest) == list(STAGES)
     assert (config.out_dir / "counts.json").read_bytes() != counts
     assert manifest.stages["ingest"]["counts"]["US"]["posts_read"] == len(lines) // 2
@@ -334,12 +347,26 @@ def test_every_snapshot_field_has_a_reader_case(completed_run):
     assert names == set(FIELD_READERS)
 
 
-@pytest.mark.parametrize("field", sorted(FIELD_READERS))
-def test_edit_invalidates_first_stage_reading_it(completed_run, tmp_path, field):
+@pytest.mark.parametrize("field, same_object", [
+    pytest.param(field, same_object, id=field + "-same-object" * same_object)
+    for same_object in (False, True) for field in sorted(FIELD_READERS)])
+def test_edit_invalidates_first_stage_reading_it(completed_run, tmp_path, field, same_object):
     # the stages before the first reader stay complete: no over-invalidation
     stage, edit = FIELD_READERS[field]
-    changed = edit(completed_run[1], tmp_path)
-    assert incomplete(changed)[0] == stage
+    if not same_object:
+        assert incomplete(edit(completed_run[1], tmp_path))[0] == stage
+        return
+    # the config object edited in place after its Pipeline ran: the next run
+    # starts at the first reader too, and records the config as edited
+    config = copy_run(completed_run, tmp_path)
+    runner = reused(config, True)
+    changed = edit(config, tmp_path)
+    for f in dataclasses.fields(config):
+        setattr(config, f.name, getattr(changed, f.name))
+    with suppress(PipelineStageError):  # a lang or country no post has leaves train no tokens
+        runner.run("all")
+    assert ran(runner.manifest)[0] == stage
+    assert runner.manifest.config == changed.snapshot() != completed_run[1].snapshot()
 
 
 # package module -> the first stage that runs its code (None: no stage does)
@@ -448,6 +475,23 @@ def test_corpus_edit_that_writes_the_same_streams_leaves_train_cached(
     assert (config.out_dir / "handoff.bin").read_bytes() == handoff
 
 
+def test_each_package_module_is_hashed_once_per_process(completed_run, tmp_path, monkeypatch):
+    # code already imported cannot change under the process, so a module's
+    # digest outlives a run; every other file is hashed again by the next
+    config = copy_run(completed_run, tmp_path)
+    monkeypatch.setattr(pipeline, "_module_digests", {})
+    hashed = []
+    file_digest = hashlib.file_digest
+    monkeypatch.setattr(hashlib, "file_digest",
+                        lambda f, name: hashed.append(Path(f.name)) or file_digest(f, name))
+    runner = Pipeline(config)
+    assert ran(runner.run("all")) == ran(runner.run("all")) == []
+    modules = {name for stage in STAGES for name in declared_modules(stage)}
+    assert sorted(p.name for p in hashed if p.parent == pipeline.PACKAGE) == sorted(modules)
+    others = Counter(p for p in hashed if p.parent != pipeline.PACKAGE)
+    assert others and set(others.values()) == {2}
+
+
 def test_every_declared_module_is_a_package_file():
     # `_digest` gives None for a missing file, so a misspelled module name
     # would keep the key constant whatever the code
@@ -479,17 +523,22 @@ def test_each_stage_declares_every_module_it_runs(completed_run, tmp_path, monke
     assert "pipeline.py" in modules  # the profile saw the stage run
 
 
-def test_truncated_model_retrains_to_same_bytes(completed_run, tmp_path):
+@pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
+@pytest.mark.parametrize("damage", ["truncated", "deleted"])
+def test_truncated_model_retrains_to_same_bytes(completed_run, tmp_path, damage, same_object):
     config = copy_run(completed_run, tmp_path)
+    runner = reused(config, same_object)
     before = outputs(config.out_dir, also=("models",))
     model = config.out_dir / "models" / "US.run0.vec"
-    model.write_bytes(model.read_bytes()[:-100])
-    manifest = Pipeline(config).run("all")
-    assert not manifest.stages["train"]["skipped"]
-    assert manifest.stages["ingest"]["skipped"]
+    if damage == "deleted":
+        model.unlink()
+    else:
+        model.write_bytes(model.read_bytes()[:-100])
+    manifest = (runner or Pipeline(config)).run("all")
+    assert ran(manifest) == ["train"]
     assert outputs(config.out_dir, also=("models",)) == before
     # the repaired directory is complete again
-    assert ran(Pipeline(config).run("all")) == []
+    assert ran((runner or Pipeline(config)).run("all")) == []
 
 
 def test_deleted_tensor_reruns_project(completed_run, tmp_path):
@@ -1199,6 +1248,23 @@ def test_run_on_a_small_vocabulary_warns_when_it_does_not_learn(tmp_path, lr0, w
     assert [w.split(",")[0] for w in warned] == (every_run if warns else [])
     for entry in manifest.stages["train"]["training"].values():
         assert all(losses[-1] < 0.99 * 5 * math.log(2) for losses in entry["epoch_losses"])
+
+
+@pytest.mark.parametrize("lr0, diverges", [(0.25, True), (0.1, False)])
+def test_run_that_diverges_warns_once_per_run(tmp_path, monkeypatch, recwarn, lr0, diverges):
+    # at lr0 0.25 the losses climb past 1,000 while the parameters stay
+    # finite, and exp overflows in `_sigmoid` unreported
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # trains here, under recwarn
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=25, runs=2, dim=16, epochs=2)
+    edit_config(cfg_path, "lr0", lr0)
+    manifest = Pipeline(load_config(cfg_path)).run("all")
+    diverged = [f"run diverged: corpus {c} run {r}, last epoch loss {losses[-1]:.4f}, "
+                f"untrained loss {run['untrained_loss']:.4f}"
+                for c, entry in manifest.stages["train"]["training"].items()
+                for r, (losses, run) in enumerate(zip(entry["epoch_losses"], entry["runs"]))]
+    assert len(diverged) == 4
+    assert [w for w in manifest.warnings if w.startswith("run ")] == (diverged if diverges else [])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_stages_that_run_record_their_peak_memory(completed_run, tmp_path):
