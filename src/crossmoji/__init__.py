@@ -16,6 +16,7 @@ from .analytics import (
     culture_triples,
     frequency_analysis,
     icon_scc,
+    pair_table,
     pearson,
     spearman,
 )

@@ -3,13 +3,15 @@
 Spearman correlations use tie-aware average ranks.  Every East-vs-West
 comparison runs over the shared emoji set; per-emoji ("icon") correlations
 transpose the same tensor and correlate each emoji's category profile
-across cultures.
+across cultures.  Every East-vs-West number reads one `pair_table`: per
+item, the correlation of each within-culture and West x East pair of
+groups (corpora, or culture means).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,15 +67,47 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 WEST, EAST = "West", "East"
+CULTURES = {WEST: WEST, EAST: EAST}  # the culture of each culture-level group
+
+# (a, b, ρ per item), the ρ None where undefined
+PairRhos = tuple[str, str, list[Optional[float]]]
 
 
-def _culture_profiles(tensor: SimilarityTensor) -> tuple[np.ndarray, np.ndarray]:
-    cultures = tensor.cultures()
-    if WEST not in cultures or EAST not in cultures:
+def pair_table(
+    groups: Mapping[str, np.ndarray], culture_of: Mapping[str, str],
+    corr: Callable[[np.ndarray, np.ndarray], float] = spearman,
+) -> dict[str, list[PairRhos]]:
+    """Per item (a row of each group's item x feature array), the `corr`
+    of every within-West, within-East and West x East pair of groups, keyed
+    "in_west", "in_east" and "cross", or None where it is undefined.  Pairs
+    keep the groups' order: (a, b) with a before b inside a culture, West
+    outer and East inner across."""
+    def rho(x, y) -> Optional[float]:
+        try:
+            return corr(x, y)
+        except UndefinedCorrelationError:
+            return None
+
+    west, east = ([g for g in groups if culture_of[g] == c] for c in (WEST, EAST))
+    if len(west) + len(east) < len(groups):
         raise UndefinedCorrelationError(
-            f"cross-culture analytics need both culture groups, have {cultures}"
-        )
-    return tensor.culture_mean(WEST), tensor.culture_mean(EAST)
+            f"every group must be West or East, have {sorted({culture_of[g] for g in groups})}")
+    pairs = {"in_west": [(a, b) for k, a in enumerate(west) for b in west[k + 1 :]],
+             "in_east": [(a, b) for k, a in enumerate(east) for b in east[k + 1 :]],
+             "cross": [(a, b) for a in west for b in east]}
+    return {bucket: [(a, b, [rho(x, y) for x, y in zip(groups[a], groups[b])]) for a, b in ps]
+            for bucket, ps in pairs.items()}
+
+
+def _defined(table: dict[str, list[PairRhos]], items: Sequence[str]) -> dict[str, list[PairRhos]]:
+    """`table`, for a section that needs every correlation: raise for its
+    first undefined one."""
+    for a, b, rhos in (row for rows in table.values() for row in rows):
+        if None in rhos:
+            raise UndefinedCorrelationError(
+                f"{items[rhos.index(None)]} undefined between {a} and {b}: a profile is "
+                "constant, or has fewer than 3 values")
+    return table
 
 
 def category_scc(
@@ -82,17 +116,15 @@ def category_scc(
     """Per-axis East-vs-West rank correlation over the shared emoji set,
     plus the top-k most similar emoji per axis per culture.  An axis whose
     correlation is undefined keeps its top-k lists but has no correlation."""
-    west, east = _culture_profiles(tensor)
-    rho: dict[str, float] = {}
+    means = {c: tensor.culture_mean(c) for c in CULTURES}
+    (_, _, rhos), = pair_table(means, CULTURES)["cross"]
+    rho = {axis: r for axis, r in zip(tensor.axes, rhos) if r is not None}
     top: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for i, axis in enumerate(tensor.axes):
-        try:
-            rho[axis] = spearman(west[i], east[i])
-        except UndefinedCorrelationError:
-            pass
-        for culture, mat in ((WEST, west), (EAST, east)):
-            order = np.argsort(-mat[i], kind="stable")[:top_k]
-            top[(culture, axis)] = [(tensor.targets[j], float(mat[i, j])) for j in order]
+        for culture in (WEST, EAST):
+            row = means[culture][i]
+            top[(culture, axis)] = [(tensor.targets[j], float(row[j]))
+                                    for j in np.argsort(-row, kind="stable")[:top_k]]
     return rho, top
 
 
@@ -112,11 +144,9 @@ def icon_scc(tensor: SimilarityTensor, inventory: EmojiInventory, k: int = 5) ->
         raise UndefinedCorrelationError(
             f"icon correlations need at least 3 schema categories, have {n_cat}"
         )
-    west, east = _culture_profiles(tensor)
-    scc = {
-        target: spearman(west[:n_cat, j], east[:n_cat, j])
-        for j, target in enumerate(tensor.targets)
-    }
+    (_, _, rhos), = _defined(pair_table({c: tensor.culture_mean(c)[:n_cat].T for c in CULTURES},
+                                        CULTURES), tensor.targets)["cross"]
+    scc = dict(zip(tensor.targets, rhos))
     groups: dict[str, list[tuple[str, float]]] = {}
     for target, value in scc.items():
         groups.setdefault(inventory.category(target), []).append((target, value))
@@ -141,31 +171,25 @@ class CountryMatrix:
 
 
 def country_similarity_matrix(tensor: SimilarityTensor) -> CountryMatrix:
-    """Country-pairwise Pearson of the tensor's emoji-emoji cosine profiles."""
+    """Country-pairwise Pearson of the tensor's emoji-emoji cosine profiles,
+    every corpus being West or East."""
     if len(tensor.targets) < 3:
         raise UndefinedCorrelationError(
             f"need at least 3 shared emoji present everywhere, have {len(tensor.targets)}"
         )
-    corpora = tensor.corpora
-    vectors = tensor.profiles
-    n = len(corpora)
-    matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = pearson(vectors[corpora[i]], vectors[corpora[j]])
-            matrix[i, j] = matrix[j, i] = r
-
-    west = tensor.culture_corpora(WEST)
-    east = tensor.culture_corpora(EAST)
-    cross_mean = None
-    culture_corr = None
-    if west and east:
-        cross_mean = culture_average([matrix[corpora.index(w), corpora.index(e)]
-                                      for w in west for e in east])
-        culture_corr = pearson(
-            culture_average([vectors[c] for c in west]),
-            culture_average([vectors[c] for c in east]),
-        )
+    corpora, profiles = tensor.corpora, tensor.profiles
+    table = _defined(pair_table({c: profiles[c][None] for c in corpora}, tensor.culture_of,
+                                pearson), ["cosine profile"])
+    index = {c: k for k, c in enumerate(corpora)}
+    matrix = np.eye(len(corpora))
+    for a, b, (r,) in (row for rows in table.values() for row in rows):
+        matrix[index[a], index[b]] = matrix[index[b], index[a]] = r
+    cross_mean = culture_corr = None
+    if table["cross"]:
+        cross_mean = culture_average([r for _, _, (r,) in table["cross"]])
+        (_, _, (culture_corr,)), = _defined(pair_table(
+            {c: culture_average([profiles[k] for k in tensor.culture_corpora(c)])[None]
+             for c in CULTURES}, CULTURES, pearson), ["culture-averaged cosine profile"])["cross"]
     return CountryMatrix(
         corpora=corpora, matrix=matrix, cross_pair_mean=cross_mean,
         culture_vector_corr=culture_corr, emoji_used=tensor.targets,
@@ -218,31 +242,21 @@ def frequency_analysis(
     per_category: dict[str, float] = {}
     omitted: list[str] = []
     if WEST in cultures.counts and EAST in cultures.counts:
-        members = list(shared.emoji)
-        if len(members) >= 3:
-            w = [cultures.count(WEST, e) for e in members]
-            e_ = [cultures.count(EAST, e) for e in members]
-            try:
-                overall = spearman(w, e_)
-            except UndefinedCorrelationError as exc:
-                warnings.append(f"overall frequency SCC undefined: {exc}")
-        else:
-            warnings.append(f"shared set too small for the overall SCC ({len(members)})")
+        # items: the whole shared set, then its emoji per unicode category
         by_cat: dict[str, list[str]] = {}
         for emoji in shared.emoji:
             by_cat.setdefault(inventory.category(emoji), []).append(emoji)
-        for cat in sorted(by_cat):
-            group = by_cat[cat]
-            if len(group) < 3:
-                omitted.append(cat)
-                continue
-            try:
-                per_category[cat] = spearman(
-                    [cultures.count(WEST, e) for e in group],
-                    [cultures.count(EAST, e) for e in group],
-                )
-            except UndefinedCorrelationError:
-                omitted.append(cat)
+        cats = sorted(by_cat)
+        items = [list(shared.emoji)] + [by_cat[cat] for cat in cats]
+        (_, _, (overall, *rhos)), = pair_table(
+            {c: [[cultures.count(c, e) for e in group] for group in items] for c in CULTURES},
+            CULTURES)["cross"]
+        if len(shared.emoji) < 3:
+            warnings.append(f"shared set too small for the overall SCC ({len(shared.emoji)})")
+        elif overall is None:  # 3 or more counts are undefined only when constant
+            warnings.append("overall frequency SCC undefined: zero variance")
+        per_category = {cat: rho for cat, rho in zip(cats, rhos) if rho is not None}
+        omitted = [cat for cat, rho in zip(cats, rhos) if rho is None]
     else:
         warnings.append("missing a culture group; cross-culture frequency SCCs skipped")
 
@@ -258,31 +272,14 @@ def frequency_analysis(
 
 
 def culture_triples(tensor: SimilarityTensor) -> dict[str, tuple[Optional[float], Optional[float], Optional[float]]]:
-    """(in-West, in-East, cross-culture) mean SCC per axis item.
-
-    Country-pair SCCs of the per-country (run-averaged) similarity vectors,
-    bucketed by whether the pair is within West, within East, or across."""
-    west = tensor.culture_corpora(WEST)
-    east = tensor.culture_corpora(EAST)
-    means = {c: tensor.corpus_mean(c) for c in tensor.corpora}
-
-    def bucket_mean(pairs: list[tuple[str, str]], i: int) -> Optional[float]:
-        if not pairs:
-            return None
-        return culture_average([spearman(means[l1][i], means[l2][i]) for l1, l2 in pairs])
-
-    in_west_pairs = [(a, b) for k, a in enumerate(west) for b in west[k + 1 :]]
-    in_east_pairs = [(a, b) for k, a in enumerate(east) for b in east[k + 1 :]]
-    cross_pairs = [(a, b) for a in west for b in east]
-
-    out = {}
-    for i, axis in enumerate(tensor.axes):
-        out[axis] = (
-            bucket_mean(in_west_pairs, i),
-            bucket_mean(in_east_pairs, i),
-            bucket_mean(cross_pairs, i),
-        )
-    return out
+    """(in-West, in-East, cross-culture) mean SCC per axis item: the means
+    of the pair table's buckets over the per-country (run-averaged)
+    similarity vectors, None for a bucket with no pair."""
+    table = _defined(pair_table({c: tensor.corpus_mean(c) for c in tensor.corpora},
+                                tensor.culture_of), tensor.axes)
+    return {axis: tuple(culture_average([rhos[i] for _, _, rhos in rows]) if rows else None
+                        for rows in table.values())
+            for i, axis in enumerate(tensor.axes)}
 
 
 @dataclass

@@ -135,21 +135,21 @@ class SimilarityTensor:
     excluded_axes: tuple[str, ...] = ()
     dropped_categories: Mapping[str, str] = field(default_factory=dict)
     profiles: Mapping[str, np.ndarray] = field(default_factory=dict)
+    # (kind, name) -> read-only mean; each mean is computed once per tensor
+    _means: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_categories(self) -> int:
         return sum(1 for a in self.axes if not a.startswith(EKMAN_AXIS_PREFIX))
 
-    def corpus_mean(self, corpus: str) -> np.ndarray:
-        return culture_average(list(self.per_run[corpus]))
+    def _mean(self, key: tuple[str, str], terms) -> np.ndarray:
+        if key not in self._means:
+            self._means[key] = culture_average(terms())
+            self._means[key].flags.writeable = False
+        return self._means[key]
 
-    def cultures(self) -> tuple[str, ...]:
-        seen = []
-        for c in self.corpora:
-            g = self.culture_of[c]
-            if g not in seen:
-                seen.append(g)
-        return tuple(seen)
+    def corpus_mean(self, corpus: str) -> np.ndarray:
+        return self._mean(("corpus", corpus), lambda: list(self.per_run[corpus]))
 
     def culture_corpora(self, culture: str) -> tuple[str, ...]:
         return tuple(c for c in self.corpora if self.culture_of[c] == culture)
@@ -158,7 +158,7 @@ class SimilarityTensor:
         members = self.culture_corpora(culture)
         if not members:
             raise KeyError(f"no corpus in culture group {culture!r}")
-        return culture_average([self.corpus_mean(c) for c in members])
+        return self._mean(("culture", culture), lambda: [self.corpus_mean(c) for c in members])
 
 
 def build_tensor(
@@ -289,7 +289,8 @@ def write_tensor_csv(tensor: SimilarityTensor, path) -> None:
         cube = tensor.per_run[corpus]
         blocks += [(corpus, r, cube[r]) for r in range(cube.shape[0])]
         blocks.append((corpus, "avg", tensor.corpus_mean(corpus)))
-    blocks += [(culture, "avg", tensor.culture_mean(culture)) for culture in tensor.cultures()]
+    blocks += [(culture, "avg", tensor.culture_mean(culture))
+               for culture in dict.fromkeys(tensor.culture_of[c] for c in tensor.corpora)]
     with atomic_write(path, newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(TENSOR_HEADER)

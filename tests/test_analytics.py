@@ -445,6 +445,7 @@ def test_triples_buckets_and_cross_pair_mean_are_culture_averages():
     for i, axis in enumerate(tensor.axes):
         got = culture_triples(tensor)[axis]
         assert got[0] == culture_average([spearman(means[a][i], means[b][i]) for a, b in in_west])
+        assert got[1] == culture_average([spearman(means["CN"][i], means["JP"][i])])
         assert got[2] == culture_average([spearman(means[a][i], means[b][i]) for a, b in cross])
     out = country_similarity_matrix(tensor)
     index = {c: k for k, c in enumerate(out.corpora)}

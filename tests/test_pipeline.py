@@ -1,5 +1,6 @@
 """End-to-end pipeline: staging, resumability, determinism, reporting."""
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
+from crossmoji.analytics import spearman
 from crossmoji.corpus import ingest_handle, normalize_text
 from crossmoji.embedding import (
     EmbeddingModel,
@@ -45,8 +47,15 @@ from crossmoji.pipeline import (
     load_config,
     read_report_json,
 )
+from crossmoji.projection import culture_average
 
-from util import edit_config, write_demo_lexicon, write_mixed_feed, write_two_culture_setup
+from util import (
+    edit_config,
+    write_demo_lexicon,
+    write_four_corpus_setup,
+    write_mixed_feed,
+    write_two_culture_setup,
+)
 
 
 @pytest.fixture(scope="module")
@@ -716,6 +725,31 @@ def test_missing_culture_group_skips_cross_analytics(tmp_path):
     # charts backed by empty sections are omitted and noted
     assert manifest.stages["report"]["charts"]["fig_category_top5"] is None
     assert any("chart fig_category_top5 omitted" in w for w in manifest.warnings)
+
+
+def test_four_corpora_fill_every_pair_bucket(tmp_path):
+    # two corpora per culture, so the in-culture buckets run end to end
+    config = load_config(write_four_corpus_setup(tmp_path))
+    Pipeline(config).run("all")
+    tensor, _, _ = pipeline.read_handoff(config.out_dir / "handoff.bin",
+                                         load_default_inventory(), config.culture_of)
+    means = {c: tensor.corpus_mean(c) for c in tensor.corpora}
+    cross = [("US", "JP"), ("US", "CN"), ("GB", "JP"), ("GB", "CN")]
+    buckets = [[("US", "GB")], [("JP", "CN")], cross]
+    with open(config.out_dir / "report" / "triples.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))[1:]
+    assert [axis for axis, *_ in rows] == list(tensor.axes)
+    for i, (_, *cells) in enumerate(rows):
+        assert all(cells)
+        assert cells == [repr(culture_average([spearman(means[a][i], means[b][i])
+                                               for a, b in pairs])) for pairs in buckets]
+    with open(config.out_dir / "report" / "country_matrix.csv", newline="",
+              encoding="utf-8") as f:
+        header, *lines = list(csv.reader(f))
+    matrix = {line[0]: dict(zip(header[1:], map(float, line[1:]))) for line in lines}
+    report = json.loads((config.out_dir / "report" / "report.json").read_text(encoding="utf-8"))
+    assert report["country"]["cross_pair_mean"] == culture_average(
+        [matrix[a][b] for a, b in cross])
 
 
 def test_stage_failure_names_stage_and_keeps_partial_artifacts(tmp_path):

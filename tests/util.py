@@ -145,16 +145,16 @@ def synthetic_culture_corpus(
     return path
 
 
-def write_two_culture_setup(
-    tmp_path: Path, posts_per_pattern: int = 60, runs: int = 2,
-    dim: int = 24, epochs: int = 2, seed: int = 7, threshold: int = 3,
+def _write_setup(
+    tmp_path: Path, corpora, posts_per_pattern: int, runs: int, dim: int, epochs: int,
+    seed: int, threshold: int,
 ) -> Path:
-    """Corpora + lexicon + config for a full two-culture pipeline run."""
+    """Lexicon, one synthetic corpus per (id, culture, input file, E2's
+    category) of `corpora`, the k-th from seed `seed + k`, and a config."""
     write_demo_lexicon(tmp_path / "demo.dic")
-    synthetic_culture_corpus(tmp_path / "west.jsonl", "US", seed=seed,
-                             posts_per_pattern=posts_per_pattern, e2_category="catA")
-    synthetic_culture_corpus(tmp_path / "east.jsonl", "JP", seed=seed + 1,
-                             posts_per_pattern=posts_per_pattern, e2_category="catD")
+    for k, (corpus_id, _, name, e2_category) in enumerate(corpora):
+        synthetic_culture_corpus(tmp_path / name, corpus_id, seed=seed + k,
+                                 posts_per_pattern=posts_per_pattern, e2_category=e2_category)
     config = {
         "seed": seed,
         "runs": runs,
@@ -166,15 +166,35 @@ def write_two_culture_setup(
             "window": 3, "negatives": 4, "subsample": 0.0, "min_count": 3,
         },
         "corpora": [
-            {"id": "US", "culture": "West", "input": "west.jsonl",
-             "lang": "en", "country": "US", "lexicon": "demo.dic"},
-            {"id": "JP", "culture": "East", "input": "east.jsonl",
-             "lang": "en", "country": "JP", "lexicon": "demo.dic"},
+            {"id": corpus_id, "culture": culture, "input": name,
+             "lang": "en", "country": corpus_id, "lexicon": "demo.dic"}
+            for corpus_id, culture, name, _ in corpora
         ],
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return cfg_path
+
+
+def write_two_culture_setup(
+    tmp_path: Path, posts_per_pattern: int = 60, runs: int = 2,
+    dim: int = 24, epochs: int = 2, seed: int = 7, threshold: int = 3,
+) -> Path:
+    """Corpora + lexicon + config for a full two-culture pipeline run."""
+    corpora = [("US", "West", "west.jsonl", "catA"), ("JP", "East", "east.jsonl", "catD")]
+    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold)
+
+
+def write_four_corpus_setup(
+    tmp_path: Path, posts_per_pattern: int = 15, runs: int = 2,
+    dim: int = 16, epochs: int = 2, seed: int = 7, threshold: int = 3,
+) -> Path:
+    """Two corpora per culture (US and GB West, JP and CN East), so every
+    pair bucket of the analytics (in-West, in-East, cross) has pairs; E2
+    is tied to catA in the West and catD in the East."""
+    corpora = [("US", "West", "us.jsonl", "catA"), ("GB", "West", "gb.jsonl", "catA"),
+               ("JP", "East", "jp.jsonl", "catD"), ("CN", "East", "cn.jsonl", "catD")]
+    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold)
 
 
 TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora",
