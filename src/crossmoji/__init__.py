@@ -62,7 +62,6 @@ from .projection import (
     SimilarityTensor,
     build_tensor,
     category_vector,
-    cosine,
     gram_schmidt,
 )
 

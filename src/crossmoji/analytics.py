@@ -25,17 +25,10 @@ class UndefinedCorrelationError(ValueError):
 
 def average_ranks(x: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank span."""
-    a = np.asarray(x, dtype=np.float64)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a))
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, span_of, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    # a span ending at 1-based rank e with n values has mean rank e - (n - 1)/2
+    return (np.cumsum(counts) - (counts - 1) / 2)[span_of]
 
 
 def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:

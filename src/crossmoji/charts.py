@@ -132,32 +132,38 @@ def country_heatmap(
     return _doc(width, grid, body, title)
 
 
+def _emoji_grid(
+    title: str, left: int, column: int, width: int, note_x: int,
+    headers: Sequence[tuple[int, str]],
+    rows: Sequence[tuple[str, Sequence[tuple[str, float]], Sequence[tuple[str, float]],
+                         Optional[str]]],
+) -> str:
+    """One row per (label, first emoji list, second emoji list, note or
+    None): the label right-aligned before `left`, the two emoji runs
+    `column` apart and the note at `note_x`, under the (x, text) headers."""
+    row_h = 30
+    body = [f"<text x='{x}' y='42' font-size='11' {FONT}>{text}</text>" for x, text in headers]
+    for i, (label, first, second, note) in enumerate(rows):
+        y = 70 + i * row_h
+        body.append(f"<text x='{left - 10}' y='{y}' font-size='11' {FONT} "
+                    f"text-anchor='end'>{escape(label)}</text>")
+        for x, entries in ((left, first), (left + column, second)):
+            body.append(f"<text x='{x}' y='{y}' font-size='15'>"
+                        f"{escape(' '.join(e for e, _ in entries))}</text>")
+        if note is not None:
+            body.append(f"<text x='{note_x}' y='{y}' font-size='11' {FONT}>{note}</text>")
+    return _doc(width, 70 + len(rows) * row_h, body, title)
+
+
 def category_top5_grid(
     top5: Mapping[tuple[str, str], Sequence[tuple[str, float]]],
     rho: Mapping[str, float],
     title: str = "Top-5 emoji per lexicon category, West vs East",
 ) -> str:
-    categories = sorted({cat for _, cat in top5})
-    row_h, left = 30, 150
-    width = left + 2 * 220 + 120
-    height = 70 + len(categories) * row_h
-    body = [
-        f"<text x='{left + 90}' y='42' font-size='11' {FONT}>West</text>",
-        f"<text x='{left + 310}' y='42' font-size='11' {FONT}>East</text>",
-    ]
-    for i, cat in enumerate(categories):
-        y = 70 + i * row_h
-        body.append(f"<text x='{left - 10}' y='{y}' font-size='11' {FONT} "
-                    f"text-anchor='end'>{escape(cat)}</text>")
-        for p, culture in enumerate(("West", "East")):
-            entries = top5.get((culture, cat), [])
-            emoji_run = " ".join(e for e, _ in entries)
-            body.append(f"<text x='{left + p * 220}' y='{y}' font-size='15'>"
-                        f"{escape(emoji_run)}</text>")
-        if cat in rho:
-            body.append(f"<text x='{left + 2 * 220 + 10}' y='{y}' font-size='11' {FONT}>"
-                        f"ρ={_fmt(rho[cat])}</text>")
-    return _doc(width, height, body, title)
+    rows = [(cat, top5.get(("West", cat), []), top5.get(("East", cat), []),
+             f"ρ={_fmt(rho[cat])}" if cat in rho else None)
+            for cat in sorted({cat for _, cat in top5})]
+    return _emoji_grid(title, 150, 220, 710, 600, [(240, "West"), (460, "East")], rows)
 
 
 def icon_extremes_grid(
@@ -166,63 +172,33 @@ def icon_extremes_grid(
     by_category: Mapping[str, tuple[float, float]],
     title: str = "Most and least cross-culturally stable emoji per category",
 ) -> str:
-    categories = sorted(top)
-    row_h, left = 30, 140
-    width = left + 2 * 200 + 190
-    height = 70 + len(categories) * row_h
-    body = [
-        f"<text x='{left}' y='42' font-size='11' {FONT}>highest SCC</text>",
-        f"<text x='{left + 200}' y='42' font-size='11' {FONT}>lowest SCC</text>",
-    ]
-    for i, cat in enumerate(categories):
-        y = 70 + i * row_h
-        body.append(f"<text x='{left - 10}' y='{y}' font-size='11' {FONT} "
-                    f"text-anchor='end'>{escape(cat)}</text>")
-        body.append(f"<text x='{left}' y='{y}' font-size='15'>"
-                    f"{escape(' '.join(e for e, _ in top[cat]))}</text>")
-        body.append(f"<text x='{left + 200}' y='{y}' font-size='15'>"
-                    f"{escape(' '.join(e for e, _ in bottom[cat]))}</text>")
-        mean, std = by_category[cat]
-        body.append(f"<text x='{left + 400}' y='{y}' font-size='11' {FONT}>"
-                    f"mean={_fmt(mean)} sd={_fmt(std)}</text>")
-    return _doc(width, height, body, title)
+    rows = [(cat, top[cat], bottom[cat],
+             f"mean={_fmt(by_category[cat][0])} sd={_fmt(by_category[cat][1])}")
+            for cat in sorted(top)]
+    return _emoji_grid(title, 140, 200, 730, 540,
+                       [(140, "highest SCC"), (340, "lowest SCC")], rows)
 
 
 def emit_charts(report, open_file) -> dict[str, Optional[str]]:
     """Write all renderable charts, each into `open_file(filename)`, a
     context manager giving a text file; returns chart name -> filename (None
     when the backing report section is empty, noted by the caller)."""
-    written: dict[str, Optional[str]] = {}
-
-    def emit(name: str, svg: Optional[str]):
-        written[name] = None if svg is None else f"{name}.svg"
-        if svg is not None:
-            with open_file(written[name]) as f:
+    freq, country, icon = report.frequency, report.country, report.icon
+    charts = {
+        "fig_top_emoji": freq and any(freq.top_by_culture.values())
+        and top_emoji_bars(freq.top_by_culture),
+        "fig_category_shares": freq and freq.category_shares
+        and any(freq.category_shares.values())
+        and category_share_bars(freq.category_shares, freq.category_scc),
+        "fig_country_heatmap": country is not None
+        and country_heatmap(list(country.corpora), country.matrix),
+        "fig_category_top5": report.top5
+        and category_top5_grid(report.top5, report.category_rho),
+        "fig_icon_extremes": icon is not None
+        and icon_extremes_grid(icon.top, icon.bottom, icon.by_category),
+    }
+    for name, svg in charts.items():
+        if svg:
+            with open_file(f"{name}.svg") as f:
                 f.write(svg)
-
-    freq = report.frequency
-    if freq and any(freq.top_by_culture.values()):
-        emit("fig_top_emoji", top_emoji_bars(freq.top_by_culture))
-    else:
-        emit("fig_top_emoji", None)
-    if freq and freq.category_shares and any(freq.category_shares.values()):
-        emit("fig_category_shares",
-             category_share_bars(freq.category_shares, freq.category_scc))
-    else:
-        emit("fig_category_shares", None)
-    if report.country is not None:
-        emit("fig_country_heatmap",
-             country_heatmap(list(report.country.corpora), report.country.matrix))
-    else:
-        emit("fig_country_heatmap", None)
-    if report.top5:
-        emit("fig_category_top5", category_top5_grid(report.top5, report.category_rho))
-    else:
-        emit("fig_category_top5", None)
-    if report.icon is not None:
-        emit("fig_icon_extremes",
-             icon_extremes_grid(report.icon.top, report.icon.bottom,
-                                report.icon.by_category))
-    else:
-        emit("fig_icon_extremes", None)
-    return written
+    return {name: f"{name}.svg" if svg else None for name, svg in charts.items()}

@@ -48,10 +48,6 @@ class RankDeficiencyError(ValueError):
     """Category vectors are not linearly independent."""
 
 
-class UndefinedSimilarityError(ValueError):
-    """Cosine similarity requested for a zero-norm vector."""
-
-
 def category_vector(expanded_tokens: Sequence[str], model: EmbeddingModel) -> np.ndarray:
     """Component-wise arithmetic mean of the tokens' input vectors."""
     if not expanded_tokens:
@@ -97,14 +93,6 @@ def gram_schmidt(
             )
         basis[k] = u / norm
     return basis
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """cos angle between u and v; undefined for zero-norm inputs."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedSimilarityError("cosine undefined for a zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def culture_average(terms: Sequence):
@@ -214,24 +202,12 @@ def build_tensor(
         raise DegenerateCategoryError("no schema category is usable in every corpus and run")
 
     # Ekman word axes usable only when the word is in every corpus vocabulary
-    ekman_labels: tuple[str, ...] = ()
+    word_of = {corpus: dict((ekman_axes or {}).get(corpus, ())) for corpus in corpora}
+    ekman_labels: list[str] = []
     excluded_axes: list[str] = []
-    word_of: dict[tuple[str, str], str] = {}
-    if ekman_axes:
-        all_labels: list[str] = []
-        for corpus in corpora:
-            for label, word in ekman_axes.get(corpus, ()):
-                if label not in all_labels:
-                    all_labels.append(label)
-                word_of[(corpus, label)] = word
-        usable = []
-        for label in all_labels:
-            ok = all(
-                (corpus, label) in word_of and word_of[(corpus, label)] in run_models[corpus][0].vocab
-                for corpus in corpora
-            )
-            (usable if ok else excluded_axes).append(label)
-        ekman_labels = tuple(usable)
+    for label in dict.fromkeys(label for corpus in corpora for label in word_of[corpus]):
+        ok = all(word_of[corpus].get(label) in run_models[corpus][0].vocab for corpus in corpora)
+        (ekman_labels if ok else excluded_axes).append(label)
 
     # targets usable only when present (nonzero) in every corpus vocabulary
     excluded_targets: list[str] = []
@@ -246,7 +222,7 @@ def build_tensor(
     if not usable_targets:
         raise ValueError("no target is present in every corpus vocabulary")
 
-    axes = tuple(kept) + ekman_labels
+    axes = tuple(kept + ekman_labels)
     per_run = {corpus: np.empty((n, len(axes), len(usable_targets)))
                for corpus, n in n_runs.items()}
     pairs = np.triu_indices(len(usable_targets), k=1)
@@ -254,7 +230,7 @@ def build_tensor(
     for (corpus, r, model), basis in zip(runs, bases):
         rows = [basis[:len(kept)]]
         if ekman_labels:
-            rows.append(np.stack([model.vector(word_of[(corpus, lbl)]) for lbl in ekman_labels]))
+            rows.append(np.stack([model.vector(word_of[corpus][lbl]) for lbl in ekman_labels]))
         axis_matrix = np.vstack(rows)
         target_matrix = np.stack([model.vector(t) for t in usable_targets])
         a_norm = axis_matrix / np.linalg.norm(axis_matrix, axis=1, keepdims=True)

@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossmoji.analytics import (
@@ -83,6 +83,34 @@ def test_pearson_frozen_example():
 def test_average_ranks_with_ties():
     assert list(average_ranks([10, 20, 20, 30])) == [1.0, 2.5, 2.5, 4.0]
     assert list(average_ranks([5, 5, 5])) == [2.0, 2.0, 2.0]
+
+
+def tie_span_ranks(values):
+    """Rank by walking the sorted values; each span of equal values gets
+    the mean of its 1-based ranks."""
+    order = sorted(range(len(values)), key=lambda k: values[k])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in order[i : j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e300]),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=30))
+@example([0.0])
+@example([0.0, -0.0, 1.0, -0.0])
+def test_average_ranks_match_the_tie_span_reference_bit_for_bit(values):
+    got = average_ranks(values)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(tie_span_ranks(values), dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("bad", [

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from crossmoji import pipeline
-from crossmoji.analytics import spearman
+from crossmoji.analytics import CorrelationReport, spearman
 from crossmoji.corpus import ingest_handle, normalize_text
 from crossmoji.embedding import (
     EmbeddingModel,
@@ -50,6 +50,8 @@ from crossmoji.pipeline import (
 from crossmoji.projection import culture_average
 
 from util import (
+    E1,
+    E2,
     edit_config,
     write_demo_lexicon,
     write_four_corpus_setup,
@@ -683,6 +685,15 @@ def test_charts_are_well_formed_svg(completed_run):
         assert root.tag.endswith("svg")
 
 
+def test_empty_report_opens_no_chart_file():
+    opened = []
+    written = pipeline.emit_charts(CorrelationReport(), opened.append)
+    assert written == dict.fromkeys(["fig_top_emoji", "fig_category_shares",
+                                     "fig_country_heatmap", "fig_category_top5",
+                                     "fig_icon_extremes"])
+    assert opened == []
+
+
 def test_heatmap_symmetric_cell_colors(completed_run):
     tmp, config, _ = completed_run
     svg = (Path(config.out_dir) / "charts" / "fig_country_heatmap.svg").read_text()
@@ -727,10 +738,27 @@ def test_missing_culture_group_skips_cross_analytics(tmp_path):
     assert any("chart fig_category_top5 omitted" in w for w in manifest.warnings)
 
 
-def test_four_corpora_fill_every_pair_bucket(tmp_path):
-    # two corpora per culture, so the in-culture buckets run end to end
-    config = load_config(write_four_corpus_setup(tmp_path))
+@pytest.fixture(scope="module")
+def four_corpus_run(tmp_path_factory):
+    """`crossmoji all` on the four-corpus setup at its default budget."""
+    config = load_config(write_four_corpus_setup(tmp_path_factory.mktemp("four")))
     Pipeline(config).run("all")
+    return config
+
+
+def test_four_corpus_default_budget_learns(four_corpus_run):
+    manifest = json.loads((four_corpus_run.out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert [w for stage in manifest["stages"].values() for w in stage["warnings"]
+            if "did not leave its initial loss" in w] == []
+    # E1 is tied to catA in both cultures, E2 to catA in the West only
+    report = json.loads((four_corpus_run.out_dir / "report" / "report.json")
+                        .read_text(encoding="utf-8"))
+    assert report["icon"]["scc"][E1] > report["icon"]["scc"][E2]
+
+
+def test_four_corpora_fill_every_pair_bucket(four_corpus_run):
+    # two corpora per culture, so the in-culture buckets run end to end
+    config = four_corpus_run
     tensor, _, _ = pipeline.read_handoff(config.out_dir / "handoff.bin",
                                          load_default_inventory(), config.culture_of)
     means = {c: tensor.corpus_mean(c) for c in tensor.corpora}

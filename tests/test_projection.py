@@ -1,4 +1,4 @@
-"""Category vectors, Gram-Schmidt, cosine, and tensor construction."""
+"""Category vectors, Gram-Schmidt, and tensor construction."""
 
 from dataclasses import replace
 from functools import reduce
@@ -11,10 +11,8 @@ from crossmoji.projection import (
     DegenerateCategoryError,
     RankDeficiencyError,
     SimilarityTensor,
-    UndefinedSimilarityError,
     build_tensor,
     category_vector,
-    cosine,
     culture_average,
     gram_schmidt,
     read_tensor_csv,
@@ -30,6 +28,11 @@ def model_from(vectors, seed=1, dim=None):
     params = TrainParams(dim=dim, epochs=1, seed=seed, window=1, negatives=1)
     vocab = Vocabulary(tokens=tokens, counts=(5,) * len(tokens), corpus_tokens=5 * len(tokens))
     return EmbeddingModel(vocab=vocab, syn0=syn0, params=params)
+
+
+def cosine(u, v) -> float:
+    """The reference cosine of two nonzero vectors."""
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 # --- category_vector --------------------------------------------------------
@@ -102,35 +105,6 @@ def test_rank_deficiency_names_offender():
 def test_more_vectors_than_dimensions_rejected():
     with pytest.raises(RankDeficiencyError):
         gram_schmidt([np.ones(2), np.ones(2), np.ones(2)])
-
-
-# --- cosine -------------------------------------------------------------------
-
-def test_cosine_identical_is_one():
-    v = np.array([0.3, -0.7, 2.0])
-    assert cosine(v, v) == pytest.approx(1.0)
-
-
-def test_cosine_orthogonal_is_zero():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-
-
-def test_cosine_45_degrees():
-    assert cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(
-        0.7071067811865476)
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(UndefinedSimilarityError):
-        cosine(np.zeros(3), np.ones(3))
-
-
-def test_cosine_scale_invariance():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u, v = rng.normal(size=8), rng.normal(size=8)
-        a, b = rng.uniform(0.01, 100, size=2)
-        assert cosine(a * u, b * v) == pytest.approx(cosine(u, v), abs=1e-12)
 
 
 # --- culture averaging ----------------------------------------------------------
@@ -295,6 +269,26 @@ def test_tensor_ekman_axes_raw_not_orthonormalized():
     j = t.targets.index("😀")
     expected = cosine(m.vector("joy"), m.vector("😀"))
     assert t.per_run["W1"][0, 2, j] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("ekman, usable, excluded", [
+    # E1 has no word list, so no label is in both corpora
+    ({"W1": [("ekman:a", "joy"), ("ekman:b", "sad")]}, (), ("ekman:a", "ekman:b")),
+    # E1's word for b is not in its vocabulary; a is kept
+    ({"W1": [("ekman:a", "joy"), ("ekman:b", "sad")],
+      "E1": [("ekman:a", "happy"), ("ekman:b", "kanashii")]}, ("ekman:a",), ("ekman:b",)),
+    # labels keep the order they are first seen in, corpus by corpus
+    ({"W1": [("ekman:z", "joy"), ("ekman:m", "tear")],
+      "E1": [("ekman:y", "cash"), ("ekman:m", "sad"), ("ekman:z", "happy"), ("ekman:a", "joy")]},
+     ("ekman:z", "ekman:m"), ("ekman:y", "ekman:a")),
+], ids=["no-word-list", "word-missing-in-one-corpus", "first-seen-order"])
+def test_tensor_ekman_axis_selection(ekman, usable, excluded):
+    rng = np.random.default_rng(16)
+    models, expansions = two_culture_models(rng, runs=1)
+    t = build_tensor(models, expansions, ["negemo", "posemo"],
+                     ["😀", "😢"], {"W1": "West", "E1": "East"}, ekman_axes=ekman)
+    assert t.axes == ("negemo", "posemo") + usable
+    assert t.excluded_axes == excluded
 
 
 def test_tensor_invariant_under_positive_vector_rescaling():

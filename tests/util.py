@@ -147,7 +147,7 @@ def synthetic_culture_corpus(
 
 def _write_setup(
     tmp_path: Path, corpora, posts_per_pattern: int, runs: int, dim: int, epochs: int,
-    seed: int, threshold: int,
+    seed: int, threshold: int, lr0: float,
 ) -> Path:
     """Lexicon, one synthetic corpus per (id, culture, input file, E2's
     category) of `corpora`, the k-th from seed `seed + k`, and a config."""
@@ -162,7 +162,7 @@ def _write_setup(
         "top_k": 15,
         "out_dir": "out",
         "training": {
-            "dim": dim, "epochs": epochs, "lr0": 0.025, "lr_min": 1e-4,
+            "dim": dim, "epochs": epochs, "lr0": lr0, "lr_min": 1e-4,
             "window": 3, "negatives": 4, "subsample": 0.0, "min_count": 3,
         },
         "corpora": [
@@ -178,23 +178,26 @@ def _write_setup(
 
 def write_two_culture_setup(
     tmp_path: Path, posts_per_pattern: int = 60, runs: int = 2,
-    dim: int = 24, epochs: int = 2, seed: int = 7, threshold: int = 3,
+    dim: int = 24, epochs: int = 2, seed: int = 7, threshold: int = 3, lr0: float = 0.025,
 ) -> Path:
     """Corpora + lexicon + config for a full two-culture pipeline run."""
     corpora = [("US", "West", "west.jsonl", "catA"), ("JP", "East", "east.jsonl", "catD")]
-    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold)
+    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold,
+                        lr0)
 
 
 def write_four_corpus_setup(
     tmp_path: Path, posts_per_pattern: int = 15, runs: int = 2,
-    dim: int = 16, epochs: int = 2, seed: int = 7, threshold: int = 3,
+    dim: int = 16, epochs: int = 2, seed: int = 7, threshold: int = 3, lr0: float = 0.1,
 ) -> Path:
     """Two corpora per culture (US and GB West, JP and CN East), so every
     pair bucket of the analytics (in-West, in-East, cross) has pairs; E2
-    is tied to catA in the West and catD in the East."""
+    is tied to catA in the West and catD in the East.  At the default
+    budget an `lr0` of 0.025 leaves every run at its initial loss."""
     corpora = [("US", "West", "us.jsonl", "catA"), ("GB", "West", "gb.jsonl", "catA"),
                ("JP", "East", "jp.jsonl", "catD"), ("CN", "East", "cn.jsonl", "catD")]
-    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold)
+    return _write_setup(tmp_path, corpora, posts_per_pattern, runs, dim, epochs, seed, threshold,
+                        lr0)
 
 
 TOP_LEVEL_KEYS = ("runs", "top_k", "shared_threshold", "training", "corpora",
