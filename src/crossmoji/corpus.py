@@ -78,13 +78,14 @@ def parse_record(line: str) -> PostRecord:
     missing = [k for k in ("post_id", "text", "country", "lang") if k not in obj]
     if missing:
         raise RecordError(f"missing fields: {', '.join(missing)}")
-    text, country, lang = obj["text"], obj["country"], obj["lang"]
-    for name, value in (("text", text), ("country", country), ("lang", lang)):
-        if not isinstance(value, str):
-            raise RecordError(f"{name} must be a string, got {json.dumps(value)}")
-    post_id = str(obj["post_id"])
+    post_id, text, country, lang = obj["post_id"], obj["text"], obj["country"], obj["lang"]
+    if type(post_id) is int:  # an integer id, not a bool, stands for its decimal text
+        post_id = str(post_id)
     for name, value in (("post_id", post_id), ("text", text), ("country", country),
                         ("lang", lang)):
+        if not isinstance(value, str):
+            kind = "a string or an integer" if name == "post_id" else "a string"
+            raise RecordError(f"{name} must be {kind}, got {json.dumps(value)}")
         if _SURROGATE_RE.search(value):
             raise RecordError(f"{name} holds a surrogate code point (a byte that is "
                               "not UTF-8, or a lone surrogate escape)")

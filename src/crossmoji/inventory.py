@@ -8,7 +8,6 @@ label (Smileys, People, Food & Drink, ...).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -239,19 +238,6 @@ class FrequencyTable:
         for emoji, n in self.counts[corpus_id].items():
             agg[self.inventory.category(emoji)] += n
         return dict(sorted(agg.items()))
-
-    def to_csv(self, f) -> None:
-        """Write the table as CSV into `f`, a text file opened with `newline=""`."""
-        writer = csv.writer(f)
-        writer.writerow(["corpus", "emoji", "codepoints", "count", "normalized_freq", "category"])
-        for corpus_id in self.counts:
-            total = self.total(corpus_id)
-            for emoji, n in self.top(corpus_id, len(self.counts[corpus_id])):
-                freq = repr(n / total) if total else ""
-                writer.writerow(
-                    [corpus_id, emoji, codepoint_str(emoji), n, freq,
-                     self.inventory.category(emoji)]
-                )
 
 
 def count_frequencies(

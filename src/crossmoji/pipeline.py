@@ -2,14 +2,16 @@
 
 Each stage persists its artifacts under the output directory, and its entry
 in `manifest.json`, saved after each stage that runs, records its cache key
-and the digest of every artifact it declared.  An artifact is declared
-before it is written and is written to a temporary file renamed into place
-(`Pipeline._artifact`), so none is torn or unlisted.  The key covers only
-what the stage reads (`STAGE_READS`): its config fields, and the content of
-its outside files, of the earlier stages' artifacts and of the package
-modules whose code it runs.  Re-running `all` skips a stage whose key and
-artifacts still match, so an edit, to the config, an input or the code,
-re-runs the stages that read it and those whose inputs then change.
+and the digest of every artifact it declared.  A stage reads all its inputs
+before it writes.  An artifact is declared as it is opened and is written to
+a temporary file renamed into place (`Pipeline._artifact`), so none is torn
+or unlisted; train alone declares its models before it starts, as its
+workers write them.  The key covers only what the stage reads
+(`STAGE_READS`): its config fields, and the content of its outside files, of
+the earlier stages' artifacts and of the package modules whose code it runs.
+Re-running `all` skips a stage whose key and artifacts still match, so an
+edit, to the config, an input or the code, re-runs the stages that read it
+and those whose inputs then change.
 Before a stage runs, the artifacts its last entry recorded are deleted, so
 a run that writes fewer files leaves none stale; a stage that fails
 records what it declared under no key, and one left not complete keeps
@@ -83,6 +85,7 @@ from .fileio import (
 from .inventory import (
     FrequencyTable,
     SharedEmojiSet,
+    codepoint_str,
     count_frequencies,
     default_category_path,
     default_data_path,
@@ -521,14 +524,9 @@ class Pipeline:
         groups: dict[Path, list[CorpusHandle]] = {}  # the corpora reading each file
         for spec in self.config.corpora:
             groups.setdefault(Path(spec.input_path).resolve(), []).append(spec)
-        self._declare(self._files()["streams/"] + [self.out / "counts.json"])
-        shards, unreadable = [], None
-        for path in groups:
-            try:
-                shards += [(path, start, end) for start, end in line_ranges(path, usable_cpus())]
-            except OSError as exc:  # the files before it still get their streams
-                unreadable = exc
-                break
+        # an unreadable input fails the stage here, before any job runs
+        shards = [(path, start, end) for path in groups
+                  for start, end in line_ranges(path, usable_cpus())]
 
         def ingest(path: Path, start: int, end: int) -> tuple:
             began = time.perf_counter()
@@ -548,8 +546,6 @@ class Pipeline:
                 parts.setdefault(spec.corpus_id, []).append(part)
         counts_by_corpus, throughput = {}, {}
         for spec in self.config.corpora:
-            if spec.corpus_id not in parts:
-                continue
             with self._artifact(self.streams_path(spec.corpus_id), "wb") as f:
                 write_streams(f, TypeStreams.join(types for types, _ in parts[spec.corpus_id]))
             counts = sum((c for _, c in parts[spec.corpus_id]), IngestCounts())
@@ -557,20 +553,24 @@ class Pipeline:
             throughput[spec.corpus_id] = {
                 "seconds": round(counts.seconds, 3), "records": counts.read,
                 "posts_per_s": round(counts.read / max(counts.seconds, 1e-9))}
-        if unreadable is not None:
-            raise unreadable
         with self._artifact(self.out / "counts.json", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
         return {"counts": counts_by_corpus, "throughput": throughput, "workers": workers,
                 "shards": shard_rows}
 
+    def _read_corpora(self) -> tuple[dict, dict]:
+        """Each corpus's stream file, read once, and the vocabulary built
+        from its counts, both by corpus id."""
+        streams = {spec.corpus_id: read_streams(self.streams_path(spec.corpus_id))
+                   for spec in self.config.corpora}
+        vocabs = {corpus_id: build_vocabulary(types, self.config.min_count)
+                  for corpus_id, types in streams.items()}
+        return streams, vocabs
+
     def stage_train(self) -> dict:
         c = self.config
-        streams = {spec.corpus_id: read_streams(self.streams_path(spec.corpus_id))
-                   for spec in c.corpora}
-        vocabs = {corpus_id: build_vocabulary(types, c.min_count)
-                  for corpus_id, types in streams.items()}
+        streams, vocabs = self._read_corpora()
         # encoded once, here, for the workers to inherit; the streams go first
         encoded = {corpus_id: encode_streams(types, vocabs[corpus_id])
                    for corpus_id, types in streams.items()}
@@ -616,10 +616,7 @@ class Pipeline:
     def stage_project(self) -> dict:
         # from one read of each stream file: the vocabulary train built, and
         # the emoji counts; the streams go before any model loads
-        streams = {spec.corpus_id: read_streams(self.streams_path(spec.corpus_id))
-                   for spec in self.config.corpora}
-        vocabs = {corpus_id: build_vocabulary(types, self.config.min_count)
-                  for corpus_id, types in streams.items()}
+        streams, vocabs = self._read_corpora()
         table = count_frequencies(streams, self.inventory)
         del streams
         shared = shared_set(table, self.config.shared_threshold)
@@ -630,20 +627,17 @@ class Pipeline:
         lexicons = [parse_lexicon(spec.lexicon_path, spec.lang) for spec in self.config.corpora]
         schema = shared_schema(lexicons)
         ekman = load_ekman(self.config.ekman_words)
-        ekman_axes = {}
-        for spec in self.config.corpora:
+        # one model at a time, each cut to the rows project reads: its
+        # corpus's category tokens and Ekman words, and the shared emoji; the
+        # full matrix goes before the next one loads
+        models, expansions, ekman_axes = {}, {}, {}
+        for spec, lexicon in zip(self.config.corpora, lexicons):
             lang = primary_language(spec.lang)
             if lang in ekman.words:
                 ekman_axes[spec.corpus_id] = ekman.axes(lang)
             else:
                 self.manifest.warnings.append(
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
-
-        # one model at a time, each cut to the rows project reads: its
-        # corpus's category tokens and Ekman words, and the shared emoji; the
-        # full matrix goes before the next one loads
-        models, expansions = {}, {}
-        for spec, lexicon in zip(self.config.corpora, lexicons):
             vocab = vocabs[spec.corpus_id]
             exp = expand_patterns(lexicon, vocab.tokens)
             expansions[spec.corpus_id] = {cat: sorted(exp[cat]) for cat in schema}
@@ -659,7 +653,7 @@ class Pipeline:
         tensor = None
         if len(shared) > 0:
             tensor = build_tensor(models, expansions, schema, shared.emoji,
-                                  self.config.culture_of, ekman_axes=ekman_axes or None)
+                                  self.config.culture_of, ekman_axes=ekman_axes)
             path = self.out / "tensors" / "similarity_orthonormal.csv"
             self._declare([path])
             write_tensor_csv(tensor, path)
@@ -687,9 +681,7 @@ class Pipeline:
                               self.config.culture_of, top_k=self.config.top_k)
         self.manifest.warnings.extend(report.warnings)
         open_report = self._opener("report")
-        with open_report("frequency.csv") as f:
-            table.to_csv(f)
-        write_report_csvs(report, self.inventory, open_report)
+        write_report_csvs(report, table, open_report)
         with open_report("report.json") as f:
             write_report_json(report, f)
         return {}
@@ -816,9 +808,11 @@ def read_handoff(path, inventory, culture_of) -> tuple:
 
 # --- report serialization ----------------------------------------------------
 
-def write_report_csvs(report: CorrelationReport, inventory, open_file) -> None:
-    """Write the report's non-empty sections as CSV files, each into
-    `open_file(name)`: a context manager giving a text file with `newline=""`."""
+def write_report_csvs(report: CorrelationReport, frequencies: FrequencyTable, open_file) -> None:
+    """Write the report's non-empty sections, then `frequencies`, as CSV
+    files, each into `open_file(name)`: a context manager giving a text file
+    with `newline=""`."""
+    inventory = frequencies.inventory
 
     def table(name: str, header: list, rows) -> None:
         with open_file(name) as f:
@@ -858,6 +852,12 @@ def write_report_csvs(report: CorrelationReport, inventory, open_file) -> None:
         overall = [] if freq.overall_scc is None else [["__overall__", repr(freq.overall_scc)]]
         table("frequency_category_scc.csv", ["unicode_category", "scc"],
               overall + [[cat, repr(val)] for cat, val in freq.category_scc.items()])
+    table("frequency.csv", ["corpus", "emoji", "codepoints", "count", "normalized_freq",
+                            "category"],
+          ([corpus_id, emoji, codepoint_str(emoji), n, repr(n / total), inventory.category(emoji)]
+           for corpus_id, counts in frequencies.counts.items()
+           for total in [frequencies.total(corpus_id)]
+           for emoji, n in frequencies.top(corpus_id, len(counts))))
 
 
 def write_report_json(report: CorrelationReport, f) -> None:

@@ -144,7 +144,11 @@ def test_parse_record_roundtrip_and_errors():
     r = parse_record(line)
     assert r.post_id == "42" and not r.pre_tokenized
     assert parse_record(line[:-1] + ', "pre_tokenized": true}').pre_tokenized
-    for bad in ["not json", "[1,2]", '{"post_id": "1"}',
+    assert parse_record(line.replace('"42"', "7")).post_id == "7"
+    # a post id is a string or an integer; no other JSON value is turned into text
+    bad_ids = [f'{{"post_id":{v},"text":"x","country":"US","lang":"en"}}'
+               for v in ("null", "true", "false", "1.5", "[1]", '{"a": 1}')]
+    for bad in bad_ids + ["not json", "[1,2]", '{"post_id": "1"}',
                 '{"post_id":"1","text":"  ","country":"US","lang":"en"}',
                 '{"post_id":"1","text":"x","country":"","lang":"en"}',
                 '{"post_id":"1","text":"x","country":"US","lang":"en","pre_tokenized":"false"}',

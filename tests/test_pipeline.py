@@ -685,6 +685,32 @@ def test_charts_are_well_formed_svg(completed_run):
         assert root.tag.endswith("svg")
 
 
+def test_frequency_csv_rows():
+    # corpora in table order, then count descending and emoji; the exact
+    # share and the hex codepoints of each emoji
+    grin, joy, flag, sushi = "\U0001F600", "\U0001F602", "\U0001F1FA\U0001F1F8", "\U0001F363"
+    inventory = EmojiInventory(frozenset([grin, joy, flag, sushi]),
+                               {grin: "Smileys", joy: "Smileys", flag: "Flags"})
+    table = FrequencyTable(inventory, {"US": Counter({joy: 2, grin: 2, flag: 5}),
+                                       "JP": Counter({sushi: 1})})
+    files = {}
+
+    @contextmanager
+    def open_file(name):
+        files[name] = io.StringIO(newline="")
+        yield files[name]
+
+    pipeline.write_report_csvs(CorrelationReport(), table, open_file)
+    assert list(files) == ["frequency.csv"]
+    assert files["frequency.csv"].getvalue().split("\r\n") == [
+        "corpus,emoji,codepoints,count,normalized_freq,category",
+        f"US,{flag},1F1FA 1F1F8,5,{5 / 9!r},Flags",
+        f"US,{grin},1F600,2,{2 / 9!r},Smileys",
+        f"US,{joy},1F602,2,{2 / 9!r},Smileys",
+        f"JP,{sushi},1F363,1,1.0,Uncategorized",
+        ""]
+
+
 def test_empty_report_opens_no_chart_file():
     opened = []
     written = pipeline.emit_charts(CorrelationReport(), opened.append)
@@ -780,35 +806,51 @@ def test_four_corpora_fill_every_pair_bucket(four_corpus_run):
         [matrix[a][b] for a, b in cross])
 
 
-def test_stage_failure_names_stage_and_keeps_partial_artifacts(tmp_path):
+def test_ingest_failure_names_stage_and_writes_no_stream_file(tmp_path):
+    # ingest reads every input before it writes: a missing second input
+    # fails it before the first corpus's streams are written
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1,
                                        dim=8, epochs=1)
     raw = json.loads(cfg_path.read_text())
     raw["corpora"][1]["input"] = "missing.jsonl"
     cfg_path.write_text(json.dumps(raw))
     config = load_config(cfg_path)
-    with pytest.raises(PipelineStageError, match="ingest"):
+    with pytest.raises(PipelineStageError, match="stage 'ingest' failed"):
         Pipeline(config).run("all")
-    # the first corpus's streams were written before the failure
-    assert (Path(config.out_dir) / "streams" / "US.bin").exists()
-    assert (Path(config.out_dir) / "manifest.json").exists()
+    out = Path(config.out_dir)
+    assert list(out.glob("streams/*")) == []
+    assert not (out / "counts.json").exists()
+    entry = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]
+    assert entry["key"] is None and not entry["completed"] and entry["artifacts"] == {}
 
 
-def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path):
-    # the failed ingest wrote US's streams; its manifest entry lists them, so
-    # the next run deletes them although its config no longer has US
+def test_failed_stage_artifacts_are_deleted_by_next_run(tmp_path, monkeypatch):
+    # ingest fails writing JP's streams, once US's are whole; its manifest
+    # entry lists them, so the next run deletes them although its config no
+    # longer has US
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1,
                                        dim=8, epochs=1)
-    (tmp_path / "east.jsonl").rename(tmp_path / "east-kept.jsonl")
-    with pytest.raises(PipelineStageError, match="ingest"):
+    write, written = pipeline.write_streams, []
+
+    def failing(f, types):
+        written.append(types)
+        if len(written) == 2:
+            cut_off()
+        write(f, types)
+
+    monkeypatch.setattr(pipeline, "write_streams", failing)
+    with pytest.raises(PipelineStageError, match="stage 'ingest' failed: disk full"):
         Pipeline(load_config(cfg_path)).run("all")
+    monkeypatch.undo()
     out = tmp_path / "out"
     assert (out / "streams" / "US.bin").exists()
+    assert not (out / "streams" / "JP.bin").exists()
     entry = json.loads((out / "manifest.json").read_text())["stages"]["ingest"]
     assert entry["key"] is None and not entry["completed"]
-    assert set(entry["artifacts"]) == {"streams/US.bin", "streams/JP.bin", "counts.json"}
+    assert entry["artifacts"].keys() == {"streams/US.bin", "streams/JP.bin"}
+    assert entry["artifacts"]["streams/JP.bin"] is None
     edit_config(cfg_path, "corpora", [
-        {"id": "JP", "culture": "East", "input": "east-kept.jsonl", "lang": "en",
+        {"id": "JP", "culture": "East", "input": "east.jsonl", "lang": "en",
          "country": "JP", "lexicon": "demo.dic"}])
     config = load_config(cfg_path)
     assert ran(Pipeline(config).run("all")) == list(STAGES)
