@@ -10,6 +10,7 @@ groups (corpora, or culture means).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -211,25 +212,14 @@ def frequency_analysis(
     """Culture-level frequency shares, top-k lists, and East-West SCCs."""
     cultures = FrequencyTable(inventory)  # the corpus counts summed per culture
     for corpus in table.corpora:
-        cultures.add_corpus(culture_of[corpus])
-        cultures.counts[culture_of[corpus]].update(table.counts[corpus])
-
-    warnings: list[str] = []
-    top_by_culture = {}
-    culture_shares = {}
-    category_shares = {}
-    for culture in cultures.corpora:
-        total = cultures.total(culture)
-        if total == 0:
-            warnings.append(f"culture {culture} has no emoji occurrences")
-            top_by_culture[culture] = []
-            culture_shares[culture] = {}
-            category_shares[culture] = {}
-            continue
-        top_by_culture[culture] = [(e, n, n / total) for e, n in cultures.top(culture, top_k)]
-        culture_shares[culture] = cultures.normalized(culture)
-        category_shares[culture] = {c: n / total
-                                    for c, n in cultures.by_category(culture).items()}
+        cultures.counts.setdefault(culture_of[corpus], Counter()).update(table.counts[corpus])
+    totals = {culture: cultures.total(culture) for culture in cultures.corpora}
+    warnings = [f"culture {c} has no emoji occurrences" for c, total in totals.items() if not total]
+    top_by_culture = {c: [(e, n, n / total) for e, n in cultures.top(c, top_k)] if total else []
+                      for c, total in totals.items()}
+    culture_shares = {c: cultures.normalized(c) if total else {} for c, total in totals.items()}
+    category_shares = {c: {cat: n / total for cat, n in cultures.by_category(c).items()}
+                       if total else {} for c, total in totals.items()}
 
     overall = None
     per_category: dict[str, float] = {}

@@ -71,7 +71,7 @@ def parse_record(line: str) -> PostRecord:
     """Parse one JSON-line record; raises RecordError on anything malformed."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or too deep nesting
         raise RecordError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")

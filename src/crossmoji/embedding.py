@@ -90,9 +90,6 @@ class Vocabulary:
     def kept_tokens(self) -> int:
         return sum(self.counts)
 
-    def count(self, token: str) -> int:
-        return self.counts[self.index[token]]
-
 
 def build_vocabulary(streams: Iterable, min_count: int) -> Vocabulary:
     """The vocabulary of token streams (`TokenStream`s, token sequences or

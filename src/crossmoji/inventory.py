@@ -152,7 +152,7 @@ def load_inventory(emoji_data_file, category_map_file) -> EmojiInventory:
     entries: list[str] = []
     seen: set[str] = set()
     skin_dropped = 0
-    with open(emoji_data_file, encoding="utf-8") as f:
+    with open(emoji_data_file, encoding="utf-8-sig") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -170,7 +170,7 @@ def load_inventory(emoji_data_file, category_map_file) -> EmojiInventory:
                     entries.append(canonical)
 
     category_of: dict[str, str] = {}
-    with open(category_map_file, encoding="utf-8") as f:
+    with open(category_map_file, encoding="utf-8-sig") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -207,9 +207,6 @@ class FrequencyTable:
     inventory: EmojiInventory
     counts: dict[str, Counter] = field(default_factory=dict)
 
-    def add_corpus(self, corpus_id: str) -> None:
-        self.counts.setdefault(corpus_id, Counter())
-
     @property
     def corpora(self) -> tuple[str, ...]:
         return tuple(self.counts)
@@ -219,9 +216,6 @@ class FrequencyTable:
 
     def count(self, corpus_id: str, emoji: str) -> int:
         return self.counts[corpus_id].get(emoji, 0)
-
-    def total_count(self, emoji: str) -> int:
-        return sum(c.get(emoji, 0) for c in self.counts.values())
 
     def normalized(self, corpus_id: str) -> dict[str, float]:
         total = self.total(corpus_id)
@@ -267,12 +261,8 @@ class SharedEmojiSet:
 
 def shared_set(table: FrequencyTable, threshold: int) -> SharedEmojiSet:
     """Deterministic ordering: descending total count, ties by codepoint."""
-    corpora = table.corpora
-    candidates = set()
-    for corpus_id in corpora:
-        candidates.update(table.counts[corpus_id])
-    totals = {e: table.total_count(e) for e in candidates
-              if all(table.count(c, e) >= 1 for c in corpora)}
-    members = sorted((e for e, n in totals.items() if n >= threshold),
+    totals = sum(table.counts.values(), Counter())
+    members = sorted((e for e, n in totals.items()
+                      if n >= threshold and all(c[e] >= 1 for c in table.counts.values())),
                      key=lambda e: (-totals[e], e))
     return SharedEmojiSet(emoji=tuple(members), threshold=threshold)

@@ -42,7 +42,7 @@ def _validate_pattern(pattern: str, path: str, line_no: int) -> None:
 
 def parse_lexicon(path, language: str) -> Lexicon:
     """Parse a .dic file.  Body lines referencing undeclared ids are fatal."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lines = f.read().splitlines()
 
     delims = [i for i, line in enumerate(lines) if line.strip() == "%"]
@@ -161,8 +161,11 @@ class EkmanWordList:
 
 def load_ekman(path) -> EkmanWordList:
     """Load `{"en": {"anger": ["anger", "angry"], ...}, ...}`."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    with open(path, encoding="utf-8-sig") as f:
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise LexiconFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise LexiconFormatError(f"{path}: expected a JSON object keyed by language")
     for lang, emotions in data.items():

@@ -339,7 +339,7 @@ def load_config(path, out_dir: Optional[str] = None,
     seeded."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -24,8 +24,10 @@ from crossmoji.analytics import (
     spearman,
 )
 from crossmoji.embedding import EmbeddingModel, TrainParams, Vocabulary
-from crossmoji.inventory import EmojiInventory, FrequencyTable, SharedEmojiSet
+from crossmoji.inventory import EmojiInventory, SharedEmojiSet
 from crossmoji.projection import SimilarityTensor, build_tensor, culture_average
+
+from util import frequency_table
 
 
 # --- oracles ---------------------------------------------------------------
@@ -240,7 +242,9 @@ def test_constant_axis_has_no_correlation_but_keeps_its_top_lists():
     assert list(rho) == ["a", "c"]
     assert [e for e, _ in top[("East", "b")]] == ["🍕", "🚗", "😀", "😢"]
     assert len(top[("West", "b")]) == 4
-    inv, table = make_table({"W1": dict.fromkeys(targets, 5), "E1": dict.fromkeys(targets, 5)})
+    inv = tiny_inventory()
+    table = frequency_table({"W1": dict.fromkeys(targets, 5), "E1": dict.fromkeys(targets, 5)},
+                            inv)
     tensor = dataclasses.replace(tensor, profiles={"W1": np.arange(6.0), "E1": np.arange(6.0)[::-1]})
     report = build_report(tensor, table, inv, SharedEmojiSet(tuple(targets), 1), culture_of,
                           top_k=3)
@@ -356,27 +360,20 @@ def test_triples_match_pairwise_enumeration_oracle():
 
 # --- frequency analysis -------------------------------------------------------
 
-def make_table(counts_by_corpus):
-    inv = tiny_inventory()
-    table = FrequencyTable(inventory=inv)
-    for corpus, counts in counts_by_corpus.items():
-        table.add_corpus(corpus)
-        table.counts[corpus].update(counts)
-    return inv, table
-
-
 def test_frequency_identical_cultures_scc_one():
     counts = {"😀": 30, "😢": 20, "🍕": 10, "🚗": 5}
-    inv, table = make_table({"W1": counts, "E1": counts})
+    inv = tiny_inventory()
+    table = frequency_table({"W1": counts, "E1": counts}, inv)
     shared = SharedEmojiSet(emoji=tuple(counts), threshold=1)
     rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
     assert rep.overall_scc == pytest.approx(1.0)
 
 
 def test_frequency_shares_sum_to_one_per_culture():
-    inv, table = make_table({
+    inv = tiny_inventory()
+    table = frequency_table({
         "W1": {"😀": 3, "🍕": 2}, "W2": {"😀": 1, "🚗": 4}, "E1": {"😢": 5, "😀": 5},
-    })
+    }, inv)
     shared = SharedEmojiSet(emoji=("😀",), threshold=1)
     rep = frequency_analysis(table, inv, shared,
                              {"W1": "West", "W2": "West", "E1": "East"})
@@ -390,7 +387,8 @@ def test_frequency_shares_sum_to_one_per_culture():
 def test_frequency_scc_matches_rank_oracle():
     west_counts = {"😀": 50, "😢": 40, "🍕": 30, "🚗": 20, "⚽": 10}
     east_counts = {"😀": 10, "😢": 45, "🍕": 35, "🚗": 15, "⚽": 25}
-    inv, table = make_table({"W1": west_counts, "E1": east_counts})
+    inv = tiny_inventory()
+    table = frequency_table({"W1": west_counts, "E1": east_counts}, inv)
     shared = SharedEmojiSet(emoji=tuple(west_counts), threshold=1)
     rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
     w = [west_counts[e] for e in shared.emoji]
@@ -399,7 +397,8 @@ def test_frequency_scc_matches_rank_oracle():
 
 
 def test_frequency_small_category_omitted():
-    inv, table = make_table({"W1": {"😀": 5, "🍕": 5}, "E1": {"😀": 5, "🍕": 5}})
+    inv = tiny_inventory()
+    table = frequency_table({"W1": {"😀": 5, "🍕": 5}, "E1": {"😀": 5, "🍕": 5}}, inv)
     shared = SharedEmojiSet(emoji=("😀", "🍕"), threshold=1)
     rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
     assert "Smileys" in rep.omitted_categories

@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -367,6 +367,21 @@ def test_ingest_counts_are_monotone():
     assert {s.post_id for s in streams} == {"1", "5"}
 
 
+GOOD_LINE = jline("1", "hello \U0001F604 world")
+# json.loads raises a ValueError for the integer and a RecursionError for
+# the nesting, not a JSONDecodeError
+HUGE_INT_LINE = '{"post_id":"2","text":"x","country":"US","lang":"en","n":' + "9" * 5000 + "}"
+DEEP_LINE = ('{"post_id":"2","text":"x","country":"US","lang":"en","n":'
+             + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+@pytest.mark.parametrize("bad_line", [HUGE_INT_LINE, DEEP_LINE], ids=["huge-int", "deep"])
+def test_record_json_cannot_decode_is_a_parse_error(bad_line):
+    [(streams, counts)] = ingest_lines([GOOD_LINE, bad_line], [(US, False)], INV)
+    assert (counts.read, counts.parse_errors, counts.kept) == (2, 1, 1)
+    assert [s.post_id for s in streams] == ["1"]
+
+
 def test_ingest_normalizes_then_tokenizes():
     lines = [jline("1", "go http://a.b/c now \U0001F604")]
     streams, _ = ingest_corpus(lines, US, INV)
@@ -415,6 +430,39 @@ def test_memoized_ingest_equals_tokenize_per_record(posts, corpus_pre_tokenized)
             pos += n
             assert all(a is b for a, b in zip(part, first.setdefault((chunk, pre), part)))
         assert pos == len(stream.tokens)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+RECORD_FIELDS = {
+    "post_id": st.text(max_size=4) | st.integers() | JSON_VALUES,
+    "text": st.lists(st.sampled_from(CHUNK_PIECES + ["RT @x:", " "]), max_size=6).map(" ".join)
+            | JSON_VALUES,
+    "country": st.sampled_from(["US", "us", "CA", ""]) | JSON_VALUES,
+    "lang": st.sampled_from(["en", "en-GB", "fr", ""]) | JSON_VALUES,
+    "pre_tokenized": st.booleans() | JSON_VALUES,
+}
+RECORD_LINES = (st.fixed_dictionaries({}, optional=RECORD_FIELDS)
+                .map(lambda r: json.dumps(r, ensure_ascii=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RECORD_LINES | st.text(max_size=12) | st.sampled_from(["", "  ", "{"]),
+                max_size=8))
+@example([GOOD_LINE, HUGE_INT_LINE])
+@example([GOOD_LINE, DEEP_LINE])
+def test_ingest_accounts_for_every_line(lines):
+    # every non-blank line is read, and every line read is a parse error, a
+    # drop or kept; every kept post is a stream or an empty one
+    corpora = [(US, False), (FilterConfig(lang="en", country="CA"), True)]
+    for streams, counts in ingest_lines(lines, corpora, INV):
+        assert counts.read == sum(1 for line in lines if line.strip())
+        assert counts.parse_errors + sum(counts.dropped.values()) + counts.kept == counts.read
+        assert counts.streams + counts.empty_streams == counts.kept
+        assert counts.streams == len(streams)
 
 
 def test_ingest_result_holds_each_distinct_chunk_once():

@@ -41,7 +41,7 @@ def streams(*sentences):
 def test_min_count_two_keeps_only_repeats():
     vocab = build_vocabulary(streams("a a b"), min_count=2)
     assert vocab.tokens == ("a",)
-    assert vocab.count("a") == 2
+    assert vocab.counts == (2,)
 
 
 def test_min_count_one_keeps_all():

@@ -18,6 +18,8 @@ from crossmoji.inventory import (
     shared_set,
 )
 
+from util import bom_copy, frequency_table, scan_count_oracle
+
 
 @pytest.fixture(scope="module")
 def full_inventory():
@@ -120,9 +122,6 @@ def test_flag_pair_and_keycap_match(full_inventory):
 
 
 # --- split_text -------------------------------------------------------------------
-
-from util import scan_count_oracle
-
 
 def test_split_text_multiset_matches_scan_oracle(full_inventory):
     texts = [
@@ -229,19 +228,9 @@ def test_category_aggregation_sums_to_total(full_inventory):
 
 # --- shared set --------------------------------------------------------------------
 
-def table_from(counts_by_corpus, inventory):
-    from crossmoji.inventory import FrequencyTable
-
-    table = FrequencyTable(inventory=inventory)
-    for corpus, counts in counts_by_corpus.items():
-        table.add_corpus(corpus)
-        table.counts[corpus].update(counts)
-    return table
-
-
 def test_shared_set_threshold_and_presence(full_inventory):
     e1, e2, e3 = "\U0001F604", "\U0001F63A", "\U0001F698"
-    table = table_from({
+    table = frequency_table({
         "A": {e1: 800, e2: 500, e3: 5000},
         "B": {e1: 700, e2: 400},
     }, full_inventory)
@@ -254,7 +243,7 @@ def test_shared_set_threshold_and_presence(full_inventory):
 
 def test_shared_set_ordering_desc_total_then_codepoint(full_inventory):
     e1, e2, e3 = "\U0001F600", "\U0001F601", "\U0001F602"
-    table = table_from({
+    table = frequency_table({
         "A": {e1: 5, e2: 9, e3: 5},
         "B": {e1: 5, e2: 3, e3: 5},
     }, full_inventory)
@@ -263,9 +252,16 @@ def test_shared_set_ordering_desc_total_then_codepoint(full_inventory):
     assert got.emoji == (e2, e1, e3)
 
 
+def test_shared_set_skips_an_explicit_zero_count(full_inventory):
+    # y has a total of 3 but a count of 0 in A, so it is not in every corpus
+    x, y = "\U0001F600", "\U0001F601"
+    table = frequency_table({"A": {x: 2, y: 0}, "B": {x: 1, y: 3}}, full_inventory)
+    assert shared_set(table, 1).emoji == (x,)
+
+
 def test_shared_set_monotone_in_threshold(full_inventory):
     e = ["\U0001F600", "\U0001F601", "\U0001F602", "\U0001F603"]
-    table = table_from({
+    table = frequency_table({
         "A": {e[0]: 10, e[1]: 300, e[2]: 2, e[3]: 800},
         "B": {e[0]: 10, e[1]: 200, e[2]: 1, e[3]: 900},
     }, full_inventory)
@@ -287,6 +283,18 @@ def test_descending_range_fatal(tmp_path):
     data, cats = write_inventory(tmp_path, ["2199..2194 ; emoji"], ["2194\tSymbols"])
     with pytest.raises(InventoryFormatError, match="descending"):
         load_inventory(data, cats)
+
+
+@pytest.mark.parametrize("marked", ["data", "categories"])
+def test_byte_order_mark_is_not_a_format_error(tmp_path, marked):
+    data, cats = write_inventory(tmp_path, ["1F600 ; emoji", "2194..2195 ; emoji"],
+                                 ["1F600\tSmileys", "2194\tSymbols"])
+    want = load_inventory(data, cats)
+    assert want.entries == frozenset(["\U0001F600", "\u2194", "\u2195"])
+    if marked == "data":
+        assert load_inventory(bom_copy(data), cats) == want
+    else:
+        assert load_inventory(data, bom_copy(cats)) == want
 
 
 def test_bad_category_map_line_fatal(tmp_path):

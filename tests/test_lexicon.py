@@ -12,10 +12,14 @@ from crossmoji.lexicon import (
     LexiconFormatError,
     SchemaError,
     default_ekman,
+    default_ekman_path,
     expand_patterns,
+    load_ekman,
     parse_lexicon,
     shared_schema,
 )
+
+from util import bom_copy
 
 
 def write_dic(tmp_path, text, name="lex.dic"):
@@ -204,8 +208,6 @@ def test_word_without_ids_fatal(tmp_path):
 
 
 def test_ekman_file_must_be_object(tmp_path):
-    from crossmoji.lexicon import load_ekman
-
     path = tmp_path / "ek.json"
     path.write_text('["anger"]')
     with pytest.raises(LexiconFormatError, match="object"):
@@ -219,9 +221,27 @@ def test_ekman_file_must_be_object(tmp_path):
     '{"en": {"anger": ["anger"]}}',
 ], ids=["language-not-object", "words-not-strings", "pair-not-list", "one-word"])
 def test_ekman_file_of_wrong_shape_names_file(tmp_path, text):
-    from crossmoji.lexicon import load_ekman
-
     path = tmp_path / "ek.json"
     path.write_text(text)
     with pytest.raises(LexiconFormatError, match="ek.json"):
+        load_ekman(path)
+
+
+def test_lexicon_with_byte_order_mark_parses_as_without(tmp_path):
+    dic = write_dic(tmp_path, "%\n1\tposemo\n2\taffect\n%\nhapp*\t1\t2\nglad\t1\n")
+    assert parse_lexicon(bom_copy(dic), "en") == parse_lexicon(dic, "en")
+
+
+def test_ekman_file_with_byte_order_mark_loads_as_without(tmp_path):
+    path = tmp_path / "ek.json"
+    path.write_bytes(default_ekman_path().read_bytes())
+    assert load_ekman(bom_copy(path)) == load_ekman(path) == default_ekman()
+
+
+@pytest.mark.parametrize("data", [b'{"en": {"anger": ["anger", "angry"]}', b"\xff{}"],
+                         ids=["unclosed", "not-utf8"])
+def test_ekman_file_that_is_not_json_names_file(tmp_path, data):
+    path = tmp_path / "ek.json"
+    path.write_bytes(data)
+    with pytest.raises(LexiconFormatError, match="ek.json: not valid JSON"):
         load_ekman(path)

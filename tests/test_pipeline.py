@@ -52,6 +52,7 @@ from crossmoji.projection import culture_average
 from util import (
     E1,
     E2,
+    bom_copy,
     edit_config,
     write_demo_lexicon,
     write_four_corpus_setup,
@@ -1095,6 +1096,11 @@ def test_config_validation_errors(tmp_path):
     cfg_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="culture"):
         load_config(cfg_path)
+
+
+def test_config_with_byte_order_mark_loads_as_without(tmp_path):
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5)
+    assert load_config(bom_copy(cfg_path)) == load_config(cfg_path)
 
 
 def test_deterministic_flag_overrides_mode(tmp_path):

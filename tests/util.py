@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from crossmoji.inventory import FrequencyTable
+
 
 def scan_count_oracle(text, inventory):
     """Scan-only longest-match emoji counter, independent of split_text."""
@@ -36,6 +38,20 @@ def scan_count_oracle(text, inventory):
         else:
             i += 1
     return found
+
+
+def frequency_table(counts_by_corpus, inventory) -> FrequencyTable:
+    """The `FrequencyTable` of `{corpus: {emoji: count}}`, counts as given."""
+    return FrequencyTable(inventory, {c: Counter(n) for c, n in counts_by_corpus.items()})
+
+
+def bom_copy(path: Path) -> Path:
+    """A copy of the file at `path`, beside it, that starts with a UTF-8
+    byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
 
 # six planted categories, each with four words, arranged in a ring
 CATEGORY_WORDS = {
