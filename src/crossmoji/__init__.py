@@ -51,9 +51,6 @@ from .inventory import (
     shared_set,
 )
 from .lexicon import (
-    EkmanWordList,
-    Lexicon,
-    default_ekman,
     expand_patterns,
     parse_lexicon,
     shared_schema,

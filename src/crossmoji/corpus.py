@@ -404,8 +404,9 @@ def ingest_corpus(
 def ingest_handle(
     handle: CorpusHandle, inventory: EmojiInventory
 ) -> tuple[list[TokenStream], IngestCounts]:
-    """Ingest the input file of one corpus."""
-    with open(handle.input_path, encoding="utf-8", errors="surrogateescape") as f:
+    """Ingest the input file of one corpus; a UTF-8 byte-order mark that
+    starts it is skipped."""
+    with open(handle.input_path, encoding="utf-8-sig", errors="surrogateescape") as f:
         return ingest_corpus(f, FilterConfig(lang=handle.lang, country=handle.country),
                              inventory, pre_tokenized=handle.pre_tokenized)
 
@@ -434,13 +435,15 @@ def ingest_range(
 ) -> list[tuple[TypeStreams, IngestCounts]]:
     """`ingest_lines` on bytes [start, end) of `path`: each corpus's posts
     as type ids, and its counts.  The bytes are decoded one line at a time
-    as `ingest_handle` decodes a whole file: universal newlines, and a byte
-    that is not UTF-8 as a surrogate code point, which `parse_record`
-    rejects, so its line is a parse error, not a failed read."""
+    as `ingest_handle` decodes a whole file: universal newlines, a byte-order
+    mark skipped at byte 0 alone, and a byte that is not UTF-8 as a surrogate
+    code point, which `parse_record` rejects, so its line is a parse error,
+    not a failed read."""
     with open(path, "rb") as f:
         f.seek(start)
         data = f.read(end - start)
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig" if start == 0 else "utf-8",
+                             errors="surrogateescape")
     return [(TypeStreams.of(streams), counts)
             for streams, counts in ingest_lines(lines, corpora, inventory)]
 

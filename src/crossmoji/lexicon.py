@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -22,14 +21,6 @@ class SchemaError(ValueError):
     """Raised when no shared category schema can be built."""
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Many-to-many mapping of word patterns to named categories."""
-
-    language: str
-    patterns: Mapping[str, tuple[str, ...]]  # category name -> patterns
-
-
 def _validate_pattern(pattern: str, path: str, line_no: int) -> None:
     if not pattern:
         raise LexiconFormatError(f"{path}:{line_no}: empty word pattern")
@@ -40,8 +31,10 @@ def _validate_pattern(pattern: str, path: str, line_no: int) -> None:
         )
 
 
-def parse_lexicon(path, language: str) -> Lexicon:
-    """Parse a .dic file.  Body lines referencing undeclared ids are fatal."""
+def parse_lexicon(path) -> dict[str, tuple[str, ...]]:
+    """Parse a .dic file into category name -> its word patterns, sorted; a
+    pattern may sit in many categories.  Body lines referencing undeclared
+    ids are fatal."""
     with open(path, encoding="utf-8-sig") as f:
         lines = f.read().splitlines()
 
@@ -84,13 +77,11 @@ def parse_lexicon(path, language: str) -> Lexicon:
                 )
             patterns[id_to_name[int(raw)]].add(word)  # duplicate lines merge by union
 
-    return Lexicon(
-        language=language,
-        patterns={name: tuple(sorted(pats)) for name, pats in patterns.items()},
-    )
+    return {name: tuple(sorted(pats)) for name, pats in patterns.items()}
 
 
-def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> dict[str, frozenset[str]]:
+def expand_patterns(lexicon: Mapping[str, Sequence[str]],
+                    vocabulary: Iterable[str]) -> dict[str, frozenset[str]]:
     """Each category's in-vocabulary tokens (none, for a category no token
     matches: `build_tensor` decides what an empty category means); the stem
     `happ*` matches the prefix 'happ'."""
@@ -107,9 +98,9 @@ def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> dict[str, fr
         return out
 
     tokens: dict[str, frozenset[str]] = {}
-    for name in sorted(lexicon.patterns):
+    for name in sorted(lexicon):
         found: set[str] = set()
-        for pat in lexicon.patterns[name]:
+        for pat in lexicon[name]:
             if pat.endswith("*"):
                 found.update(prefix_matches(pat[:-1]))
             elif pat in vocab_set:
@@ -118,14 +109,14 @@ def expand_patterns(lexicon: Lexicon, vocabulary: Iterable[str]) -> dict[str, fr
     return tokens
 
 
-def shared_schema(lexicons: Sequence[Lexicon]) -> tuple[str, ...]:
+def shared_schema(lexicons: Sequence[Mapping[str, Sequence[str]]]) -> tuple[str, ...]:
     """Lexicographically ordered intersection of the lexicons' category
     names (one lexicon's names, sorted, when there is one).
 
     This order is what downstream orthonormalization consumes, so it must
     be deterministic.
     """
-    common = set.intersection(*(set(lex.patterns) for lex in lexicons))
+    common = set.intersection(*(set(lex) for lex in lexicons))
     if not common:
         raise SchemaError("lexicons share no category names")
     return tuple(sorted(common))
@@ -135,56 +126,30 @@ def shared_schema(lexicons: Sequence[Lexicon]) -> tuple[str, ...]:
 
 EKMAN_AXIS_PREFIX = "ekman:"  # every Ekman axis label starts with it
 
-@dataclass(frozen=True)
-class EkmanWordList:
-    """Noun/adjective word pair per emotion, per language."""
 
-    words: Mapping[str, Mapping[str, tuple[str, str]]]  # language -> emotion -> (noun, adj)
-
-    def __post_init__(self):
-        for language, emotions in self.words.items():
-            for emotion, forms in emotions.items():
-                if len(forms) != 2 or not all(isinstance(w, str) and w for w in forms):
-                    raise LexiconFormatError(
-                        f"ekman list for {language!r}/{emotion!r} must be exactly [noun, adjective]"
-                    )
-
-    def axes(self, language: str) -> list[tuple[str, str]]:
-        """(axis_label, word) pairs for one language, in a fixed order."""
-        out = []
-        for emotion in sorted(self.words[language]):
-            noun, adj = self.words[language][emotion]
-            out.append((f"{EKMAN_AXIS_PREFIX}{emotion}:noun", noun))
-            out.append((f"{EKMAN_AXIS_PREFIX}{emotion}:adjective", adj))
-        return out
-
-
-def load_ekman(path) -> EkmanWordList:
-    """Load `{"en": {"anger": ["anger", "angry"], ...}, ...}`."""
+def load_ekman(path) -> dict[str, list[tuple[str, str]]]:
+    """Load `{"en": {"anger": ["anger", "angry"], ...}, ...}` as language ->
+    its (axis label, word) pairs: emotions sorted, each noun then adjective."""
     with open(path, encoding="utf-8-sig") as f:
         try:
             data = json.load(f)
-        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise LexiconFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise LexiconFormatError(f"{path}: expected a JSON object keyed by language")
+    axes = {}
     for lang, emotions in data.items():
-        if not (isinstance(emotions, dict)
-                and all(isinstance(forms, list) for forms in emotions.values())):
+        if not (isinstance(emotions, dict) and all(
+                isinstance(forms, list) and len(forms) == 2
+                and all(isinstance(word, str) and word for word in forms)
+                for forms in emotions.values())):
             raise LexiconFormatError(
                 f"{path}: {lang!r} must map each emotion to a [noun, adjective] list")
-    try:
-        return EkmanWordList(words={
-            lang: {emotion: tuple(forms) for emotion, forms in emotions.items()}
-            for lang, emotions in data.items()
-        })
-    except LexiconFormatError as exc:
-        raise LexiconFormatError(f"{path}: {exc}") from None
+        axes[lang] = [(f"{EKMAN_AXIS_PREFIX}{emotion}:{form}", word)
+                      for emotion in sorted(emotions)
+                      for form, word in zip(("noun", "adjective"), emotions[emotion])]
+    return axes
 
 
 def default_ekman_path():
     return resources.files("crossmoji.data") / "ekman_words.json"
-
-
-def default_ekman() -> EkmanWordList:
-    return load_ekman(default_ekman_path())

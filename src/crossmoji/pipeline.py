@@ -342,7 +342,7 @@ def load_config(path, out_dir: Optional[str] = None,
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep nesting
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     base = path.parent
     values = {RunConfig: {"corpora": [], "out_dir": base / "out", "training": {}}, TrainParams: {}}
@@ -484,13 +484,18 @@ class Pipeline:
 
     def _read_record(self) -> dict:
         """stage -> its entry in the output directory's `manifest.json`, for
-        each entry that records its artifacts; {} without a readable one."""
+        each entry that is an object recording its artifacts; {} without a
+        readable one, or one whose `stages` is not an object."""
         try:
-            stages = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))["stages"]
-            return {name: entry for name, entry in stages.items()
-                    if isinstance(entry.get("artifacts"), dict)}  # none up to 0.4.x
-        except (OSError, ValueError, KeyError):
+            record = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError):
             return {}
+        stages = record.get("stages") if isinstance(record, dict) else None
+        if not isinstance(stages, dict):
+            return {}
+        return {name: entry for name, entry in stages.items()
+                if isinstance(entry, dict)
+                and isinstance(entry.get("artifacts"), dict)}  # none up to 0.4.x
 
     def _holds(self, stage: str, key: str) -> bool:
         """The stage's last entry holds `key`, and every artifact it lists is
@@ -624,7 +629,7 @@ class Pipeline:
             self.manifest.warnings.append(
                 f"no emoji passes the shared-set threshold {self.config.shared_threshold}")
 
-        lexicons = [parse_lexicon(spec.lexicon_path, spec.lang) for spec in self.config.corpora]
+        lexicons = [parse_lexicon(spec.lexicon_path) for spec in self.config.corpora]
         schema = shared_schema(lexicons)
         ekman = load_ekman(self.config.ekman_words)
         # one model at a time, each cut to the rows project reads: its
@@ -633,8 +638,8 @@ class Pipeline:
         models, expansions, ekman_axes = {}, {}, {}
         for spec, lexicon in zip(self.config.corpora, lexicons):
             lang = primary_language(spec.lang)
-            if lang in ekman.words:
-                ekman_axes[spec.corpus_id] = ekman.axes(lang)
+            if lang in ekman:
+                ekman_axes[spec.corpus_id] = ekman[lang]
             else:
                 self.manifest.warnings.append(
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")

@@ -1,6 +1,7 @@
 """Record filtering, meta-token normalization, tokenization, stream I/O."""
 
 import dataclasses
+import io
 import itertools
 import json
 import tracemalloc
@@ -14,11 +15,13 @@ import numpy as np
 
 from crossmoji.corpus import (
     META_TOKENS,
+    CorpusHandle,
     FilterConfig,
     IngestCounts,
     PostRecord,
     RecordError,
     ingest_corpus,
+    ingest_handle,
     ingest_lines,
     ingest_range,
     line_ranges,
@@ -41,7 +44,7 @@ from crossmoji.fileio import (
 )
 from crossmoji.inventory import load_default_inventory
 
-from util import synthetic_culture_corpus, write_mixed_feed
+from util import bom_copy, synthetic_culture_corpus, write_mixed_feed
 
 INV = load_default_inventory()
 US = FilterConfig(lang="en", country="US")
@@ -519,8 +522,6 @@ def test_corpus_level_pre_tokenized_flag():
 
 
 def test_ingest_handle_reads_its_input_file(tmp_path):
-    from crossmoji.corpus import CorpusHandle, ingest_handle
-
     (tmp_path / "us.jsonl").write_text(
         jline("1", "Hello \U0001F604") + "\n" + jline("2", "RT @x: copy") + "\n"
         + jline("3", "again", pre_tokenized="no") + "\n" + jline("4", "Tokyo", lang="ja") + "\n")
@@ -583,6 +584,28 @@ def test_sharded_ingest_equals_one_text_mode_pass(tmp_path):
             assert same_streams(joined, TypeStreams.of(streams)), parts
             total = sum((results[k][1] for results in shards), IngestCounts())
             assert total.as_dict() == counts.as_dict(), parts
+
+
+def test_input_with_byte_order_mark_keeps_its_first_record(tmp_path):
+    # the mark is skipped at byte 0 alone, so every cut reads the same posts
+    path = tmp_path / "us.jsonl"
+    path.write_text("".join(jline(str(i), f"post {i} \U0001F604") + "\n" for i in range(3)),
+                    encoding="utf-8")
+
+    def ingested(path, parts: int) -> tuple[IngestCounts, bytes]:
+        shards = [ingest_range(path, s, e, [(US, False)], INV) for s, e in line_ranges(path, parts)]
+        f = io.BytesIO()
+        write_streams(f, TypeStreams.join(types for [(types, _)] in shards))
+        return sum((counts for [(_, counts)] in shards), IngestCounts()), f.getvalue()
+
+    for parts in (1, 2, 3):
+        counts, streams = ingested(bom_copy(path), parts)
+        assert counts.parse_errors == 0 and counts.kept == 3, parts
+        assert streams == ingested(path, parts)[1], parts
+    handle = CorpusHandle(corpus_id="US", culture="West", input_path=path, lang="en",
+                          country="US", lexicon_path=tmp_path / "demo.dic")
+    with_mark = dataclasses.replace(handle, input_path=bom_copy(path))
+    assert ingest_handle(with_mark, INV)[1].as_dict() == ingest_handle(handle, INV)[1].as_dict()
 
 
 def test_ingest_counts_add_field_by_field():

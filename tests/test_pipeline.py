@@ -246,6 +246,15 @@ def test_manifest_without_artifacts_reruns_every_stage_once(completed_run, tmp_p
     assert ran(Pipeline(config).run("all")) == []
 
 
+@pytest.mark.parametrize("text", ['{"stages": []}', '{"stages": {"ingest": 5}}', "[1]",
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["stages-list", "entry-5", "list", "deep"])
+def test_damaged_manifest_counts_as_none(completed_run, tmp_path, text):
+    config = copy_run(completed_run, tmp_path)
+    (config.out_dir / "manifest.json").write_text(text, encoding="utf-8")
+    assert ran(Pipeline(config).run("all")) == list(STAGES)
+
+
 @pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
 def test_input_edit_reruns_every_stage(completed_run, tmp_path, same_object):
     config = copy_run(completed_run, tmp_path)
@@ -1129,6 +1138,8 @@ WEST = {"id": "US", "culture": "West", "input": "west.jsonl", "lang": "en", "cou
     ("shared_threshold", True, "shared_threshold must be an integer"),
     ("top_k", 0, "top_k must be >= 1"),
     pytest.param(None, '{"seed": 1,', "not valid JSON", id="unfinished-json"),
+    pytest.param(None, '{"seed": ' + "9" * 5_000 + "}", "not valid JSON", id="huge-int"),
+    pytest.param(None, "[" * 100_000 + "]" * 100_000, "not valid JSON", id="deep"),
     pytest.param(None, "[1, 2]", "must be a JSON object", id="json-list"),
     ("training", 5, "training must be a JSON object"),
     ("corpora", 5, "corpora must be a JSON list"),
