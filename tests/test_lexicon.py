@@ -1,6 +1,7 @@
 """LIWC-style .dic parsing, wildcard expansion, shared schema, Ekman lists."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -168,7 +169,7 @@ def test_schema_commutative():
 
 # --- ekman ------------------------------------------------------------------------
 
-def test_ekman_axes_are_twelve_labelled_pairs():
+def test_default_ekman_words():
     assert load_ekman(default_ekman_path())["en"] == [
         ("ekman:anger:noun", "anger"), ("ekman:anger:adjective", "angry"),
         ("ekman:disgust:noun", "disgust"), ("ekman:disgust:adjective", "disgusted"),
@@ -177,6 +178,21 @@ def test_ekman_axes_are_twelve_labelled_pairs():
         ("ekman:sadness:noun", "sadness"), ("ekman:sadness:adjective", "sad"),
         ("ekman:surprise:noun", "surprise"), ("ekman:surprise:adjective", "surprised"),
     ]
+
+
+def test_ekman_axes_are_twelve_labelled_pairs():
+    axes = load_ekman(default_ekman_path())["en"]
+    assert len(axes) == 12
+    labels = [a for a, _ in axes]
+    assert "ekman:anger:noun" in labels and "ekman:happiness:adjective" in labels
+
+
+def test_ekman_rejects_wrong_arity(tmp_path):
+    path = tmp_path / "ek.json"
+    for words in ([], ["anger"], ["anger", "angry", "irate"]):
+        path.write_text(json.dumps({"en": {"anger": words}}))
+        with pytest.raises(LexiconFormatError):
+            load_ekman(path)
 
 
 def test_bad_header_line_fatal(tmp_path):
