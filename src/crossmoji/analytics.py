@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .inventory import EmojiInventory, FrequencyTable, SharedEmojiSet
+from .inventory import FrequencyTable, SharedEmojiSet
 from .projection import SimilarityTensor, culture_average
 
 
@@ -130,7 +130,7 @@ class IconReport:
     bottom: dict[str, list[tuple[str, float]]]
 
 
-def icon_scc(tensor: SimilarityTensor, inventory: EmojiInventory, k: int = 5) -> IconReport:
+def icon_scc(tensor: SimilarityTensor, categories: Mapping[str, str], k: int = 5) -> IconReport:
     """Transpose of category_scc: per emoji, correlate its East and West
     similarity profiles across the schema's (non-Ekman) category axes."""
     n_cat = tensor.n_categories
@@ -143,7 +143,7 @@ def icon_scc(tensor: SimilarityTensor, inventory: EmojiInventory, k: int = 5) ->
     scc = dict(zip(tensor.targets, rhos))
     groups: dict[str, list[tuple[str, float]]] = {}
     for target, value in scc.items():
-        groups.setdefault(inventory.category(target), []).append((target, value))
+        groups.setdefault(categories[target], []).append((target, value))
     by_category, top, bottom = {}, {}, {}
     for cat in sorted(groups):
         vals = np.array([v for _, v in groups[cat]])
@@ -204,13 +204,12 @@ class FrequencyReport:
 
 def frequency_analysis(
     table: FrequencyTable,
-    inventory: EmojiInventory,
     shared: SharedEmojiSet,
     culture_of: Mapping[str, str],
     top_k: int = 15,
 ) -> FrequencyReport:
     """Culture-level frequency shares, top-k lists, and East-West SCCs."""
-    cultures = FrequencyTable(inventory)  # the corpus counts summed per culture
+    cultures = FrequencyTable({}, table.categories)  # the corpus counts summed per culture
     for corpus in table.corpora:
         cultures.counts.setdefault(culture_of[corpus], Counter()).update(table.counts[corpus])
     totals = {culture: cultures.total(culture) for culture in cultures.corpora}
@@ -228,7 +227,7 @@ def frequency_analysis(
         # items: the whole shared set, then its emoji per unicode category
         by_cat: dict[str, list[str]] = {}
         for emoji in shared.emoji:
-            by_cat.setdefault(inventory.category(emoji), []).append(emoji)
+            by_cat.setdefault(table.categories[emoji], []).append(emoji)
         cats = sorted(by_cat)
         items = [list(shared.emoji)] + [by_cat[cat] for cat in cats]
         (_, _, (overall, *rhos)), = pair_table(
@@ -296,7 +295,6 @@ class CorrelationReport:
 def build_report(
     tensor: Optional[SimilarityTensor],
     table: FrequencyTable,
-    inventory: EmojiInventory,
     shared: SharedEmojiSet,
     culture_of: Mapping[str, str],
     top_k: int = 15,
@@ -306,7 +304,7 @@ def build_report(
     report = CorrelationReport()
     warnings: list[str] = []
 
-    report.frequency = frequency_analysis(table, inventory, shared, culture_of, top_k=top_k)
+    report.frequency = frequency_analysis(table, shared, culture_of, top_k=top_k)
     warnings.extend(report.frequency.warnings)
 
     groups = set(culture_of.values())
@@ -316,7 +314,7 @@ def build_report(
                      "profile is constant, or has fewer than 3 emoji"
                      for axis in tensor.axes if axis not in report.category_rho]
         try:
-            report.icon = icon_scc(tensor, inventory)
+            report.icon = icon_scc(tensor, table.categories)
         except UndefinedCorrelationError as exc:
             warnings.append(f"icon correlations skipped: {exc}")
         try:

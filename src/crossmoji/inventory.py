@@ -9,7 +9,7 @@ label (Smileys, People, Food & Drink, ...).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Mapping
 
@@ -202,10 +202,11 @@ def load_default_inventory() -> EmojiInventory:
 
 @dataclass
 class FrequencyTable:
-    """Exact per-corpus counts of inventory emoji."""
+    """Exact per-corpus counts of inventory emoji, and the display category
+    of every emoji counted."""
 
-    inventory: EmojiInventory
-    counts: dict[str, Counter] = field(default_factory=dict)
+    counts: dict[str, Counter]
+    categories: dict[str, str]
 
     @property
     def corpora(self) -> tuple[str, ...]:
@@ -230,7 +231,7 @@ class FrequencyTable:
         """Aggregate counts by display category label."""
         agg: Counter = Counter()
         for emoji, n in self.counts[corpus_id].items():
-            agg[self.inventory.category(emoji)] += n
+            agg[self.categories[emoji]] += n
         return dict(sorted(agg.items()))
 
 
@@ -239,21 +240,20 @@ def count_frequencies(
 ) -> FrequencyTable:
     """Count inventory emoji tokens per corpus, from its token streams
     (`TokenStream`s, token sequences or a `TypeStreams`) through its type
-    table: each emoji in the order the corpus first has it."""
+    table: each emoji in the order the corpus first has it, and its category."""
     counts = {}
     for corpus_id, streams in streams_by_corpus.items():
         types = TypeStreams.of(streams)
         pairs = zip(types.types, types.counts.tolist())
         counts[corpus_id] = Counter({t: n for t, n in pairs if t in inventory.entries})
-    return FrequencyTable(inventory, counts)
+    return FrequencyTable(counts, {e: inventory.category(e) for c in counts.values() for e in c})
 
 
 @dataclass(frozen=True)
 class SharedEmojiSet:
-    """Emoji present in every corpus with total count >= threshold."""
+    """Emoji present in every corpus with total count >= `shared_set`'s threshold."""
 
     emoji: tuple[str, ...]
-    threshold: int
 
     def __len__(self) -> int:
         return len(self.emoji)
@@ -265,4 +265,4 @@ def shared_set(table: FrequencyTable, threshold: int) -> SharedEmojiSet:
     members = sorted((e for e, n in totals.items()
                       if n >= threshold and all(c[e] >= 1 for c in table.counts.values())),
                      key=lambda e: (-totals[e], e))
-    return SharedEmojiSet(emoji=tuple(members), threshold=threshold)
+    return SharedEmojiSet(tuple(members))

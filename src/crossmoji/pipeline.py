@@ -36,8 +36,8 @@ models are read once, by project, one at a time, each cut to the rows
 project reads; it hands analyze all it needs in one binary file
 (`write_handoff`): the similarity tensor (its per-run orthonormal cube
 and its run-averaged emoji x emoji cosine profiles), the frequency table
-and the shared set.  Analyze reads nothing else that an earlier stage
-wrote.
+with the category of each emoji counted, and the shared set.  Analyze
+reads no other file.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ STAGE_READS = {
                  "streams/", "models/", "embedding.py", "fileio.py", "inventory.py",
                  "lexicon.py", "pipeline.py", "projection.py")),
     "analyze": (("top_k", "corpora.id", "corpora.culture"),
-                ("emoji_data", "emoji_categories", "handoff.bin", "analytics.py",
-                 "fileio.py", "inventory.py", "pipeline.py", "projection.py")),
+                ("handoff.bin", "analytics.py", "fileio.py", "inventory.py", "pipeline.py",
+                 "projection.py")),
     # report rebuilds the report dataclasses of analytics.py, whose generated
     # methods no profile attributes to that file
     "report": ((), ("report/report.json", "analytics.py", "charts.py", "fileio.py",
@@ -484,8 +484,9 @@ class Pipeline:
 
     def _read_record(self) -> dict:
         """stage -> its entry in the output directory's `manifest.json`, for
-        each entry that is an object recording its artifacts; {} without a
-        readable one, or one whose `stages` is not an object."""
+        each entry that is an object recording its artifacts, each under a
+        relative POSIX path with no NUL and no empty, "." or ".." part; {}
+        without a readable one, or one whose `stages` is not an object."""
         try:
             record = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError):
@@ -495,7 +496,9 @@ class Pipeline:
             return {}
         return {name: entry for name, entry in stages.items()
                 if isinstance(entry, dict)
-                and isinstance(entry.get("artifacts"), dict)}  # none up to 0.4.x
+                and isinstance(entry.get("artifacts"), dict)  # none up to 0.4.x
+                and not any("\0" in rel or {"", ".", ".."} & set(rel.split("/"))
+                            for rel in entry["artifacts"])}
 
     def _holds(self, stage: str, key: str) -> bool:
         """The stage's last entry holds `key`, and every artifact it lists is
@@ -511,12 +514,11 @@ class Pipeline:
         return {p.relative_to(self.out).as_posix(): self._digest(p) for p in self._artifacts}
 
     def _clear(self, stage: str) -> None:
-        """Delete the artifacts the stage's last entry records, so that a run
-        writing fewer files leaves none of the last run's behind."""
+        """Delete the artifact files the stage's last entry records, so that
+        a run writing fewer files leaves none of the last run's behind."""
         for rel in self._recorded.get(stage, {}).get("artifacts", {}):
-            if Path(rel).is_absolute() or ".." in Path(rel).parts:
-                continue  # not a file a stage writes
-            (self.out / rel).unlink(missing_ok=True)
+            if (self.out / rel).is_file():
+                (self.out / rel).unlink()
             self._digests.pop(self.out / rel, None)
 
     # --- stages ---
@@ -680,10 +682,9 @@ class Pipeline:
         return info
 
     def stage_analyze(self) -> dict:
-        tensor, table, shared = read_handoff(
-            self.out / "handoff.bin", self.inventory, self.config.culture_of)
-        report = build_report(tensor, table, self.inventory, shared,
-                              self.config.culture_of, top_k=self.config.top_k)
+        tensor, table, shared = read_handoff(self.out / "handoff.bin", self.config.culture_of)
+        report = build_report(tensor, table, shared, self.config.culture_of,
+                              top_k=self.config.top_k)
         self.manifest.warnings.extend(report.warnings)
         open_report = self._opener("report")
         write_report_csvs(report, table, open_report)
@@ -763,7 +764,7 @@ class Pipeline:
 
 # --- project -> analyze hand-off ----------------------------------------------
 
-HANDOFF_FORMAT = "crossmoji-handoff 2"
+HANDOFF_FORMAT = "crossmoji-handoff 3"
 
 
 def write_handoff(f, tensor: Optional[SimilarityTensor], table: FrequencyTable,
@@ -771,10 +772,10 @@ def write_handoff(f, tensor: Optional[SimilarityTensor], table: FrequencyTable,
     """Write what analyze reads into the binary file `f`, in the
     `write_arrays` layout.  The JSON line holds the corpora, the tensor's
     axes and targets (null when no emoji is shared, so there is no
-    tensor), the shared set and each corpus's emoji counts.  Two arrays
-    follow, both empty without a tensor: its (corpora, runs, axes,
-    targets) orthonormal cube and its (corpora, target pairs) cosine
-    profiles."""
+    tensor), the shared set, each corpus's emoji counts and the category
+    of each emoji counted.  Two arrays follow, both empty without a tensor:
+    its (corpora, runs, axes, targets) orthonormal cube and its (corpora,
+    target pairs) cosine profiles."""
     corpora = list(table.corpora)
     meta = {
         "format": HANDOFF_FORMAT,
@@ -782,8 +783,8 @@ def write_handoff(f, tensor: Optional[SimilarityTensor], table: FrequencyTable,
         "axes": None if tensor is None else list(tensor.axes),
         "targets": None if tensor is None else list(tensor.targets),
         "shared": list(shared.emoji),
-        "shared_threshold": shared.threshold,
         "counts": {corpus: dict(counts) for corpus, counts in table.counts.items()},
+        "categories": table.categories,
     }
     if tensor is None:
         arrays = [np.empty((len(corpora), 0, 0, 0)), np.empty((len(corpora), 0))]
@@ -793,12 +794,12 @@ def write_handoff(f, tensor: Optional[SimilarityTensor], table: FrequencyTable,
     write_arrays(f, meta, arrays)
 
 
-def read_handoff(path, inventory, culture_of) -> tuple:
+def read_handoff(path, culture_of) -> tuple:
     """Read what `write_handoff` wrote: (tensor or None, frequency table,
     shared set), every value exactly as project computed it.  The tensor's
     excluded targets are the shared emoji that are not its targets."""
     meta, (cube, profiles) = read_arrays(path, HANDOFF_FORMAT, (np.float64, np.float64))
-    shared = SharedEmojiSet(tuple(meta["shared"]), meta["shared_threshold"])
+    shared = SharedEmojiSet(tuple(meta["shared"]))
     tensor = None
     if meta["axes"] is not None:
         corpora, targets = tuple(meta["corpora"]), tuple(meta["targets"])
@@ -807,8 +808,8 @@ def read_handoff(path, inventory, culture_of) -> tuple:
             culture_of=dict(culture_of), per_run=dict(zip(corpora, cube)),
             excluded_targets=tuple(e for e in shared.emoji if e not in targets),
             profiles=dict(zip(corpora, profiles)))
-    table = FrequencyTable(inventory, {c: Counter(n) for c, n in meta["counts"].items()})
-    return tensor, table, shared
+    counts = {c: Counter(n) for c, n in meta["counts"].items()}
+    return tensor, FrequencyTable(counts, meta["categories"]), shared
 
 
 # --- report serialization ----------------------------------------------------
@@ -817,7 +818,7 @@ def write_report_csvs(report: CorrelationReport, frequencies: FrequencyTable, op
     """Write the report's non-empty sections, then `frequencies`, as CSV
     files, each into `open_file(name)`: a context manager giving a text file
     with `newline=""`."""
-    inventory = frequencies.inventory
+    categories = frequencies.categories
 
     def table(name: str, header: list, rows) -> None:
         with open_file(name) as f:
@@ -837,7 +838,7 @@ def write_report_csvs(report: CorrelationReport, frequencies: FrequencyTable, op
     if report.icon is not None:
         scc = report.icon.scc
         table("icon_scc.csv", ["emoji", "scc", "unicode_category"],
-              ([emoji, repr(scc[emoji]), inventory.category(emoji)]
+              ([emoji, repr(scc[emoji]), categories[emoji]]
                for emoji in sorted(scc, key=lambda e: (-scc[e], e))))
     if report.country is not None:
         country = report.country
@@ -859,7 +860,7 @@ def write_report_csvs(report: CorrelationReport, frequencies: FrequencyTable, op
               overall + [[cat, repr(val)] for cat, val in freq.category_scc.items()])
     table("frequency.csv", ["corpus", "emoji", "codepoints", "count", "normalized_freq",
                             "category"],
-          ([corpus_id, emoji, codepoint_str(emoji), n, repr(n / total), inventory.category(emoji)]
+          ([corpus_id, emoji, codepoint_str(emoji), n, repr(n / total), categories[emoji]]
            for corpus_id, counts in frequencies.counts.items()
            for total in [frequencies.total(corpus_id)]
            for emoji, n in frequencies.top(corpus_id, len(counts))))

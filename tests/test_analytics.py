@@ -246,8 +246,7 @@ def test_constant_axis_has_no_correlation_but_keeps_its_top_lists():
     table = frequency_table({"W1": dict.fromkeys(targets, 5), "E1": dict.fromkeys(targets, 5)},
                             inv)
     tensor = dataclasses.replace(tensor, profiles={"W1": np.arange(6.0), "E1": np.arange(6.0)[::-1]})
-    report = build_report(tensor, table, inv, SharedEmojiSet(tuple(targets), 1), culture_of,
-                          top_k=3)
+    report = build_report(tensor, table, SharedEmojiSet(tuple(targets)), culture_of, top_k=3)
     assert report.category_rho == rho
     assert report.top5 == top
     assert [w for w in report.warnings if "axis" in w] == [
@@ -262,7 +261,7 @@ def test_icon_scc_identical_and_reversed_profiles():
     east[:, 1] = west[:, 1][::-1]  # reverse target "😢"'s profile
     tensor = make_tensor({"W1": west, "E1": east}, ["a", "b", "c"],
                          ["😀", "😢"], {"W1": "West", "E1": "East"})
-    report = icon_scc(tensor, inv)
+    report = icon_scc(tensor, inv.category_of)
     assert report.scc["😀"] == pytest.approx(1.0)
     assert report.scc["😢"] == pytest.approx(-1.0)
     mean, std = report.by_category["Smileys"]
@@ -277,7 +276,7 @@ def test_icon_scc_is_transposed_category_machinery():
     targets = ["😀", "😢", "🍕", "🚗", "⚽"]
     tensor = make_tensor({"W1": west, "E1": east}, list("abcd"), targets,
                          {"W1": "West", "E1": "East"})
-    report = icon_scc(tensor, tiny_inventory())
+    report = icon_scc(tensor, tiny_inventory().category_of)
     # transpose then reuse the category path: same numbers
     transposed = make_tensor({"W1": west.T, "E1": east.T}, targets, list("abcd"),
                              {"W1": "West", "E1": "East"})
@@ -291,7 +290,7 @@ def test_icon_scc_guards_tiny_schema():
         {"W1": np.ones((1, 4)), "E1": np.ones((1, 4))}, ["a"], list("wxyz"),
         {"W1": "West", "E1": "East"})
     with pytest.raises(UndefinedCorrelationError):
-        icon_scc(tensor, tiny_inventory())
+        icon_scc(tensor, tiny_inventory().category_of)
 
 
 def test_ekman_axes_excluded_from_icon_profiles():
@@ -302,7 +301,7 @@ def test_ekman_axes_excluded_from_icon_profiles():
     targets = ["😀", "😢", "🍕", "🚗"]
     tensor = make_tensor({"W1": west, "E1": east}, axes, targets,
                          {"W1": "West", "E1": "East"})
-    report = icon_scc(tensor, tiny_inventory())
+    report = icon_scc(tensor, tiny_inventory().category_of)
     for j, t in enumerate(targets):
         expected = spearman_oracle(list(west[:3, j]), list(east[:3, j]))
         assert report.scc[t] == pytest.approx(expected, abs=1e-12)
@@ -364,8 +363,8 @@ def test_frequency_identical_cultures_scc_one():
     counts = {"😀": 30, "😢": 20, "🍕": 10, "🚗": 5}
     inv = tiny_inventory()
     table = frequency_table({"W1": counts, "E1": counts}, inv)
-    shared = SharedEmojiSet(emoji=tuple(counts), threshold=1)
-    rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
+    shared = SharedEmojiSet(emoji=tuple(counts))
+    rep = frequency_analysis(table, shared, {"W1": "West", "E1": "East"})
     assert rep.overall_scc == pytest.approx(1.0)
 
 
@@ -374,8 +373,8 @@ def test_frequency_shares_sum_to_one_per_culture():
     table = frequency_table({
         "W1": {"😀": 3, "🍕": 2}, "W2": {"😀": 1, "🚗": 4}, "E1": {"😢": 5, "😀": 5},
     }, inv)
-    shared = SharedEmojiSet(emoji=("😀",), threshold=1)
-    rep = frequency_analysis(table, inv, shared,
+    shared = SharedEmojiSet(emoji=("😀",))
+    rep = frequency_analysis(table, shared,
                              {"W1": "West", "W2": "West", "E1": "East"})
     for culture in ("West", "East"):
         assert sum(rep.culture_shares[culture].values()) == pytest.approx(1.0, abs=1e-9)
@@ -389,8 +388,8 @@ def test_frequency_scc_matches_rank_oracle():
     east_counts = {"😀": 10, "😢": 45, "🍕": 35, "🚗": 15, "⚽": 25}
     inv = tiny_inventory()
     table = frequency_table({"W1": west_counts, "E1": east_counts}, inv)
-    shared = SharedEmojiSet(emoji=tuple(west_counts), threshold=1)
-    rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
+    shared = SharedEmojiSet(emoji=tuple(west_counts))
+    rep = frequency_analysis(table, shared, {"W1": "West", "E1": "East"})
     w = [west_counts[e] for e in shared.emoji]
     e = [east_counts[e] for e in shared.emoji]
     assert rep.overall_scc == pytest.approx(spearman_oracle(w, e), abs=1e-12)
@@ -399,8 +398,8 @@ def test_frequency_scc_matches_rank_oracle():
 def test_frequency_small_category_omitted():
     inv = tiny_inventory()
     table = frequency_table({"W1": {"😀": 5, "🍕": 5}, "E1": {"😀": 5, "🍕": 5}}, inv)
-    shared = SharedEmojiSet(emoji=("😀", "🍕"), threshold=1)
-    rep = frequency_analysis(table, inv, shared, {"W1": "West", "E1": "East"})
+    shared = SharedEmojiSet(emoji=("😀", "🍕"))
+    rep = frequency_analysis(table, shared, {"W1": "West", "E1": "East"})
     assert "Smileys" in rep.omitted_categories
 
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline: staging, resumability, determinism, reporting."""
 
+import builtins
 import csv
 import dataclasses
 import hashlib
@@ -32,9 +33,9 @@ from crossmoji.embedding import (
 )
 from crossmoji.fileio import read_streams
 from crossmoji.inventory import (
-    EmojiInventory,
     FrequencyTable,
     SharedEmojiSet,
+    codepoint_str,
     count_frequencies,
     load_default_inventory,
 )
@@ -255,6 +256,27 @@ def test_damaged_manifest_counts_as_none(completed_run, tmp_path, text):
     assert ran(Pipeline(config).run("all")) == list(STAGES)
 
 
+@pytest.mark.parametrize("key", ["", ".", "report", "../x", "absolute", "a\0b"],
+                         ids=["empty", "dot", "report", "parent", "absolute", "nul"])
+def test_artifact_key_that_names_no_stage_file_counts_as_no_entry(completed_run, tmp_path, key):
+    # "", "." and "report" name directories, and a NUL no path has: each
+    # failed every later run; "../x" and an absolute path name files outside
+    # the output directory, which no stage writes and no run may delete
+    config = copy_run(completed_run, tmp_path)
+    outside = {"../x": config.out_dir.parent / "x", "absolute": tmp_path / "outside"}.get(key)
+    if outside:
+        outside.write_text("kept", encoding="utf-8")
+    key = str(outside) if key == "absolute" else key
+    (config.out_dir / "manifest.json").write_text(json.dumps(
+        {"stages": {"ingest": {"key": "x", "artifacts": {key: "abc"}}}}), encoding="utf-8")
+    for _ in range(2):
+        manifest = Pipeline(config).run("all")
+        assert all(info["completed"] for info in manifest.stages.values())
+    saved = json.loads((config.out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert not any(key in entry["artifacts"] for entry in saved["stages"].values())
+    assert outside is None or outside.read_text(encoding="utf-8") == "kept"
+
+
 @pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
 def test_input_edit_reruns_every_stage(completed_run, tmp_path, same_object):
     config = copy_run(completed_run, tmp_path)
@@ -307,6 +329,51 @@ def test_top_k_edit_reruns_analyze_and_report_equal_to_cold_run(completed_run, t
     cold = load_config(tmp_path / "run" / "config.json", out_dir=str(tmp_path / "cold"))
     assert ran(Pipeline(cold).run("all")) == list(STAGES)
     assert outputs(config.out_dir) == outputs(cold.out_dir)
+
+
+def test_emoji_data_edit_that_counts_the_same_leaves_analyze_cached(completed_run, tmp_path):
+    # `load_inventory` drops a skin-tone line: the streams and the hand-off
+    # come out the same, so train and analyze stay cached
+    config = copy_run(completed_run, tmp_path)
+    handoff = (config.out_dir / "handoff.bin").read_bytes()
+    data = tmp_path / "emoji_data.txt"
+    data.write_text(config.emoji_data.read_text(encoding="utf-8") + "1F3FB ; emoji\n",
+                    encoding="utf-8")
+    edited = dataclasses.replace(config, emoji_data=data)
+    assert ran(Pipeline(edited).run("all")) == ["ingest", "project"]
+    assert (config.out_dir / "handoff.bin").read_bytes() == handoff
+
+
+def test_shared_threshold_edit_that_keeps_the_shared_set_leaves_analyze_cached(
+        completed_run, tmp_path):
+    # the hand-off holds the shared set, not the threshold that chose it
+    config = copy_run(completed_run, tmp_path)
+    with open(config.out_dir / "handoff.bin", "rb") as f:
+        meta = json.loads(f.readline())
+    threshold = min(sum(counts[e] for counts in meta["counts"].values()) for e in meta["shared"])
+    assert threshold > config.shared_threshold
+    edited = dataclasses.replace(config, shared_threshold=threshold)
+    assert ran(Pipeline(edited).run("all")) == ["project"]
+
+
+def test_category_edit_reruns_analyze_with_the_new_label(completed_run, tmp_path):
+    # project takes each counted emoji's category from the category file
+    # and hands it to analyze, which labels the report's rows with it
+    config = copy_run(completed_run, tmp_path)
+    text = config.emoji_categories.read_text(encoding="utf-8")
+    line = next(line for line in text.splitlines() if line.split("\t")[0] == codepoint_str(E1))
+    assert line.split("\t")[1] != "Flags"
+    categories = tmp_path / "emoji_categories.tsv"
+    categories.write_text(text.replace(line, f"{codepoint_str(E1)}\tFlags"), encoding="utf-8")
+    edited = dataclasses.replace(config, emoji_categories=categories)
+    assert ran(Pipeline(edited).run("all")) == ["ingest", "project", "analyze", "report"]
+
+    def rows(name: str) -> list[dict]:
+        with open(config.out_dir / "report" / name, newline="", encoding="utf-8") as f:
+            return [row for row in csv.DictReader(f) if row["emoji"] == E1]
+
+    assert [row["unicode_category"] for row in rows("icon_scc.csv")] == ["Flags"]
+    assert [row["category"] for row in rows("frequency.csv")] == ["Flags"] * len(config.corpora)
 
 
 def corpus_edit(index: int, **changes):
@@ -458,21 +525,36 @@ def test_readme_handoff_key_list_matches_write_handoff():
         if line.startswith("- "):  # an item's wrapped lines are indented
             listed += re.findall(r"`([^`]+)`", line.partition(":")[0])
     f = io.BytesIO()
-    pipeline.write_handoff(f, None, FrequencyTable(load_default_inventory(), {}),
-                           SharedEmojiSet((), 1))
+    pipeline.write_handoff(f, None, FrequencyTable({}, {}), SharedEmojiSet(()))
     assert listed == list(json.loads(f.getvalue().partition(b"\n")[0]))
+
+
+def refuse_older_handoff(completed_run, tmp_path, edit) -> None:
+    """`read_handoff` refuses by name the run's hand-off with its JSON line
+    changed by `edit`."""
+    config = completed_run[1]
+    with open(config.out_dir / "handoff.bin", "rb") as f:
+        meta, arrays = json.loads(f.readline()), f.read()
+    edit(meta)
+    path = tmp_path / "handoff.bin"
+    path.write_bytes(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n" + arrays)
+    with pytest.raises(ValueError, match="not a crossmoji-handoff 3 file"):
+        pipeline.read_handoff(path, config.culture_of)
 
 
 def test_handoff_in_format_1_refused_by_name(completed_run, tmp_path):
     # a format-1 hand-off had its own emoji_used and excluded lists
-    config = completed_run[1]
-    with open(config.out_dir / "handoff.bin", "rb") as f:
-        meta, arrays = json.loads(f.readline()), f.read()
-    meta |= {"format": "crossmoji-handoff 1", "emoji_used": meta["targets"], "excluded": []}
-    path = tmp_path / "handoff.bin"
-    path.write_bytes(json.dumps(meta, ensure_ascii=False).encode("utf-8") + b"\n" + arrays)
-    with pytest.raises(ValueError, match="not a crossmoji-handoff 2 file"):
-        pipeline.read_handoff(path, load_default_inventory(), config.culture_of)
+    refuse_older_handoff(completed_run, tmp_path, lambda meta: meta.update(
+        format="crossmoji-handoff 1", emoji_used=meta["targets"], excluded=[]))
+
+
+def test_handoff_in_format_2_refused_by_name(completed_run, tmp_path):
+    # a format-2 hand-off held the shared-set threshold, and no categories
+    def edit(meta):
+        del meta["categories"]
+        meta.update(format="crossmoji-handoff 2", shared_threshold=3)
+
+    refuse_older_handoff(completed_run, tmp_path, edit)
 
 
 def test_new_version_alone_leaves_every_stage_complete(completed_run, monkeypatch):
@@ -544,6 +626,40 @@ def test_each_stage_declares_every_module_it_runs(completed_run, tmp_path, monke
     assert "pipeline.py" in modules  # the profile saw the stage run
 
 
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_reads_only_the_files_its_key_covers(completed_run, tmp_path, monkeypatch,
+                                                        stage):
+    # a fresh pipeline in one process runs the stage, the stages before it
+    # complete; the files its body opens to read must be exactly those of
+    # the non-module names its key reads.  `_key` hashes those around the
+    # body, and imports open code through `io.open_code`, which stays as is
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    config = copy_run(completed_run, tmp_path)
+    run = Pipeline(config)
+    body, in_body, opened = getattr(Pipeline, f"stage_{stage}"), [], set()
+
+    def traced(self):
+        in_body.append(True)
+        try:
+            return body(self)
+        finally:
+            in_body.clear()
+
+    def recording(file, mode="r", *args, **kwargs):
+        if in_body and isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.add(Path(file).resolve())
+        return io_open(file, mode, *args, **kwargs)
+
+    io_open = io.open
+    monkeypatch.setattr(Pipeline, f"stage_{stage}", traced)
+    monkeypatch.setattr(io, "open", recording)
+    monkeypatch.setattr(builtins, "open", recording)
+    assert ran(run.run(stage)) == [stage]
+    files = run._files()
+    assert opened == {path.resolve() for name in pipeline.STAGE_READS[stage][1]
+                      if not name.endswith(".py") for path in files[name]}
+
+
 @pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
 @pytest.mark.parametrize("damage", ["truncated", "deleted"])
 def test_truncated_model_retrains_to_same_bytes(completed_run, tmp_path, damage, same_object):
@@ -613,7 +729,8 @@ def no_shared_emoji(raw):
 ], ids=["two-cultures", "one-corpus", "one-culture", "no-shared-emoji"])
 def test_analyze_reads_only_the_handoff(tmp_path, monkeypatch, edit, sections):
     # project hands analyze all it needs: with the readers of streams,
-    # models and tensor CSVs made to raise, analyze writes the same report
+    # models, tensor CSVs and the emoji files made to raise, analyze writes
+    # the same report
     cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=2, dim=8, epochs=1)
     raw = json.loads(cfg_path.read_text())
     edit(raw)
@@ -623,7 +740,8 @@ def test_analyze_reads_only_the_handoff(tmp_path, monkeypatch, edit, sections):
     report_dir = config.out_dir / "report"
     report = {p.name: p.read_bytes() for p in report_dir.iterdir()}
     assert {"category_scc.csv", "country_matrix.csv"} & set(report) == sections
-    for name in ("load_model", "read_streams", "count_frequencies", "read_tensor_csv"):
+    for name in ("load_model", "read_streams", "count_frequencies", "read_tensor_csv",
+                 "load_inventory"):
         monkeypatch.setattr(pipeline, name, refuse)
     assert ran(Pipeline(config).run("analyze")) == ["analyze"]
     assert {p.name: p.read_bytes() for p in report_dir.iterdir()} == report
@@ -699,10 +817,9 @@ def test_frequency_csv_rows():
     # corpora in table order, then count descending and emoji; the exact
     # share and the hex codepoints of each emoji
     grin, joy, flag, sushi = "\U0001F600", "\U0001F602", "\U0001F1FA\U0001F1F8", "\U0001F363"
-    inventory = EmojiInventory(frozenset([grin, joy, flag, sushi]),
-                               {grin: "Smileys", joy: "Smileys", flag: "Flags"})
-    table = FrequencyTable(inventory, {"US": Counter({joy: 2, grin: 2, flag: 5}),
-                                       "JP": Counter({sushi: 1})})
+    table = FrequencyTable({"US": Counter({joy: 2, grin: 2, flag: 5}), "JP": Counter({sushi: 1})},
+                           {grin: "Smileys", joy: "Smileys", flag: "Flags",
+                            sushi: "Uncategorized"})
     files = {}
 
     @contextmanager
@@ -795,8 +912,7 @@ def test_four_corpus_default_budget_learns(four_corpus_run):
 def test_four_corpora_fill_every_pair_bucket(four_corpus_run):
     # two corpora per culture, so the in-culture buckets run end to end
     config = four_corpus_run
-    tensor, _, _ = pipeline.read_handoff(config.out_dir / "handoff.bin",
-                                         load_default_inventory(), config.culture_of)
+    tensor, _, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", config.culture_of)
     means = {c: tensor.corpus_mean(c) for c in tensor.corpora}
     cross = [("US", "JP"), ("US", "CN"), ("GB", "JP"), ("GB", "CN")]
     buckets = [[("US", "GB")], [("JP", "CN")], cross]
@@ -885,15 +1001,20 @@ def fail_handoff(monkeypatch) -> str:
     return "handoff.bin"
 
 
+class FailingCategories(dict):
+    """A category map whose every lookup fails as a full disk would."""
+
+    __getitem__ = cut_off
+
+
 def fail_icon_table(monkeypatch) -> str:
-    """analyze: `EmojiInventory.category` raises only while the report CSVs
-    are written, so `category_scc.csv` is whole and `icon_scc.csv` is not."""
+    """analyze: the table's category lookup raises only while the report
+    CSVs are written, so `category_scc.csv` is whole and `icon_scc.csv` is
+    not."""
     write = pipeline.write_report_csvs
 
-    def failing(*args):
-        with monkeypatch.context() as m:
-            m.setattr(EmojiInventory, "category", cut_off)
-            write(*args)
+    def failing(report, table, open_file):
+        write(report, dataclasses.replace(table, categories=FailingCategories()), open_file)
 
     monkeypatch.setattr(pipeline, "write_report_csvs", failing)
     return "report/icon_scc.csv"
@@ -1481,14 +1602,14 @@ def test_project_emoji_counts_equal_count_frequencies_of_token_streams(tmp_path,
     config = load_config(cfg_path)
     Pipeline(config).run("all")
     inventory = load_default_inventory()
-    _, table, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", inventory,
-                                        config.culture_of)
+    _, table, _ = pipeline.read_handoff(config.out_dir / "handoff.bin", config.culture_of)
     want = count_frequencies({spec.corpus_id: ingest_handle(spec, inventory)[0]
                               for spec in config.corpora}, inventory)
     assert all(want.total(c) for c in want.corpora)
     assert ({c: list(n.items()) for c, n in table.counts.items()}
             == {c: list(n.items()) for c, n in want.counts.items()})
     assert list(table.counts) == list(want.counts)
+    assert table.categories == want.categories
 
 
 def test_undecodable_lines_are_parse_errors_not_a_failed_ingest(tmp_path):

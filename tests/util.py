@@ -41,8 +41,10 @@ def scan_count_oracle(text, inventory):
 
 
 def frequency_table(counts_by_corpus, inventory) -> FrequencyTable:
-    """The `FrequencyTable` of `{corpus: {emoji: count}}`, counts as given."""
-    return FrequencyTable(inventory, {c: Counter(n) for c, n in counts_by_corpus.items()})
+    """The `FrequencyTable` of `{corpus: {emoji: count}}`, counts as given,
+    each emoji in its `inventory` category."""
+    return FrequencyTable({c: Counter(n) for c, n in counts_by_corpus.items()},
+                          {e: inventory.category(e) for n in counts_by_corpus.values() for e in n})
 
 
 def bom_copy(path: Path) -> Path:
