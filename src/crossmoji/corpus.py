@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -294,8 +293,7 @@ def tokenize(record: PostRecord, inventory: EmojiInventory) -> TokenStream:
 
 @dataclass
 class IngestCounts:
-    """Per-corpus record counts through the filter chain (monotone), and
-    the seconds spent filtering and tokenizing the corpus's records.
+    """Per-corpus record counts through the filter chain (monotone).
     `lines`, `distinct_chunks` and `read` count for every corpus of an
     `ingest_lines` call: the lines it was given, blank ones too, and the
     distinct whitespace chunks it tokenized.  `counts.json` leaves
@@ -308,7 +306,6 @@ class IngestCounts:
     kept: int = 0
     empty_streams: int = 0
     streams: int = 0
-    seconds: float = 0.0
     distinct_chunks: int = 0
 
     def __add__(self, other: IngestCounts) -> IngestCounts:
@@ -364,8 +361,6 @@ def ingest_lines(
     wanted = [_filter_keys(config.lang, config.country) for config, _ in corpora]
     memos: dict[bool, dict] = {False: {}, True: {}}  # pre_tokenized -> chunk -> tokens
     for record in read_records(lines, parsed):
-        # the first corpus's seconds include the filtering all corpora share
-        start = time.perf_counter()
         reasons = _drop_reasons(record, wanted)
         for reason, (_, pre_tokenized), (streams, counts) in zip(reasons, corpora, results):
             if reason:
@@ -379,9 +374,6 @@ def ingest_lines(
                     streams.append(TokenStream(record.post_id, tokens))
                 else:
                     counts.empty_streams += 1
-            now = time.perf_counter()
-            counts.seconds += now - start
-            start = now
     for streams, counts in results:
         counts.lines, counts.read = parsed.lines, parsed.read
         counts.parse_errors = parsed.parse_errors

@@ -12,6 +12,10 @@ from bisect import bisect_left
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
+# every Ekman axis label starts with it, and no lexicon category name may:
+# the tensor tells its category axes from its Ekman axes by this prefix
+EKMAN_AXIS_PREFIX = "ekman:"
+
 
 class LexiconFormatError(ValueError):
     """Raised for malformed .dic or Ekman files, with a line number."""
@@ -34,7 +38,7 @@ def _validate_pattern(pattern: str, path: str, line_no: int) -> None:
 def parse_lexicon(path) -> dict[str, tuple[str, ...]]:
     """Parse a .dic file into category name -> its word patterns, sorted; a
     pattern may sit in many categories.  Body lines referencing undeclared
-    ids are fatal."""
+    ids, and category names starting with `EKMAN_AXIS_PREFIX`, are fatal."""
     with open(path, encoding="utf-8-sig") as f:
         lines = f.read().splitlines()
 
@@ -53,6 +57,9 @@ def parse_lexicon(path) -> dict[str, tuple[str, ...]]:
         if len(parts) < 2 or not parts[0].isdigit():
             raise LexiconFormatError(f"{path}:{line_no + 1}: expected 'id name' in header")
         cid, name = int(parts[0]), parts[1]
+        if name.startswith(EKMAN_AXIS_PREFIX):
+            raise LexiconFormatError(f"{path}:{line_no + 1}: category name {name!r} starts "
+                                     f"with {EKMAN_AXIS_PREFIX!r}, reserved for Ekman axes")
         if name in names_seen:
             raise LexiconFormatError(f"{path}:{line_no + 1}: duplicate category name {name!r}")
         if cid in id_to_name:
@@ -123,9 +130,6 @@ def shared_schema(lexicons: Sequence[Mapping[str, Sequence[str]]]) -> tuple[str,
 
 
 # --- Ekman emotion words --------------------------------------------------
-
-EKMAN_AXIS_PREFIX = "ekman:"  # every Ekman axis label starts with it
-
 
 def load_ekman(path) -> dict[str, list[tuple[str, str]]]:
     """Load `{"en": {"anger": ["anger", "angry"], ...}, ...}` as language ->

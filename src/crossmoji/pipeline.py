@@ -131,6 +131,12 @@ STAGE_READS = {
     "report": ((), ("report/report.json", "analytics.py", "charts.py", "fileio.py",
                     "pipeline.py")),
 }
+# What each stage writes: the first part of every artifact path it records.
+# A recorded entry that lists any other path is no entry, so no run deletes
+# a file that its stage could not have written.
+STAGE_WRITES = {"ingest": ("streams", "counts.json"), "train": ("models",),
+                "project": ("tensors", "handoff.bin"), "analyze": ("report",),
+                "report": ("charts",)}
 PACKAGE = Path(__file__).parent  # where the modules named in STAGE_READS are
 _module_digests: dict[Path, Optional[str]] = {}  # their digests, for this process
 
@@ -364,16 +370,16 @@ class RunManifest:
     config: dict
     version: str = __version__
     stages: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
-    def record(self, stage: str, key: str, seconds: float, skipped: bool = False,
-               **extra) -> None:
-        self.stages[stage] = {"completed": True, "skipped": skipped, "key": key,
-                              "seconds": round(seconds, 3), **extra}
+    @property
+    def warnings(self) -> list:
+        """The warnings of every stage entry, in stage order."""
+        return [w for entry in self.stages.values() for w in entry.get("warnings", ())]
 
     def save(self, path) -> None:
         with atomic_write(path, encoding="utf-8") as f:
-            json.dump(self.__dict__, f, ensure_ascii=False, indent=2, default=str)
+            json.dump(self.__dict__ | {"warnings": self.warnings}, f, ensure_ascii=False,
+                      indent=2, default=str)
             f.write("\n")
 
 
@@ -398,6 +404,7 @@ class Pipeline:
         self._digests: dict[Path, Optional[str]] = {}
         self._inventory = None
         self._artifacts: list[Path] = []  # declared by the running stage
+        self._warnings: list[str] = []  # raised by the running stage
 
     # --- shared resources ---
 
@@ -485,8 +492,10 @@ class Pipeline:
     def _read_record(self) -> dict:
         """stage -> its entry in the output directory's `manifest.json`, for
         each entry that is an object recording its artifacts, each under a
-        relative POSIX path with no NUL and no empty, "." or ".." part; {}
-        without a readable one, or one whose `stages` is not an object."""
+        relative POSIX path with no NUL and no empty, "." or ".." part whose
+        first part is one of the stage's `STAGE_WRITES`, and whose
+        `warnings`, if any, are a list of strings; {} without a readable
+        one, or one whose `stages` is not an object."""
         try:
             record = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError):
@@ -495,10 +504,13 @@ class Pipeline:
         if not isinstance(stages, dict):
             return {}
         return {name: entry for name, entry in stages.items()
-                if isinstance(entry, dict)
+                if name in STAGE_WRITES and isinstance(entry, dict)
                 and isinstance(entry.get("artifacts"), dict)  # none up to 0.4.x
-                and not any("\0" in rel or {"", ".", ".."} & set(rel.split("/"))
-                            for rel in entry["artifacts"])}
+                and all("\0" not in rel and rel.split("/")[0] in STAGE_WRITES[name]
+                        and not {"", ".", ".."} & set(rel.split("/"))
+                        for rel in entry["artifacts"])
+                and isinstance(warnings := entry.get("warnings", []), list)
+                and all(isinstance(w, str) for w in warnings)}
 
     def _holds(self, stage: str, key: str) -> bool:
         """The stage's last entry holds `key`, and every artifact it lists is
@@ -527,7 +539,7 @@ class Pipeline:
         inventory = self.inventory  # loaded here, so that workers inherit it
         # recorded here alone: ingest's key covers the emoji data, and a
         # skipped ingest restores them from its entry
-        self.manifest.warnings.extend(inventory.warnings)
+        self._warnings.extend(inventory.warnings)
         groups: dict[Path, list[CorpusHandle]] = {}  # the corpora reading each file
         for spec in self.config.corpora:
             groups.setdefault(Path(spec.input_path).resolve(), []).append(spec)
@@ -545,10 +557,12 @@ class Pipeline:
         results, workers = fan_out([partial(ingest, *shard) for shard in shards])
         parts = {}
         shard_rows = []
+        file_seconds = dict.fromkeys(groups, 0.0)  # the corpora of a file share its parse
         for (path, start, end), (shard_parts, seconds) in zip(shards, results):
             shard_rows.append({"file": self.config.relative(path), "start": start, "end": end,
                                "lines": shard_parts[0][1].lines, "seconds": round(seconds, 3),
                                "distinct_chunks": shard_parts[0][1].distinct_chunks})
+            file_seconds[path] += seconds
             for spec, part in zip(groups[path], shard_parts):
                 parts.setdefault(spec.corpus_id, []).append(part)
         counts_by_corpus, throughput = {}, {}
@@ -557,9 +571,10 @@ class Pipeline:
                 write_streams(f, TypeStreams.join(types for types, _ in parts[spec.corpus_id]))
             counts = sum((c for _, c in parts[spec.corpus_id]), IngestCounts())
             counts_by_corpus[spec.corpus_id] = counts.as_dict()
+            seconds = file_seconds[Path(spec.input_path).resolve()]
             throughput[spec.corpus_id] = {
-                "seconds": round(counts.seconds, 3), "records": counts.read,
-                "posts_per_s": round(counts.read / max(counts.seconds, 1e-9))}
+                "seconds": round(seconds, 3), "records": counts.read,
+                "posts_per_s": round(counts.read / max(seconds, 1e-9))}
         with self._artifact(self.out / "counts.json", encoding="utf-8") as f:
             json.dump(counts_by_corpus, f, ensure_ascii=False, indent=2)
             f.write("\n")
@@ -610,7 +625,7 @@ class Pipeline:
             verdict = ("did not leave its initial loss" if stuck
                        else "diverged" if losses[-1] > untrained else None)
             if verdict:
-                self.manifest.warnings.append(
+                self._warnings.append(
                     f"run {verdict}: corpus {corpus_id} run {r}, "
                     f"last epoch loss {losses[-1]:.4f}, untrained loss {untrained:.4f}")
             # the tokens one run trains on: in-vocabulary tokens times epochs
@@ -628,7 +643,7 @@ class Pipeline:
         del streams
         shared = shared_set(table, self.config.shared_threshold)
         if len(shared) == 0:
-            self.manifest.warnings.append(
+            self._warnings.append(
                 f"no emoji passes the shared-set threshold {self.config.shared_threshold}")
 
         lexicons = [parse_lexicon(spec.lexicon_path) for spec in self.config.corpora]
@@ -643,7 +658,7 @@ class Pipeline:
             if lang in ekman:
                 ekman_axes[spec.corpus_id] = ekman[lang]
             else:
-                self.manifest.warnings.append(
+                self._warnings.append(
                     f"no Ekman word list for language {lang!r} (corpus {spec.corpus_id})")
             vocab = vocabs[spec.corpus_id]
             exp = expand_patterns(lexicon, vocab.tokens)
@@ -667,14 +682,14 @@ class Pipeline:
             info["axes"] = list(tensor.axes)
             info["targets"] = len(tensor.targets)
             if tensor.dropped_categories:
-                self.manifest.warnings.append("dropped categories: " + ", ".join(
+                self._warnings.append("dropped categories: " + ", ".join(
                     f"{c} ({why})" for c, why in tensor.dropped_categories.items()))
             if tensor.excluded_targets:
-                self.manifest.warnings.append(
+                self._warnings.append(
                     f"{len(tensor.excluded_targets)} shared emoji missing from some "
                     f"corpus vocabulary, excluded from projections")
             if tensor.excluded_axes:
-                self.manifest.warnings.append(
+                self._warnings.append(
                     "Ekman axes excluded (word missing in some corpus): "
                     + ", ".join(tensor.excluded_axes))
         with self._artifact(self.out / "handoff.bin", "wb") as f:
@@ -685,7 +700,7 @@ class Pipeline:
         tensor, table, shared = read_handoff(self.out / "handoff.bin", self.config.culture_of)
         report = build_report(tensor, table, shared, self.config.culture_of,
                               top_k=self.config.top_k)
-        self.manifest.warnings.extend(report.warnings)
+        self._warnings.extend(report.warnings)
         open_report = self._opener("report")
         write_report_csvs(report, table, open_report)
         with open_report("report.json") as f:
@@ -697,7 +712,7 @@ class Pipeline:
         charts = emit_charts(report, self._opener("charts"))
         for name, filename in charts.items():
             if filename is None:
-                self.manifest.warnings.append(f"chart {name} omitted: empty report section")
+                self._warnings.append(f"chart {name} omitted: empty report section")
         return {"charts": charts}
 
     # --- driver ---
@@ -705,10 +720,9 @@ class Pipeline:
     def _restore(self, stage: str, key: str) -> None:
         """Record a complete stage this call does not run as its last entry
         recorded it, with its warnings, and with no `max_rss_mb`."""
-        entry = {k: v for k, v in self._recorded[stage].items()
-                 if k not in ("completed", "skipped", "key", "seconds", "max_rss_mb")}
-        self.manifest.record(stage, key, 0.0, skipped=True, **entry)
-        self.manifest.warnings.extend(entry.get("warnings", []))
+        entry = {k: v for k, v in self._recorded[stage].items() if k != "max_rss_mb"}
+        self.manifest.stages[stage] = entry | {"completed": True, "skipped": True, "key": key,
+                                               "seconds": 0.0}
 
     def run(self, stage: str = "all") -> RunManifest:
         """Run `stage`, or with "all" every stage whose last entry does not
@@ -736,8 +750,7 @@ class Pipeline:
                     raise PipelineStageError(STAGES[index - 1], RuntimeError(
                         f"artifacts missing or stale; run the {STAGES[index - 1]!r} stage first"))
                 start = time.perf_counter()
-                warnings_before = len(self.manifest.warnings)
-                self._artifacts = []
+                self._artifacts, self._warnings = [], []
                 try:
                     self._clear(name)
                     extra = getattr(self, f"stage_{name}")() or {}
@@ -746,16 +759,18 @@ class Pipeline:
                     # files its last entry listed and those this run declared
                     entry = self.manifest.stages[name]
                     entry |= {"skipped": False, "key": None,
-                              "artifacts": entry["artifacts"] | self._written()}
+                              "artifacts": entry["artifacts"] | self._written(),
+                              "warnings": self._warnings}
                     if not isinstance(exc, Exception):
                         raise  # an interrupt
                     raise PipelineStageError(name, exc) from exc
                 written = self._written()
-                self.manifest.record(name, key, time.perf_counter() - start, **extra,
-                                     **max_rss(), artifacts=written,
-                                     bytes=sum((self.out / rel).stat().st_size
-                                               for rel, digest in written.items() if digest),
-                                     warnings=self.manifest.warnings[warnings_before:])
+                self.manifest.stages[name] = {
+                    "completed": True, "skipped": False, "key": key,
+                    "seconds": round(time.perf_counter() - start, 3), **extra, **max_rss(),
+                    "artifacts": written, "bytes": sum((self.out / rel).stat().st_size
+                                                       for rel, sha in written.items() if sha),
+                    "warnings": self._warnings}
                 self.manifest.save(self.out / "manifest.json")
         finally:
             self.manifest.save(self.out / "manifest.json")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,16 @@ def test_duplicate_category_names_rejected(tmp_path):
     # one id given twice would silently lose the first category
     with pytest.raises(LexiconFormatError, match=":3: duplicate category id 1"):
         parse_lexicon(write_dic(tmp_path, "%\n1\tposemo\n1\tnegemo\n%\nx\t1\n"))
+
+
+def test_category_name_with_the_ekman_prefix_rejected(tmp_path):
+    # the tensor counts its category axes by label prefix: an `ekman:a`
+    # category took the place of `zeta` in every icon profile
+    path = write_dic(tmp_path, "%\n1\tcatB\n2\tekman:a\n3\tzeta\n%\nx\t1\t2\t3\n")
+    with pytest.raises(LexiconFormatError,
+                       match=re.escape(f"{path}:3: category name 'ekman:a' starts with 'ekman:'")):
+        parse_lexicon(path)
+    assert list(parse_lexicon(write_dic(tmp_path, "%\n1\tekman\n2\tEkman:a\n%\nx\t1\t2\n")))
 
 
 def test_interior_wildcard_rejected(tmp_path):

@@ -277,6 +277,54 @@ def test_artifact_key_that_names_no_stage_file_counts_as_no_entry(completed_run,
     assert outside is None or outside.read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.parametrize("damage", [{"warnings": 5}, {"warnings": None}, {"warnings": "ab"},
+                                    {"stage": 1}, {"self": 1}],
+                         ids=["warnings-5", "warnings-null", "warnings-str", "key-stage",
+                              "key-self"])
+def test_damaged_stage_entry_does_not_crash_a_run(completed_run, tmp_path, damage):
+    # `warnings` 5 or null failed every later run with a TypeError, "ab"
+    # added the warnings "a" and "b", and a `stage` or `self` key clashed
+    # with the arguments a restored entry was recorded through
+    config = copy_run(completed_run, tmp_path)
+    path = config.out_dir / "manifest.json"
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    saved["stages"]["ingest"] |= damage
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    for _ in range(2):
+        manifest = Pipeline(config).run("all")
+        assert all(info["completed"] for info in manifest.stages.values())
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        entries = [saved["stages"][name]["warnings"] for name in STAGES]
+        assert all(isinstance(warnings, list) for warnings in entries)
+        assert saved["warnings"] == [w for warnings in entries for w in warnings]
+        assert saved["warnings"] == completed_run[2].warnings
+
+
+@pytest.mark.parametrize("name", ["west.jsonl", "config.json", "demo.dic"])
+def test_artifact_its_stage_does_not_write_counts_as_no_entry(tmp_path, name):
+    # with the output directory beside the inputs, an input listed in
+    # ingest's entry under a stale key was deleted by the next run, which
+    # then failed
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=5, runs=1, dim=8, epochs=1)
+    edit_config(cfg_path, "out_dir", ".")
+    config = load_config(cfg_path)
+    Pipeline(config).run("all")
+    kept = (tmp_path / name).read_bytes()
+    path = tmp_path / "manifest.json"
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    saved["stages"]["ingest"] |= {"key": "stale",
+                                  "artifacts": saved["stages"]["ingest"]["artifacts"] | {name: "0"}}
+    path.write_text(json.dumps(saved), encoding="utf-8")
+    manifest = Pipeline(config).run("all")
+    assert ran(manifest) == ["ingest"]
+    assert (tmp_path / name).read_bytes() == kept
+
+
+def test_stage_writes_lists_the_first_part_of_every_artifact(completed_run):
+    for name, entry in completed_run[2].stages.items():
+        assert {rel.split("/")[0] for rel in entry["artifacts"]} == set(pipeline.STAGE_WRITES[name])
+
+
 @pytest.mark.parametrize("same_object", [False, True], ids=["fresh", "same-object"])
 def test_input_edit_reruns_every_stage(completed_run, tmp_path, same_object):
     config = copy_run(completed_run, tmp_path)
@@ -1065,6 +1113,19 @@ def test_stage_failing_after_its_first_artifact_leaves_nothing_unrecorded(
     assert_only_recorded_files(config)
 
 
+def test_failed_stage_keeps_the_warnings_it_raised(tmp_path, monkeypatch):
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=8, runs=1, dim=8, epochs=1)
+    edit_config(cfg_path, "shared_threshold", 10**6)
+    fail_handoff(monkeypatch)
+    with pytest.raises(PipelineStageError, match="stage 'project' failed: disk full"):
+        Pipeline(load_config(cfg_path)).run("all")
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    warning = "no emoji passes the shared-set threshold 1000000"
+    assert saved["stages"]["project"]["warnings"] == [warning]
+    assert saved["warnings"] == [w for name in STAGES
+                                 for w in saved["stages"][name].get("warnings", [])]
+
+
 def test_failed_rerun_keeps_the_later_stages_files_recorded(completed_run, tmp_path, monkeypatch):
     # a re-run whose project fails runs no later stage; their entries keep
     # the files they last wrote, so a smaller run after it deletes the
@@ -1390,6 +1451,24 @@ def test_manifest_records_train_throughput_per_run(completed_run):
         assert all(r["seconds"] >= 0 for r in rows)
     assert ingest["workers"] == min(len(shards), cpus)
     assert train["workers"] == min(len(config.corpora) * config.runs, cpus)
+
+
+def test_corpora_reading_one_file_share_its_ingest_seconds(tmp_path):
+    # ingest times its jobs, one per byte range of a file, and the corpora
+    # reading a file share its parse, so they share its seconds
+    cfg_path = write_two_culture_setup(tmp_path, posts_per_pattern=60)
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    raw["corpora"].append(raw["corpora"][0] | {"id": "US2", "culture": "East"})
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    config = load_config(cfg_path)
+    ingest = Pipeline(config).run("ingest").stages["ingest"]
+    throughput = ingest["throughput"]
+    assert throughput["US"] == throughput["US2"]
+    for spec in config.corpora:
+        info = throughput[spec.corpus_id]
+        rows = [r for r in ingest["shards"] if r["file"] == config.relative(spec.input_path)]
+        assert abs(info["seconds"] - sum(r["seconds"] for r in rows)) <= 5e-4 * (len(rows) + 1)
+        assert within_rounding(info["records"], info["seconds"], info["posts_per_s"])
 
 
 def test_manifest_records_distinct_chunks_and_kept_rows(completed_run):
